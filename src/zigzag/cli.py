@@ -22,6 +22,9 @@ from .spectral import adjacency_spectrum, normalized_laplacian_spectrum
 from .tower import TowerConfig, build_tower, folner_product_check, tower_spectrum_check
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
+# Arguments that read stdin when given as "-", by parser dest.
+STDIN_ARGS = {"graph": "-g", "labels": "-H", "labeling": "-l", "chain": "--chain", "product": "-p",
+              "source": "--from", "target": "--to"}
 
 
 class InputError(Exception):
@@ -58,14 +61,10 @@ def _load_graph(spec: str) -> Graph:
         raise InputError(f"bad graph input {spec}: {exc}") from exc
 
 
-def _parse_label(token: str):
-    return int(token) if token.lstrip("-").isdigit() and str(int(token)) == token else token
-
-
 def _load_labeling(args, g: Graph, h: Graph) -> HLabeling:
     if getattr(args, "constant", None) is not None:
         try:
-            return constant_labeling(g, h, _parse_label(args.constant))
+            return constant_labeling(g, h, io._parse_token(args.constant))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
     if getattr(args, "labeling", None) is None:
@@ -357,6 +356,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
+        from_stdin = [flag for dest, flag in STDIN_ARGS.items() if getattr(args, dest, None) == "-"]
+        if len(from_stdin) > 1:
+            raise InputError(f"only one input can be read from stdin ('-'), got {', '.join(from_stdin)}")
         if args.command == "check" and args.what != "pi" and not args.map:
             raise InputError("check cover/comb-cover needs --map FILE")
         if args.command == "check" and args.what == "pi" and not args.product:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,9 +47,10 @@ def make_edge(u: VertexId, v: VertexId) -> Edge:
     """Unordered edge as a canonically ordered pair. Loops are rejected."""
     if u == v:
         raise ValueError(f"loop edge at {format_vertex(u)} not allowed in a simple graph")
-    if vertex_key(u) <= vertex_key(v):
-        return (u, v)
-    return (v, u)
+    try:  # native comparison, where defined, agrees with vertex_key
+        return (u, v) if u < v else (v, u)
+    except TypeError:  # the ids differ in kind somewhere (int vs str)
+        return (u, v) if vertex_key(u) < vertex_key(v) else (v, u)
 
 
 def edge_key(e: Edge):
@@ -76,29 +78,49 @@ class Graph:
     """Immutable finite simple undirected graph.
 
     Vertices and edges are canonicalized on construction: ids validated,
-    duplicates dropped, edge endpoints added to the vertex set, everything
-    sorted by the canonical vertex order.  Equality is structural.
+    duplicates dropped, edge endpoints added to the vertex set.  The ids are
+    ranked by one `vertex_key` sort, and every stored order (vertices, edge
+    endpoints, edges, adjacency, darts) is rank order, which equals the
+    `vertex_key` / `edge_key` / `dart_key` order.  Equality is structural.
     """
 
     vertices: tuple = ()
     edges: tuple = ()
 
     def __post_init__(self):
-        vset = set()
+        first: dict = {}  # distinct id -> the first object given for it
+
+        def stored(x):
+            # Only the stored object itself skips validation: True == 1 but is no id.
+            try:
+                w = first.get(x)
+            except TypeError:  # unhashable
+                return None
+            return first.setdefault(x, x) if w is x or is_vertex_id(x) else None
+
         for v in self.vertices:
-            if not is_vertex_id(v):
+            if stored(v) is None:
                 raise ValueError(f"invalid vertex id: {v!r}")
-            vset.add(v)
-        eset = set()
+        pairs = []
         for e in self.edges:
             u, v = e
-            if not (is_vertex_id(u) and is_vertex_id(v)):
+            pair = stored(u), stored(v)
+            if None in pair:
                 raise ValueError(f"invalid edge endpoints: {e!r}")
-            eset.add(make_edge(u, v))
-            vset.add(u)
-            vset.add(v)
-        object.__setattr__(self, "vertices", tuple(sorted(vset, key=vertex_key)))
-        object.__setattr__(self, "edges", tuple(sorted(eset, key=edge_key)))
+            if pair[0] is pair[1]:
+                raise ValueError(f"loop edge at {format_vertex(u)} not allowed in a simple graph")
+            pairs.append(pair)
+
+        verts = tuple(sorted(first, key=vertex_key))
+        rank, n = {v: r for r, v in enumerate(verts)}, len(verts)
+        codes = {min(ru, rv) * n + max(ru, rv) for ru, rv in ((rank[u], rank[v]) for u, v in pairs)}
+        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "edges", tuple((verts[c // n], verts[c % n]) for c in sorted(codes)))
+        object.__setattr__(self, "_rank", rank)  # not a field: equality stays structural
+
+    def _edge(self, u: VertexId, v: VertexId) -> Edge:
+        """The pair {u, v} of vertices of this graph, endpoints in rank order."""
+        return (u, v) if self._rank[u] < self._rank[v] else (v, u)
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -106,11 +128,21 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> dict:
+        # Edges are in (rank, rank) order, so lower neighbours come first, each list sorted.
         adj = {v: [] for v in self.vertices}
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return {v: tuple(sorted(ns, key=vertex_key)) for v, ns in adj.items()}
+        return {v: tuple(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def _darts(self) -> tuple:
+        # As for adjacency, darts at a vertex come in rank order of their other end.
+        at = {v: [] for v in self.vertices}
+        for e in self.edges:
+            for x in e:
+                at[x].append(Dart(x, e))
+        return tuple(d for ds in at.values() for d in ds)
 
     def neighbors(self, v: VertexId) -> tuple:
         if v not in self.adjacency:
@@ -124,10 +156,11 @@ class Graph:
         return v in self.adjacency
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        return u != v and make_edge(u, v) in self.edge_set
+        ru, rv = self._rank.get(u), self._rank.get(v)
+        return None not in (ru, rv) and ru != rv and ((u, v) if ru < rv else (v, u)) in self.edge_set
 
     def incident_edges(self, v: VertexId) -> tuple:
-        return tuple(make_edge(v, w) for w in self.neighbors(v))
+        return tuple(self._edge(v, w) for w in self.neighbors(v))
 
     def induced_subgraph(self, subset: Iterable[VertexId]) -> "Graph":
         sub = set(subset)
@@ -154,11 +187,7 @@ class Graph:
 
 def darts(g: Graph) -> tuple:
     """All (vertex, edge) incidences of g, two per edge, in canonical order."""
-    out = []
-    for e in g.edges:
-        out.append(Dart(e[0], e))
-        out.append(Dart(e[1], e))
-    return tuple(sorted(out, key=dart_key))
+    return g._darts
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +210,11 @@ class VertexMap:
             raise ValueError(f"map image leaves codomain: {sorted(set(bad), key=vertex_key)}")
         ordered = {v: got[v] for v in self.domain.vertices}
         object.__setattr__(self, "mapping", MappingProxyType(ordered))
+
+    @cached_property
+    def _is_morphism(self) -> bool:
+        has_edge, mp = self.codomain.has_edge, self.mapping
+        return all(has_edge(mp[u], mp[v]) for u, v in self.domain.edges)
 
     def __call__(self, v: VertexId) -> VertexId:
         return self.mapping[v]
@@ -213,22 +247,21 @@ def is_graph_morphism(m: VertexMap) -> bool:
 
     The codomain is simple, so a morphism may never identify two adjacent
     vertices: the image of an edge must again be an edge, never a loop.
+    Maps and graphs are immutable, so the verdict is computed once per map.
     """
-    for u, v in m.domain.edges:
-        if not m.codomain.has_edge(m(u), m(v)):
-            return False
-    return True
+    return m._is_morphism
 
 
 def induced_dart_map(m: VertexMap):
     """The dart-level map sending (u, {u,v}) to (m(u), {m(u), m(v)})."""
     if not is_graph_morphism(m):
         raise ValueError("dart map is only induced by a graph morphism")
+    mp, edge = m.mapping, m.codomain._edge
 
     def dmap(d: Dart) -> Dart:
         u, v = d.edge
-        other = v if d.vertex == u else u
-        return Dart(m(d.vertex), make_edge(m(d.vertex), m(other)))
+        x = mp[d.vertex]
+        return Dart(x, edge(x, mp[v] if d.vertex == u else mp[u]))
 
     return dmap
 
@@ -289,34 +322,32 @@ def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
     """
     if not is_graph_morphism(m):
         return CoverCheck(None, "not-a-morphism", None)
-
-    fiber_edges = {e: 0 for e in m.codomain.edges}
-    for x, y in m.domain.edges:
-        img = make_edge(m(x), m(y))
-        fiber_edges[img] += 1
+    mp, cod = m.mapping, m.codomain
+    fiber_edges = Counter(cod._edge(mp[x], mp[y]) for x, y in m.domain.edges)
 
     index = None
-    for e in m.codomain.edges:
+    for e in cod.edges:
         count = fiber_edges[e]
         if count == 0:
             return CoverCheck(None, "empty-edge-fiber", (e,))
         if index is None:
             index = count
         elif count != index:
-            first = next(d for d in m.codomain.edges if fiber_edges[d] == index)
+            first = next(d for d in cod.edges if fiber_edges[d] == index)
             return CoverCheck(None, "unequal-edge-fibers", (first, index, e, count))
     if index is None:
         index = 1
 
+    # How often each domain vertex sees each fiber, counted once per vertex.
+    sees = {x: Counter(mp[y] for y in ns) for x, ns in m.domain.adjacency.items()}
     fibers: dict = {}
     for x in m.domain.vertices:
-        fibers.setdefault(m(x), []).append(x)
+        fibers.setdefault(mp[x], []).append(x)
     for u, fiber in fibers.items():
-        for v in m.codomain.neighbors(u):
-            counts = {x: sum(1 for y in m.domain.neighbors(x) if m(y) == v) for x in fiber}
-            first = fiber[0]
+        first = fiber[0]
+        for v in cod.neighbors(u):
             for x in fiber[1:]:
-                if counts[x] != counts[first]:
+                if sees[x][v] != sees[first][v]:
                     return CoverCheck(None, "unequal-neighborhood-fibers", (first, x, v))
     return CoverCheck(index)
 

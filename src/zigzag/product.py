@@ -23,11 +23,11 @@ from .graphs import (
     check_combinatorial_cover,
     darts,
     format_vertex,
+    induced_dart_map,
     is_connected,
     is_covering_map,
     is_graph_morphism,
     is_isomorphism,
-    make_edge,
     vertex_key,
 )
 from .labeling import (
@@ -101,26 +101,21 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
     if a.labels != h:
         raise ValueError("labeling does not map into the given label graph")
 
-    verts = set()
+    # (u, label) -> [((u, i), {i, label}) for each i ~ label], one object per product vertex.
+    nodes = {}
     for d, lbl in a.mapping.items():
-        for i in h.neighbors(lbl):
-            verts.add((d.vertex, i))
+        if (d.vertex, lbl) not in nodes:
+            nodes[d.vertex, lbl] = [((d.vertex, i), h._edge(i, lbl)) for i in h.adjacency[lbl]]
 
-    edges = []
+    # Base edges (u, v) have rank(u) < rank(v), so (u, i) < (v, j) for all i, j.
     tags = {}
     for e in g.edges:
         u, v = e
-        lu = a(Dart(u, e))
-        lv = a(Dart(v, e))
-        for i in h.neighbors(lu):
-            for j in h.neighbors(lv):
-                p, q = (u, i), (v, j)
-                pe = make_edge(p, q)
-                eps_u = make_edge(i, lu)
-                eps_v = make_edge(j, lv)
-                tags[pe] = EdgeTag(e, eps_u, eps_v) if pe == (p, q) else EdgeTag(e, eps_v, eps_u)
-                edges.append(pe)
-    prod = Graph(tuple(verts), tuple(edges))
+        ends_v = nodes[v, a(Dart(v, e))]
+        for p, eps_u in nodes[u, a(Dart(u, e))]:
+            for q, eps_v in ends_v:
+                tags[p, q] = EdgeTag(e, eps_u, eps_v)
+    prod = Graph(tuple(p for ends in nodes.values() for p, _ in ends), tuple(tags))
     return ZigZagGraph(prod, g, h, a, tags)
 
 
@@ -131,7 +126,7 @@ def product_valency_check(z: ZigZagGraph) -> bool:
     for u, i in z.product.vertices:
         expected = 0
         for v in z.base.neighbors(u):
-            e = make_edge(u, v)
+            e = z.base._edge(u, v)
             if h.has_edge(z.labeling(Dart(u, e)), i):
                 expected += h.degree(z.labeling(Dart(v, e)))
         if z.product.degree((u, i)) != expected:
@@ -171,7 +166,7 @@ def section_subgraphs(z: ZigZagGraph):
         choice = dict(zip(base_vs, picks))
         chosen = [(u, choice[u]) for u in base_vs]
         section = z.product.induced_subgraph(chosen)
-        expected = {make_edge((u, choice[u]), (v, choice[v])) for u, v in z.base.edges}
+        expected = {((u, choice[u]), (v, choice[v])) for u, v in z.base.edges}
         if set(section.edges) != expected:
             raise RuntimeError(f"section {choice} is not a copy of the base graph")
         yield choice, section
@@ -277,10 +272,9 @@ def lift_pair(f: VertexMap, gmap: Mapping, z: ZigZagGraph) -> VertexMap:
     if bad:
         raise ValueError(f"choice map leaves the label graph at: {sorted(bad, key=vertex_key)}")
 
+    dmap = induced_dart_map(f)
     for d in darts(f.domain):
-        u, v = d.edge
-        other = v if d.vertex == u else u
-        lbl = z.labeling(Dart(f(d.vertex), make_edge(f(d.vertex), f(other))))
+        lbl = z.labeling(dmap(d))
         if not z.labels.has_edge(gmap[d.vertex], lbl):
             raise ValueError(
                 f"adjacency precondition fails at dart {d}: choice {format_vertex(gmap[d.vertex])} "

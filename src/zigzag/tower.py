@@ -38,6 +38,10 @@ class TowerConfig:
     budget: int = 100_000
     spectral_cap: int = 3000
 
+    def __post_init__(self):
+        if self.budget < 1:
+            raise ValueError(f"tower budget must be at least 1 vertex, got {self.budget}")
+
 
 @dataclass(frozen=True, eq=False)
 class TowerLevel:

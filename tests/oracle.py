@@ -1,12 +1,14 @@
-"""Brute-force reference for the product construction.
+"""Brute-force references for the product construction and the cover check.
 
-Filters all of V(G) x V(H) and all candidate vertex pairs by the literal
-membership rules, using nothing from the construction under test.
+The product oracle filters all of V(G) x V(H) and all candidate vertex pairs
+by the literal membership rules, using nothing from the construction under
+test.  The cover oracle recounts neighbour fibers once per (vertex, adjacent
+fiber) pair, the enumeration the library's one-pass check replaces.
 """
 
 from itertools import combinations
 
-from zigzag.graphs import Dart, make_edge, vertex_key
+from zigzag.graphs import CoverCheck, Dart, VertexMap, is_graph_morphism, make_edge, vertex_key
 
 
 def h_neighbors(h, x):
@@ -36,3 +38,45 @@ def brute_force_zigzag(g, h, a):
                 if i in h_neighbors(h, a(Dart(u, e))) and j in h_neighbors(h, a(Dart(v, e))):
                     edges.add(make_edge((u, i), (v, j)))
     return verts, edges
+
+
+def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
+    """Check the two combinatorial-covering conditions by enumeration.
+
+    Condition one: every codomain edge has the same positive number of
+    preimage edges.  Condition two: vertices in a common fiber see every
+    adjacent fiber through equally many edges.  A codomain without edges
+    is conventionally a cover of index 1 (both conditions are vacuous).
+    """
+    if not is_graph_morphism(m):
+        return CoverCheck(None, "not-a-morphism", None)
+
+    fiber_edges = {e: 0 for e in m.codomain.edges}
+    for x, y in m.domain.edges:
+        img = make_edge(m(x), m(y))
+        fiber_edges[img] += 1
+
+    index = None
+    for e in m.codomain.edges:
+        count = fiber_edges[e]
+        if count == 0:
+            return CoverCheck(None, "empty-edge-fiber", (e,))
+        if index is None:
+            index = count
+        elif count != index:
+            first = next(d for d in m.codomain.edges if fiber_edges[d] == index)
+            return CoverCheck(None, "unequal-edge-fibers", (first, index, e, count))
+    if index is None:
+        index = 1
+
+    fibers: dict = {}
+    for x in m.domain.vertices:
+        fibers.setdefault(m(x), []).append(x)
+    for u, fiber in fibers.items():
+        for v in m.codomain.neighbors(u):
+            counts = {x: sum(1 for y in m.domain.neighbors(x) if m(y) == v) for x in fiber}
+            first = fiber[0]
+            for x in fiber[1:]:
+                if counts[x] != counts[first]:
+                    return CoverCheck(None, "unequal-neighborhood-fibers", (first, x, v))
+    return CoverCheck(index)

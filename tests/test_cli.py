@@ -1,6 +1,8 @@
 import io as std_io
 import json
 
+import pytest
+
 from helpers import C3, C4, C6, P3
 from zigzag import io
 from zigzag.cli import run
@@ -254,3 +256,42 @@ class TestUsage:
         code, _, err = invoke(["spectrum", "-g", "/nonexistent/graph.json"], capsys)
         assert code == 2
         assert "cannot read" in err
+
+
+class TestInputRules:
+    def _write(self, tmp_path, name, graph_obj):
+        path = tmp_path / name
+        path.write_text(json.dumps(graph_obj), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("budget", ["-5", "0"])
+    def test_non_positive_budget_exit_2(self, capsys, tmp_path, budget):
+        g = self._write(tmp_path, "g.json", io.graph_to_obj(C4))
+        h = self._write(tmp_path, "h.json", io.graph_to_obj(P3))
+        code, out, err = invoke(
+            ["tower", "-g", g, "-H", h, "--constant", "1", "--depth", "3", "--budget", budget], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:") and "budget" in err
+        assert "truncated" not in out
+
+    @pytest.mark.parametrize("label", ["²", "007"])
+    def test_digit_like_labels_stay_strings(self, capsys, tmp_path, label):
+        # "²" is a digit to str.isdigit but no decimal; "007" is not canonical.
+        g = self._write(tmp_path, "g.json", io.graph_to_obj(C3))
+        labels = {"vertices": ["²", "007", 7], "edges": [["²", "007"], ["007", 7]]}
+        h = self._write(tmp_path, "h.json", labels)
+        code, out, err = invoke(["product", "-g", g, "-H", h, "--constant", label], capsys)
+        assert code == 0, err
+        assert {entry["label"] for entry in json.loads(out)["labeling"]} == {label}
+
+    def test_stdin_for_two_inputs_exit_2(self, capsys, monkeypatch):
+        code, out, err = invoke(
+            ["product", "-g", "-", "-H", "-", "--constant", "1"],
+            capsys,
+            stdin=io.dumps_graph(C4),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2
+        assert err.startswith("error:") and "stdin" in err and "-g, -H" in err
+        assert out == ""

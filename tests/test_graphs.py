@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import oracle
 from conftest import small_graphs
 from zigzag.generators import cayley_cyclic, complete, cycle, generate, hypercube, path
 from zigzag.graphs import (
@@ -13,7 +16,9 @@ from zigzag.graphs import (
     check_combinatorial_cover,
     compose,
     darts,
+    dart_key,
     disjoint_union,
+    edge_key,
     identity_map,
     induced_dart_map,
     inverse_map,
@@ -291,3 +296,74 @@ def test_vertex_order_is_total(g):
 def test_make_edge_orders_endpoints():
     assert make_edge("b", "a") == ("a", "b")
     assert make_edge((1, 0), 5) == (5, (1, 0))
+
+
+# Ids of every kind: ints, strings that look numeric or are digits only in
+# Unicode, and nested pairs of unequal depth whose sides mix kinds.
+ATOMS = st.one_of(
+    st.integers(-3, 12), st.sampled_from(["01", "1", "-0", "²", "007", "a", ""]), st.text(max_size=2)
+)
+VERTEX_IDS = st.recursive(ATOMS, lambda inner: st.tuples(inner, inner), max_leaves=5)
+
+
+@st.composite
+def mixed_graphs(draw, max_vertices=8):
+    vs = draw(st.lists(VERTEX_IDS, max_size=max_vertices, unique=True))
+    pairs = list(combinations(vs, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    # Hand the edges over in random orientation and the vertices in random order.
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(edges, flips)]
+    return Graph(tuple(draw(st.permutations(vs))), tuple(edges))
+
+
+@st.composite
+def vertex_maps(draw):
+    """Maps from mixed-id graphs into small graphs, mostly morphisms."""
+    cod = draw(small_graphs(min_vertices=1, max_vertices=4))
+    names = draw(st.lists(VERTEX_IDS, min_size=1, max_size=10, unique=True))
+    image = {x: draw(st.sampled_from(cod.vertices)) for x in names}
+    fitting = [(x, y) for x, y in combinations(names, 2) if cod.has_edge(image[x], image[y])]
+    if fitting and draw(st.booleans()):
+        edges = draw(st.lists(st.sampled_from(fitting), unique=True))
+    else:
+        edges = list(fitting)  # a fiberwise complete lift: a cover when the fibers are equal
+    if len(names) > 1 and draw(st.integers(0, 4)) == 0:
+        edges.append(draw(st.sampled_from(list(combinations(names, 2)))))
+    return VertexMap(Graph(tuple(names), tuple(edges)), cod, image)
+
+
+class TestRankOrder:
+    @given(mixed_graphs())
+    def test_stored_orders_are_the_key_orders(self, g):
+        assert list(g.vertices) == sorted(set(g.vertices), key=vertex_key)
+        assert list(g.edges) == sorted(set(g.edges), key=edge_key)
+        assert all(vertex_key(u) < vertex_key(v) for u, v in g.edges)
+        for v in g.vertices:
+            assert list(g.adjacency[v]) == sorted(g.adjacency[v], key=vertex_key)
+        every = [Dart(x, e) for e in g.edges for x in e]
+        assert list(darts(g)) == sorted(every, key=dart_key)
+
+    @given(mixed_graphs())
+    def test_make_edge_and_has_edge_follow_the_key_order(self, g):
+        for u, v in combinations(g.vertices, 2):
+            lo, hi = sorted((u, v), key=vertex_key)
+            assert make_edge(v, u) == make_edge(u, v) == (lo, hi)
+            assert g.has_edge(u, v) == g.has_edge(v, u) == ((lo, hi) in g.edge_set)
+
+    def test_equal_ids_of_another_type_rejected(self):
+        with pytest.raises(ValueError, match="invalid vertex id"):
+            Graph((1, True), ())
+        with pytest.raises(ValueError, match="invalid edge endpoints"):
+            Graph(((1, 1), 2), (((1, True), 2),))
+
+
+@given(vertex_maps())
+# Two vertices of the fiber over 0 see the fiber over 1 more often than the
+# first one does: the witness is the earlier of the two.
+@example(VertexMap(Graph((), ((0, 1), (2, 1), (2, 3), (4, 3), (4, 5))), K2, {i: i % 2 for i in range(6)}))
+def test_cover_check_agrees_with_enumeration(m):
+    edges = {frozenset(e) for e in m.codomain.edges}
+    assert is_graph_morphism(m) == all(frozenset((m(u), m(v))) in edges for u, v in m.domain.edges)
+    got, want = check_combinatorial_cover(m), oracle.check_combinatorial_cover(m)
+    assert (got.index, got.violation, got.witness) == (want.index, want.violation, want.witness)
