@@ -1,9 +1,8 @@
 """Command-line surface: generation, products, spectra, covers, towers.
 
 Exit codes: 0 success, 1 a checked theorem-property failed on the input,
-2 usage or input errors.  `-` means stdin/stdout for any graph argument.
-Everything is deterministic; the ZZ_SEED environment variable is reserved
-and currently unused.
+2 usage or input errors.  `-` means stdin for every input argument, at
+most once per invocation, and stdout for `-o`.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -19,12 +18,9 @@ from .graphs import Graph, check_combinatorial_cover, is_covering_map
 from .labeling import constant_labeling, HLabeling
 from .product import pi_combinatorial_cover_check, lift_covering, zigzag_product
 from .spectral import adjacency_spectrum, normalized_laplacian_spectrum
-from .tower import TowerConfig, build_tower, folner_product_check, tower_spectrum_check
+from .tower import TowerConfig, _level_report, build_tower, folner_product_check, tower_spectrum_check
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
-# Arguments that read stdin when given as "-", by parser dest.
-STDIN_ARGS = {"graph": "-g", "labels": "-H", "labeling": "-l", "chain": "--chain", "product": "-p",
-              "source": "--from", "target": "--to"}
 
 
 class InputError(Exception):
@@ -35,16 +31,31 @@ class CheckFailed(Exception):
     pass
 
 
-def _read_text(spec: str) -> str:
-    if spec == "-":
-        return sys.stdin.read()
+class _Input(argparse.Action):
+    """An input argument; each `-` (stdin) given is recorded under its flag as typed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if values == "-":
+            namespace.stdin_flags = getattr(namespace, "stdin_flags", []) + [option_string]
+
+
+def _read_input(spec: str, what: str, parse):
+    """parse(text, base_dir) of an input argument, where base_dir resolves the
+    relative references inside it: the file's directory, or the working
+    directory for stdin."""
+    path = None if spec == "-" else Path(spec)
     try:
-        return Path(spec).read_text(encoding="utf-8")
-    except OSError as exc:
+        text = sys.stdin.read() if path is None else path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {spec}: {exc}") from exc
+    try:
+        return parse(text, Path() if path is None else path.parent)
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise InputError(f"bad {what} input {spec}: {exc}") from exc
 
 
-def _write_text(spec: str | None, text: str) -> None:
+def _write_text(spec: str | Path | None, text: str) -> None:
     if spec is None or spec == "-":
         sys.stdout.write(text)
         return
@@ -55,10 +66,7 @@ def _write_text(spec: str | None, text: str) -> None:
 
 
 def _load_graph(spec: str) -> Graph:
-    try:
-        return io.read_graph_text(_read_text(spec))
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad graph input {spec}: {exc}") from exc
+    return _read_input(spec, "graph", lambda text, _: io.read_graph_text(text))
 
 
 def _load_labeling(args, g: Graph, h: Graph) -> HLabeling:
@@ -69,13 +77,7 @@ def _load_labeling(args, g: Graph, h: Graph) -> HLabeling:
             raise InputError(str(exc)) from exc
     if getattr(args, "labeling", None) is None:
         raise InputError("a labeling is required: pass -l FILE or --constant LABEL")
-    try:
-        if args.labeling == "-":
-            a = io.loads_labeling(sys.stdin.read())
-        else:
-            a = io.load_labeling_file(args.labeling)
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
-        raise InputError(f"bad labeling input: {exc}") from exc
+    a = _read_input(args.labeling, "labeling", io.loads_labeling)
     if a.base != g:
         raise InputError("labeling base graph differs from the -g graph")
     if a.labels != h:
@@ -131,12 +133,13 @@ def cmd_spectrum(args) -> int:
     return OK
 
 
+def _load_map(spec: str, domain: Graph | None, codomain: Graph | None):
+    return _read_input(spec, "map", lambda text, base: io.vertex_map_from_obj(json.loads(text), base, domain, codomain))
+
+
 def cmd_check(args) -> int:
     if args.what == "pi":
-        try:
-            z = io.load_product_file(args.product) if args.product != "-" else io.loads_product(sys.stdin.read())
-        except (ValueError, json.JSONDecodeError, OSError) as exc:
-            raise InputError(f"bad product input: {exc}") from exc
+        z = _read_input(args.product, "product", io.loads_product)
         try:
             index = pi_combinatorial_cover_check(z)
         except ValueError as exc:
@@ -148,10 +151,7 @@ def cmd_check(args) -> int:
 
     domain = _load_graph(args.source) if args.source else None
     codomain = _load_graph(args.target) if args.target else None
-    try:
-        m = io.load_vertex_map_file(args.map, domain=domain, codomain=codomain)
-    except (ValueError, json.JSONDecodeError, OSError, KeyError) as exc:
-        raise InputError(f"bad map input: {exc}") from exc
+    m = _load_map(args.map, domain, codomain)
 
     if args.what == "cover":
         if is_covering_map(m):
@@ -167,21 +167,21 @@ def cmd_check(args) -> int:
 
 
 def cmd_lift_cover(args) -> int:
-    try:
-        z = io.load_product_file(args.product)
-        p = io.load_vertex_map_file(args.map, codomain=z.base)
-    except (ValueError, json.JSONDecodeError, OSError, KeyError) as exc:
-        raise InputError(f"bad input: {exc}") from exc
+    z = _read_input(args.product, "product", io.loads_product)
+    p = _load_map(args.map, None, z.base)
     try:
         lift = lift_covering(p, z)
     except ValueError as exc:
         raise CheckFailed(str(exc)) from exc
     if args.output:
         out = Path(args.output)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "labeling.json").write_text(io.dumps_labeling(lift.beta), encoding="utf-8")
-        (out / "product.json").write_text(io.dumps_product(lift.lifted), encoding="utf-8")
-        (out / "covering.json").write_text(io.dumps_vertex_map(lift.phat), encoding="utf-8")
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
+        _write_text(out / "labeling.json", io.dumps_labeling(lift.beta))
+        _write_text(out / "product.json", io.dumps_product(lift.lifted))
+        _write_text(out / "covering.json", io.dumps_vertex_map(lift.phat))
     print(
         f"lifted covering verified: {len(lift.lifted.product.vertices)} vertices, "
         f"{len(lift.lifted.product.edges)} edges over {len(z.product.vertices)}/{len(z.product.edges)}"
@@ -197,42 +197,26 @@ def cmd_tower(args) -> int:
         build = build_tower(g, h, a, args.depth, TowerConfig(budget=args.budget))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = tower_spectrum_check(build) if len(build.levels) >= 2 else None
-
-    if args.json and report is not None:
-        _write_text(None, io.canonical_dumps(io.tower_report_to_obj(report)))
-        if args.report:
-            _write_text(args.report, io.canonical_dumps(io.tower_report_to_obj(report)))
-        if not report.all_ok:
-            raise CheckFailed("a tower spectral verdict failed")
-        return OK
-
-    rows = [["level", "|V|", "|E|", "rho", "lambda2", "gap", "cover-index"]]
-    for lv in build.levels:
-        rows.append(
-            [
-                str(lv.index),
-                str(len(lv.graph.vertices)),
-                str(len(lv.graph.edges)),
-                _fmt(lv.spectrum.rho if lv.spectrum else None),
-                _fmt(lv.spectrum.lambda2 if lv.spectrum else None),
-                _fmt(lv.spectrum.gap if lv.spectrum else None),
-                _fmt(lv.cover_index),
-            ]
-        )
-    _print_table(rows)
-    if build.truncated:
-        print(f"truncated: vertex budget {args.budget} reached before depth {args.depth}")
-    if report is not None:
+    report = tower_spectrum_check(build) if len(build.levels) > 1 else _level_report(build)
+    text = io.canonical_dumps(io.tower_report_to_obj(report))
+    note = f"truncated: vertex budget {args.budget} reached before depth {args.depth}"
+    if args.json:
+        _write_text(None, text)
+        if build.truncated:
+            print(note, file=sys.stderr)
+    else:
+        rows = [["level", "|V|", "|E|", "rho", "lambda2", "gap", "cover-index"]]
+        for lv in report.levels:
+            rows.append([_fmt(x) for x in (lv.index, lv.vertices, lv.edges, lv.rho, lv.lambda2, lv.gap, lv.cover_index)])
+        _print_table(rows)
+        if build.truncated:
+            print(note)
         for p in report.pairs:
-            print(
-                f"levels {p.lower}->{p.upper}: scaling {p.scaling}, "
-                f"containment {p.containment}, gap {p.gap}"
-            )
-        if args.report:
-            _write_text(args.report, io.canonical_dumps(io.tower_report_to_obj(report)))
-        if not report.all_ok:
-            raise CheckFailed("a tower spectral verdict failed")
+            print(f"levels {p.lower}->{p.upper}: scaling {p.scaling}, containment {p.containment}, gap {p.gap}")
+    if args.report:
+        _write_text(args.report, text)
+    if not report.all_ok:
+        raise CheckFailed("a tower spectral verdict failed")
     return OK
 
 
@@ -240,11 +224,9 @@ def cmd_folner(args) -> int:
     g = _load_graph(args.graph)
     h = _load_graph(args.labels)
     a = _load_labeling(args, g, h)
-    try:
-        chain_obj = json.loads(_read_text(args.chain))
-        chain = [[io.vertex_from_obj(v) for v in f] for f in chain_obj]
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise InputError(f"bad chain input: {exc}") from exc
+    chain = _read_input(
+        args.chain, "chain", lambda text, _: [[io.vertex_from_obj(v) for v in f] for f in json.loads(text)]
+    )
     try:
         report = folner_product_check(g, h, a, chain)
     except ValueError as exc:
@@ -291,39 +273,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("product", help="build a zig-zag product")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("-H", "--labels", required=True)
-    p.add_argument("-l", "--labeling")
+    p.add_argument("-g", "--graph", required=True, action=_Input)
+    p.add_argument("-H", "--labels", required=True, action=_Input)
+    p.add_argument("-l", "--labeling", action=_Input)
     p.add_argument("--constant", help="use the constant labeling with this label")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_product)
 
     p = sub.add_parser("spectrum", help="print a spectrum report")
-    p.add_argument("-g", "--graph", required=True)
+    p.add_argument("-g", "--graph", required=True, action=_Input)
     p.add_argument("--normalized", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("check", help="verify covering properties")
     p.add_argument("what", choices=("cover", "comb-cover", "pi"))
-    p.add_argument("--map", help="vertex-map JSON file")
-    p.add_argument("--from", dest="source", help="domain graph file")
-    p.add_argument("--to", dest="target", help="codomain graph file")
-    p.add_argument("-p", "--product", help="product JSON file (for: check pi)")
+    p.add_argument("--map", action=_Input, help="vertex-map JSON file")
+    p.add_argument("--from", dest="source", action=_Input, help="domain graph file")
+    p.add_argument("--to", dest="target", action=_Input, help="codomain graph file")
+    p.add_argument("-p", "--product", action=_Input, help="product JSON file (for: check pi)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("lift", help="lift maps to products")
     lift_sub = p.add_subparsers(dest="lift_what", required=True)
     q = lift_sub.add_parser("cover", help="lift a covering map to the products")
-    q.add_argument("-p", "--map", required=True, help="covering map JSON file")
-    q.add_argument("-z", "--product", required=True, help="product JSON file")
+    q.add_argument("-p", "--map", required=True, action=_Input, help="covering map JSON file")
+    q.add_argument("-z", "--product", required=True, action=_Input, help="product JSON file")
     q.add_argument("-o", "--output", help="directory for the lifted artifacts")
     q.set_defaults(func=cmd_lift_cover)
 
     p = sub.add_parser("tower", help="build an iterated product tower")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("-H", "--labels", required=True)
-    p.add_argument("-l", "--labeling")
+    p.add_argument("-g", "--graph", required=True, action=_Input)
+    p.add_argument("-H", "--labels", required=True, action=_Input)
+    p.add_argument("-l", "--labeling", action=_Input)
     p.add_argument("--constant")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--budget", type=int, default=100_000)
@@ -332,17 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tower)
 
     p = sub.add_parser("folner", help="boundary ratios of a nested chain in the product")
-    p.add_argument("-g", "--graph", required=True)
-    p.add_argument("-H", "--labels", required=True)
-    p.add_argument("-l", "--labeling")
+    p.add_argument("-g", "--graph", required=True, action=_Input)
+    p.add_argument("-H", "--labels", required=True, action=_Input)
+    p.add_argument("-l", "--labeling", action=_Input)
     p.add_argument("--constant")
-    p.add_argument("--chain", required=True, help="JSON array of vertex-id arrays")
+    p.add_argument("--chain", required=True, action=_Input, help="JSON array of vertex-id arrays")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_folner)
 
     p = sub.add_parser("export", help="export a graph for visualization")
     p.add_argument("--dot", action="store_true")
-    p.add_argument("-g", "--graph", required=True)
+    p.add_argument("-g", "--graph", required=True, action=_Input)
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_export)
 
@@ -356,7 +338,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        from_stdin = [flag for dest, flag in STDIN_ARGS.items() if getattr(args, dest, None) == "-"]
+        from_stdin = getattr(args, "stdin_flags", [])
         if len(from_stdin) > 1:
             raise InputError(f"only one input can be read from stdin ('-'), got {', '.join(from_stdin)}")
         if args.command == "check" and args.what != "pi" and not args.map:

@@ -10,6 +10,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple, Union
 
+import numpy as np
+
 AtomId = Union[int, str]
 # A vertex id is an atom or a pair of vertex ids.  Product graphs nest pairs.
 VertexId = Union[AtomId, tuple]
@@ -121,6 +123,13 @@ class Graph:
     def _edge(self, u: VertexId, v: VertexId) -> Edge:
         """The pair {u, v} of vertices of this graph, endpoints in rank order."""
         return (u, v) if self._rank[u] < self._rank[v] else (v, u)
+
+    @cached_property
+    def _edge_ranks(self) -> np.ndarray:
+        rank = self._rank
+        ranks = np.array([(rank[u], rank[v]) for u, v in self.edges], dtype=np.intp).reshape(-1, 2)
+        ranks.flags.writeable = False
+        return ranks
 
     @cached_property
     def edge_set(self) -> frozenset:

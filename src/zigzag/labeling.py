@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 from .graphs import (
@@ -30,15 +31,15 @@ class HLabeling:
 
     def __post_init__(self):
         got = dict(self.mapping)
-        expected = set(darts(self.base))
-        if set(got) != expected:
+        ordered = {d: got[d] for d in darts(self.base) if d in got}
+        if not len(got) == len(ordered) == len(darts(self.base)):
+            expected = set(darts(self.base))
             missing = sorted(expected - set(got))
             extra = sorted(set(got) - expected)
             raise ValueError(f"labeling must cover every dart exactly (missing {missing}, extra {extra})")
-        bad = [h for h in got.values() if not self.labels.has_vertex(h)]
+        bad = [h for h in ordered.values() if not self.labels.has_vertex(h)]
         if bad:
             raise ValueError(f"labels outside the label graph: {sorted(set(bad), key=vertex_key)}")
-        ordered = {d: got[d] for d in darts(self.base)}
         object.__setattr__(self, "mapping", MappingProxyType(ordered))
 
     def __call__(self, dart: Dart) -> VertexId:
@@ -47,9 +48,18 @@ class HLabeling:
     def label(self, vertex: VertexId, edge) -> VertexId:
         return self.mapping[Dart(vertex, make_edge(*edge))]
 
-    @property
+    @cached_property
     def image(self) -> frozenset:
         return frozenset(self.mapping.values())
+
+    @cached_property
+    def _vertex_labels(self) -> dict | None:
+        """Vertex -> label table, or None when some vertex has two labels."""
+        table: dict = {}
+        for d, h in self.mapping.items():
+            if table.setdefault(d.vertex, h) != h:
+                return None
+        return table
 
     def __eq__(self, other):
         if not isinstance(other, HLabeling):
@@ -77,18 +87,14 @@ def vertex_labeling(base: Graph, labels: Graph, per_vertex: Mapping) -> HLabelin
 
 def is_locally_constant(a: HLabeling) -> bool:
     """True iff all darts at any one vertex share a label."""
-    seen: dict = {}
-    for d, h in a.mapping.items():
-        if seen.setdefault(d.vertex, h) != h:
-            return False
-    return True
+    return a._vertex_labels is not None
 
 
 def vertex_labels(a: HLabeling) -> dict:
     """Vertex -> label table of a locally constant labeling."""
     if not is_locally_constant(a):
         raise ValueError("labeling is not locally constant")
-    return {d.vertex: h for d, h in a.mapping.items()}
+    return dict(a._vertex_labels)
 
 
 class ImageValencyError(ValueError):

@@ -3,7 +3,6 @@ between a graph and its zig-zag products."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,28 +19,30 @@ MATCH_TOL = 1e-6
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    index = {v: k for k, v in enumerate(g.vertices)}
+    u, v = g._edge_ranks.T
     mat = np.zeros((len(g.vertices), len(g.vertices)))
-    for u, v in g.edges:
-        mat[index[u], index[v]] = 1.0
-        mat[index[v], index[u]] = 1.0
+    mat[u, v] = mat[v, u] = 1.0
     return mat
 
 
+def _residual(g: Graph, value: float, vec: np.ndarray) -> float:
+    """max |A·vec - value·vec|, with A·vec summed over the edge array, not built."""
+    u, v = g._edge_ranks.T
+    n = len(g.vertices)
+    return np.max(np.abs(np.bincount(u, vec[v], n) + np.bincount(v, vec[u], n) - value * vec))
+
+
 def normalized_laplacian_matrix(g: Graph) -> np.ndarray:
-    isolated = [v for v in g.vertices if g.degree(v) == 0]
+    n = len(g.vertices)
+    deg = np.bincount(g._edge_ranks.ravel(), minlength=n)
+    isolated = [g.vertices[k] for k in np.flatnonzero(deg == 0)]
     if isolated:
         raise ValueError(f"normalized Laplacian undefined with isolated vertices: {isolated[:3]}")
-    index = {v: k for k, v in enumerate(g.vertices)}
-    n = len(g.vertices)
+    u, v = g._edge_ranks.T
     mat = np.eye(n)
-    for u, v in g.edges:
-        w = -1.0 / math.sqrt(g.degree(u) * g.degree(v))
-        mat[index[u], index[v]] = w
-        mat[index[v], index[u]] = w
-    d = g.is_regular()
-    if d is not None and d > 0:
-        walk = np.eye(n) - adjacency_matrix(g) / d
+    mat[u, v] = mat[v, u] = -1.0 / np.sqrt(deg[u] * deg[v])
+    if n and deg.min() == deg.max():
+        walk = np.eye(n) - adjacency_matrix(g) / deg[0]
         if not np.allclose(mat, walk, atol=RESIDUAL_TOL):
             raise RuntimeError("regular-graph Laplacian identity I - A/d violated")
     return mat
@@ -63,7 +64,10 @@ class SpectrumReport:
 
     @classmethod
     def from_values(cls, values: np.ndarray, operator: str) -> "SpectrumReport":
-        ordered = tuple(float(x) for x in sorted(values, reverse=True))
+        ordered = [float(x) for x in sorted(values, reverse=True)]
+        # Snap numerical zeros to +0.0, so float noise is never reported as data.
+        tol = RESIDUAL_TOL * max(1.0, max(abs(x) for x in ordered))
+        ordered = tuple(0.0 if abs(x) <= tol else x for x in ordered)
         rho = max(abs(x) for x in ordered)
         below = [abs(x) for x in ordered if abs(x) < rho - MATCH_TOL]
         lambda2 = max(below) if below else None
@@ -108,7 +112,7 @@ class EigenPair:
         if norm <= RESIDUAL_TOL:
             raise ValueError("eigenvector is numerically zero")
         vec = _canonical_sign(vec / norm)
-        residual = np.max(np.abs(adjacency_matrix(self.graph) @ vec - self.value * vec))
+        residual = _residual(self.graph, self.value, vec)
         if residual > RESIDUAL_TOL:
             raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
         vec.flags.writeable = False
@@ -134,10 +138,6 @@ class ZeroCertificate:
     value: float
 
 
-def _product_index(z: ZigZagGraph) -> dict:
-    return {v: k for k, v in enumerate(z.product.vertices)}
-
-
 def lift_eigenvector(ep: EigenPair, z: ZigZagGraph) -> EigenPair:
     """Copy a base eigenvector across fibers; the eigenvalue scales by the
     image valency n.  The norm grows by exactly sqrt(n), which is checked
@@ -148,10 +148,10 @@ def lift_eigenvector(ep: EigenPair, z: ZigZagGraph) -> EigenPair:
         raise ValueError("eigenvector lifting needs a locally constant labeling")
     n = image_valency(z.labeling)
 
-    base_index = {v: k for k, v in enumerate(z.base.vertices)}
-    fhat = np.array([ep.vector[base_index[u]] for u, _ in z.product.vertices])
+    rank = z.base._rank
+    fhat = ep.vector[[rank[u] for u, _ in z.product.vertices]]
     norm = np.linalg.norm(fhat)
-    if abs(norm - math.sqrt(n)) > RESIDUAL_TOL:
+    if abs(norm - np.sqrt(n)) > RESIDUAL_TOL:
         raise ValueError(
             f"lifted norm {norm:.6f} is not sqrt({n}); the eigenvector touches vertices without product fibers"
         )
@@ -174,10 +174,9 @@ def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
     if abs(ep.value) <= RESIDUAL_TOL:
         return ZeroCertificate(ep.value)
 
-    index = _product_index(z)
     fibers: dict = {}
-    for u, i in z.product.vertices:
-        fibers.setdefault(u, []).append(ep.vector[index[(u, i)]])
+    for (u, _), x in zip(z.product.vertices, ep.vector):
+        fibers.setdefault(u, []).append(x)
     for u, vals in fibers.items():
         if max(vals) - min(vals) > RESIDUAL_TOL:
             raise RuntimeError(

@@ -157,6 +157,24 @@ class LevelSummary:
     spectra_skipped: bool
 
 
+def _level_report(build: TowerBuild, pairs: tuple = ()) -> TowerReport:
+    """A report of the build's level summaries and the given pair verdicts."""
+    summaries = tuple(
+        LevelSummary(
+            lv.index,
+            len(lv.graph.vertices),
+            len(lv.graph.edges),
+            lv.spectrum.rho if lv.spectrum else None,
+            lv.spectrum.lambda2 if lv.spectrum else None,
+            lv.spectrum.gap if lv.spectrum else None,
+            lv.cover_index,
+            lv.spectrum is None,
+        )
+        for lv in build.levels
+    )
+    return TowerReport(build.valency, summaries, tuple(pairs))
+
+
 def tower_spectrum_check(build: TowerBuild) -> TowerReport:
     """Verify the spectral claims between consecutive levels.
 
@@ -167,21 +185,6 @@ def tower_spectrum_check(build: TowerBuild) -> TowerReport:
     if len(build.levels) < 2:
         raise ValueError("spectrum check needs at least two levels")
     m = build.valency
-
-    summaries = []
-    for lv in build.levels:
-        summaries.append(
-            LevelSummary(
-                lv.index,
-                len(lv.graph.vertices),
-                len(lv.graph.edges),
-                lv.spectrum.rho if lv.spectrum else None,
-                lv.spectrum.lambda2 if lv.spectrum else None,
-                lv.spectrum.gap if lv.spectrum else None,
-                lv.cover_index,
-                lv.spectrum is None,
-            )
-        )
 
     pairs = []
     for lo, hi in zip(build.levels, build.levels[1:]):
@@ -199,7 +202,7 @@ def tower_spectrum_check(build: TowerBuild) -> TowerReport:
         else:
             gap = "pass" if abs(hi.spectrum.gap - m * lo.spectrum.gap) <= MATCH_TOL else "fail"
         pairs.append(PairVerdicts(lo.index, hi.index, scaling, containment, gap))
-    return TowerReport(m, tuple(summaries), tuple(pairs))
+    return _level_report(build, pairs)
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,16 @@
 The product oracle filters all of V(G) x V(H) and all candidate vertex pairs
 by the literal membership rules, using nothing from the construction under
 test.  The cover oracle recounts neighbour fibers once per (vertex, adjacent
-fiber) pair, the enumeration the library's one-pass check replaces.
+fiber) pair, the enumeration the library's one-pass check replaces.  The
+matrix oracles fill dense matrices edge by edge through a vertex -> index
+dict, and the residual multiplies by the dense adjacency: the loops that the
+library's edge-array fills and O(E) residual replace.
 """
 
+import math
 from itertools import combinations
+
+import numpy as np
 
 from zigzag.graphs import CoverCheck, Dart, VertexMap, is_graph_morphism, make_edge, vertex_key
 
@@ -80,3 +86,30 @@ def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
                 if counts[x] != counts[first]:
                     return CoverCheck(None, "unequal-neighborhood-fibers", (first, x, v))
     return CoverCheck(index)
+
+
+def adjacency_matrix(g):
+    index = {v: k for k, v in enumerate(g.vertices)}
+    mat = np.zeros((len(g.vertices), len(g.vertices)))
+    for u, v in g.edges:
+        mat[index[u], index[v]] = 1.0
+        mat[index[v], index[u]] = 1.0
+    return mat
+
+
+def normalized_laplacian_matrix(g):
+    isolated = [v for v in g.vertices if g.degree(v) == 0]
+    if isolated:
+        raise ValueError(f"normalized Laplacian undefined with isolated vertices: {isolated[:3]}")
+    index = {v: k for k, v in enumerate(g.vertices)}
+    mat = np.eye(len(g.vertices))
+    for u, v in g.edges:
+        w = -1.0 / math.sqrt(g.degree(u) * g.degree(v))
+        mat[index[u], index[v]] = w
+        mat[index[v], index[u]] = w
+    return mat
+
+
+def dense_residual(g, value, vec):
+    """max |A·vec - value·vec| with the dense adjacency."""
+    return np.max(np.abs(adjacency_matrix(g) @ vec - value * vec))

@@ -70,6 +70,16 @@ class TestSpectrum:
         assert code == 0
         assert out.splitlines()[0] == "eigenvalues: 1 -1"
 
+    def test_c4_float_noise_reads_zero(self, capsys, monkeypatch):
+        code, out, _ = invoke(["spectrum", "-g", "-"], capsys, stdin=io.dumps_graph(C4), monkeypatch=monkeypatch)
+        assert code == 0
+        assert "lambda2: 0\n" in out
+        assert out.splitlines()[0] == "eigenvalues: 2 0 0 -2"
+        code, out, _ = invoke(["spectrum", "-g", "-", "--json"], capsys, stdin=io.dumps_graph(C4), monkeypatch=monkeypatch)
+        assert code == 0
+        assert '"lambda2": 0.0,' in out
+        assert json.loads(out)["eigenvalues"] == [2.0, 0.0, 0.0, -2.0]
+
     def test_empty_graph_exit_2(self, capsys, monkeypatch):
         code, _, err = invoke(
             ["spectrum", "-g", "-"], capsys, stdin="{}", monkeypatch=monkeypatch
@@ -156,6 +166,15 @@ class TestCheck:
 
 
 class TestLiftCover:
+    def _write_inputs(self, tmp_path):
+        z = zigzag_product(C3, P3, constant_labeling(C3, P3, 1))
+        zpath = tmp_path / "z.json"
+        zpath.write_text(io.dumps_product(z), encoding="utf-8")
+        p = VertexMap(C6, C3, {i: i % 3 for i in C6.vertices})
+        ppath = tmp_path / "p.json"
+        ppath.write_text(io.dumps_vertex_map(p), encoding="utf-8")
+        return z, zpath, ppath
+
     def test_writes_artifacts(self, capsys, tmp_path):
         z = zigzag_product(C3, P3, constant_labeling(C3, P3, 1))
         zpath = tmp_path / "z.json"
@@ -172,6 +191,26 @@ class TestLiftCover:
         assert len(lifted.product.edges) == 2 * len(z.product.edges)
         assert (out_dir / "labeling.json").exists()
         assert (out_dir / "covering.json").exists()
+
+    @pytest.mark.parametrize("flag", ["-p", "-z"])
+    def test_either_input_from_stdin(self, capsys, monkeypatch, tmp_path, flag):
+        _, zpath, ppath = self._write_inputs(tmp_path)
+        paths = {"-p": str(ppath), "-z": str(zpath)}
+        stdin = (ppath if flag == "-p" else zpath).read_text(encoding="utf-8")
+        paths[flag] = "-"
+        code, out, err = invoke(
+            ["lift", "cover", "-p", paths["-p"], "-z", paths["-z"]], capsys, stdin=stdin, monkeypatch=monkeypatch
+        )
+        assert code == 0, err
+        assert out.startswith("lifted covering verified: 12 vertices")
+
+    def test_output_naming_a_file_exit_2(self, capsys, tmp_path):
+        _, zpath, ppath = self._write_inputs(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        code, _, err = invoke(["lift", "cover", "-p", str(ppath), "-z", str(zpath), "-o", str(taken)], capsys)
+        assert code == 2
+        assert err.startswith("error: cannot write")
 
 
 class TestTower:
@@ -198,6 +237,36 @@ class TestTower:
         obj = json.loads(report.read_text(encoding="utf-8"))
         assert obj["all_ok"] is True
         assert [lv["gap"] for lv in obj["levels"]] == [2, 4, 8]
+
+    def _argv(self, tmp_path, *extra):
+        gpath = tmp_path / "g.json"
+        hpath = tmp_path / "h.json"
+        gpath.write_text(io.dumps_graph(C4), encoding="utf-8")
+        hpath.write_text(io.dumps_graph(P3), encoding="utf-8")
+        return ["tower", "-g", str(gpath), "-H", str(hpath), "--constant", "1", *extra]
+
+    def test_one_level_json(self, capsys, tmp_path):
+        code, out, err = invoke(self._argv(tmp_path, "--depth", "1", "--json"), capsys)
+        assert code == 0, err
+        obj = json.loads(out)
+        assert [lv["level"] for lv in obj["levels"]] == [1]
+        assert obj["pairs"] == [] and obj["all_ok"] is True
+        assert '"lambda2": 0.0,' in out
+
+    def test_one_level_report(self, capsys, tmp_path):
+        report = tmp_path / "report.json"
+        code, out, _ = invoke(self._argv(tmp_path, "--depth", "1", "--report", str(report)), capsys)
+        assert code == 0
+        assert out.splitlines()[1].split() == ["1", "4", "4", "2", "0", "2", "-"]
+        obj = json.loads(report.read_text(encoding="utf-8"))
+        assert len(obj["levels"]) == 1 and obj["pairs"] == []
+
+    @pytest.mark.parametrize("budget, levels", [("20", 3), ("5", 1)])
+    def test_truncated_json_keeps_stdout_one_document(self, capsys, tmp_path, budget, levels):
+        code, out, err = invoke(self._argv(tmp_path, "--depth", "5", "--budget", budget, "--json"), capsys)
+        assert code == 0
+        assert len(json.loads(out)["levels"]) == levels
+        assert err == f"truncated: vertex budget {budget} reached before depth 5\n"
 
 
 class TestFolner:
@@ -295,3 +364,32 @@ class TestInputRules:
         assert code == 2
         assert err.startswith("error:") and "stdin" in err and "-g, -H" in err
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["lift", "cover", "-p", "-", "--product", "-"], "-p, --product"),
+            (["check", "comb-cover", "--map", "-", "--to", "-"], "--map, --to"),
+        ],
+    )
+    def test_stdin_twice_names_the_flags_as_typed(self, capsys, monkeypatch, argv, flags):
+        code, out, err = invoke(argv, capsys, stdin="{}", monkeypatch=monkeypatch)
+        assert code == 2
+        assert err.startswith("error:") and err.rstrip().endswith(f"got {flags}")
+        assert out == ""
+
+    @pytest.mark.parametrize("what, verdict", [("cover", "a covering map"), ("comb-cover", "index 2")])
+    def test_map_from_stdin(self, capsys, monkeypatch, what, verdict):
+        m = VertexMap(C6, C3, {i: i % 3 for i in C6.vertices})
+        code, out, err = invoke(
+            ["check", what, "--map", "-"], capsys, stdin=io.dumps_vertex_map(m), monkeypatch=monkeypatch
+        )
+        assert code == 0, err
+        assert verdict in out
+
+    def test_deeply_nested_graph_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"vertices": [' + "[" * 3000 + "0" + "]" * 3000 + "]}", encoding="utf-8")
+        code, _, err = invoke(["spectrum", "-g", str(path)], capsys)
+        assert code == 2
+        assert err.startswith("error: bad graph input")

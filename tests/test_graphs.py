@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from zigzag.graphs import (
     make_edge,
     vertex_key,
 )
+from zigzag.spectral import RESIDUAL_TOL, EigenPair, _residual, adjacency_matrix, normalized_laplacian_matrix
 
 K2 = complete(2)
 C3 = cycle(3)
@@ -356,6 +358,42 @@ class TestRankOrder:
             Graph((1, True), ())
         with pytest.raises(ValueError, match="invalid edge endpoints"):
             Graph(((1, 1), 2), (((1, True), 2),))
+
+
+class TestEdgeArrayMatrices:
+    @given(mixed_graphs())
+    def test_matrices_equal_the_dict_loop_fills(self, g):
+        assert np.array_equal(adjacency_matrix(g), oracle.adjacency_matrix(g))
+        try:
+            want = oracle.normalized_laplacian_matrix(g)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                normalized_laplacian_matrix(g)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(normalized_laplacian_matrix(g), want)
+
+    @given(mixed_graphs(max_vertices=7).filter(lambda g: g.vertices), st.data())
+    def test_edge_residual_and_eigenpair_verdicts_match_the_dense_ones(self, g, data):
+        n = len(g.vertices)
+        values, vectors = np.linalg.eigh(oracle.adjacency_matrix(g))
+        k = data.draw(st.integers(0, n - 1))
+        noise = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+        for value, vec in ((values[k], vectors[:, k]), (values[k] + 1e-3, vectors[:, k]), (values[k], noise)):
+            norm = np.linalg.norm(vec)
+            if norm <= RESIDUAL_TOL:
+                with pytest.raises(ValueError, match="zero"):
+                    EigenPair(g, value, vec)
+                continue
+            dense = oracle.dense_residual(g, value, vec / norm)
+            assert abs(_residual(g, value, vec / norm) - dense) <= 1e-12
+            try:
+                EigenPair(g, value, vec)
+                accepted = True
+            except ValueError as exc:
+                assert "residual" in str(exc)
+                accepted = False
+            assert accepted == (dense <= RESIDUAL_TOL)
 
 
 @given(vertex_maps())

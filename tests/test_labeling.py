@@ -19,6 +19,7 @@ from zigzag.labeling import (
     restrict_labeling,
     satisfies_neighbor_reflecting,
     vertex_labeling,
+    vertex_labels,
 )
 
 import random
@@ -32,6 +33,11 @@ class TestHLabeling:
     def test_must_cover_all_darts(self):
         with pytest.raises(ValueError, match="every dart"):
             HLabeling(C4, P3, {})
+
+    def test_extra_darts_rejected(self):
+        extra = {d: 1 for d in darts(C4)} | {Dart(0, (0, 2)): 1}
+        with pytest.raises(ValueError, match=r"every dart exactly \(missing \[\], extra \[Dart\(vertex=0, edge=\(0, 2\)\)\]\)"):
+            HLabeling(C4, P3, extra)
 
     def test_labels_must_exist(self):
         with pytest.raises(ValueError, match="outside"):
@@ -286,3 +292,37 @@ class TestVertexLabeling:
         assert is_locally_constant(a)
         assert a(Dart(1, (0, 1))) == 1
         assert a(Dart(1, (1, 2))) == 1
+
+
+class TestCachedTables:
+    @given(labeled_instances())
+    def test_tables_agree_with_a_fresh_walk(self, inst):
+        g, h, a = inst
+        at: dict = {}
+        for d in darts(g):
+            at.setdefault(d.vertex, set()).add(a(d))
+        constant = all(len(labels) == 1 for labels in at.values())
+        for _ in range(2):  # the second round reads the cached tables
+            assert is_locally_constant(a) == constant
+            if constant:
+                table = vertex_labels(a)
+                assert table == {v: next(iter(labels)) for v, labels in at.items()}
+                assert list(table) == [v for v in g.vertices if g.degree(v)]
+            else:
+                with pytest.raises(ValueError, match="not locally constant"):
+                    vertex_labels(a)
+            image = set().union(*at.values())
+            assert a.image == image
+            valencies = {h.degree(x) for x in image}
+            if len(valencies) == 1 and 0 not in valencies:
+                assert image_valency(a) == valencies.pop()
+            else:
+                with pytest.raises(ImageValencyError):
+                    image_valency(a)
+
+    def test_vertex_labels_hands_out_a_copy(self):
+        a = vertex_labeling(C4, P3, {0: 0, 1: 1, 2: 2, 3: 1})
+        table = vertex_labels(a)
+        table[0] = 2
+        del table[3]
+        assert vertex_labels(a) == {0: 0, 1: 1, 2: 2, 3: 1}
