@@ -18,7 +18,7 @@ from .graphs import Graph, check_combinatorial_cover, is_covering_map
 from .labeling import constant_labeling, HLabeling
 from .product import pi_combinatorial_cover_check, lift_covering, zigzag_product
 from .spectral import adjacency_spectrum, normalized_laplacian_spectrum
-from .tower import TowerConfig, _level_report, build_tower, folner_product_check, tower_spectrum_check
+from .tower import TowerConfig, _tower_report, build_tower, folner_product_check
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 
@@ -32,12 +32,16 @@ class CheckFailed(Exception):
 
 
 class _Input(argparse.Action):
-    """An input argument; each `-` (stdin) given is recorded under its flag as typed."""
+    """An input argument; when its last value given is `-` (stdin), the flag
+    it was given under, as typed, is recorded in `stdin_flags`."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
+        flags = dict(getattr(namespace, "stdin_flags", {}))
+        flags.pop(self.dest, None)
         if values == "-":
-            namespace.stdin_flags = getattr(namespace, "stdin_flags", []) + [option_string]
+            flags[self.dest] = option_string
+        namespace.stdin_flags = flags
 
 
 def _read_input(spec: str, what: str, parse):
@@ -51,7 +55,7 @@ def _read_input(spec: str, what: str, parse):
         raise InputError(f"cannot read {spec}: {exc}") from exc
     try:
         return parse(text, Path() if path is None else path.parent)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise InputError(f"bad {what} input {spec}: {exc}") from exc
 
 
@@ -197,7 +201,7 @@ def cmd_tower(args) -> int:
         build = build_tower(g, h, a, args.depth, TowerConfig(budget=args.budget))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = tower_spectrum_check(build) if len(build.levels) > 1 else _level_report(build)
+    report = _tower_report(build)
     text = io.canonical_dumps(io.tower_report_to_obj(report))
     note = f"truncated: vertex budget {args.budget} reached before depth {args.depth}"
     if args.json:
@@ -338,7 +342,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else OK
     try:
-        from_stdin = getattr(args, "stdin_flags", [])
+        from_stdin = list(getattr(args, "stdin_flags", {}).values())
         if len(from_stdin) > 1:
             raise InputError(f"only one input can be read from stdin ('-'), got {', '.join(from_stdin)}")
         if args.command == "check" and args.what != "pi" and not args.map:

@@ -83,7 +83,8 @@ class Graph:
     duplicates dropped, edge endpoints added to the vertex set.  The ids are
     ranked by one `vertex_key` sort, and every stored order (vertices, edge
     endpoints, edges, adjacency, darts) is rank order, which equals the
-    `vertex_key` / `edge_key` / `dart_key` order.  Equality is structural.
+    `vertex_key` / `edge_key` / `dart_key` order; so is the cached array of
+    edge-endpoint ranks that the spectral layer reads.  Equality is structural.
     """
 
     vertices: tuple = ()
@@ -126,8 +127,7 @@ class Graph:
 
     @cached_property
     def _edge_ranks(self) -> np.ndarray:
-        rank = self._rank
-        ranks = np.array([(rank[u], rank[v]) for u, v in self.edges], dtype=np.intp).reshape(-1, 2)
+        ranks = np.array([(self._rank[u], self._rank[v]) for u, v in self.edges], dtype=np.intp).reshape(-1, 2)
         ranks.flags.writeable = False
         return ranks
 
@@ -181,17 +181,11 @@ class Graph:
 
     def is_regular(self) -> int | None:
         """Common degree if the graph is regular, else None."""
-        if not self.vertices:
-            return None
-        degrees = {len(self.adjacency[v]) for v in self.vertices}
-        if len(degrees) == 1:
-            return degrees.pop()
-        return None
+        degrees = {len(ns) for ns in self.adjacency.values()}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def max_degree(self) -> int:
-        if not self.vertices:
-            return 0
-        return max(len(self.adjacency[v]) for v in self.vertices)
+        return max((len(ns) for ns in self.adjacency.values()), default=0)
 
 
 def darts(g: Graph) -> tuple:
@@ -231,11 +225,7 @@ class VertexMap:
     def __eq__(self, other):
         if not isinstance(other, VertexMap):
             return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self.mapping == other.mapping
-        )
+        return (self.domain, self.codomain, self.mapping) == (other.domain, other.codomain, other.mapping)
 
     def __hash__(self):
         return hash((self.domain, self.codomain, tuple(self.mapping.items())))
@@ -298,9 +288,7 @@ def is_covering_map(m: VertexMap) -> bool:
         return False
     for x in m.domain.vertices:
         images = [m(y) for y in m.domain.neighbors(x)]
-        if len(set(images)) != len(images):
-            return False
-        if set(images) != set(m.codomain.neighbors(m(x))):
+        if len(set(images)) != len(images) or set(images) != set(m.codomain.neighbors(m(x))):
             return False
     return True
 

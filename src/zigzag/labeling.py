@@ -30,12 +30,11 @@ class HLabeling:
     mapping: Mapping
 
     def __post_init__(self):
-        got = dict(self.mapping)
-        ordered = {d: got[d] for d in darts(self.base) if d in got}
-        if not len(got) == len(ordered) == len(darts(self.base)):
-            expected = set(darts(self.base))
-            missing = sorted(expected - set(got))
-            extra = sorted(set(got) - expected)
+        got, expected = self.mapping, darts(self.base)
+        ordered = {d: got[d] for d in expected if d in got}
+        if not len(got) == len(ordered) == len(expected):
+            missing = sorted(set(expected) - set(got))
+            extra = sorted(set(got) - set(expected))
             raise ValueError(f"labeling must cover every dart exactly (missing {missing}, extra {extra})")
         bad = [h for h in ordered.values() if not self.labels.has_vertex(h)]
         if bad:
@@ -64,11 +63,7 @@ class HLabeling:
     def __eq__(self, other):
         if not isinstance(other, HLabeling):
             return NotImplemented
-        return (
-            self.base == other.base
-            and self.labels == other.labels
-            and self.mapping == other.mapping
-        )
+        return (self.base, self.labels, self.mapping) == (other.base, other.labels, other.mapping)
 
     def __hash__(self):
         return hash((self.base, self.labels, tuple(self.mapping.items())))

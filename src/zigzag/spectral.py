@@ -232,10 +232,7 @@ def cover_radius_check(p: VertexMap, z: ZigZagGraph) -> bool:
 
 def spectrum_contained(small: SpectrumReport, big: SpectrumReport, tol: float = MATCH_TOL) -> bool:
     """Every eigenvalue of the first spectrum occurs in the second, up to tol."""
-    for x in small.eigenvalues:
-        if min(abs(x - y) for y in big.eigenvalues) > tol:
-            return False
-    return True
+    return not any(min(abs(x - y) for y in big.eigenvalues) > tol for x in small.eigenvalues)
 
 
 def laplacian_containment_check(p: VertexMap, z: ZigZagGraph) -> bool:
@@ -264,8 +261,5 @@ def nonzero_eigenvalues(report: SpectrumReport, tol: float = MATCH_TOL) -> tuple
 
 def multisets_match(xs, ys, tol: float = MATCH_TOL) -> bool:
     """Sorted elementwise comparison of two real multisets."""
-    xs = sorted(xs)
-    ys = sorted(ys)
-    if len(xs) != len(ys):
-        return False
-    return all(abs(x - y) <= tol for x, y in zip(xs, ys))
+    xs, ys = sorted(xs), sorted(ys)
+    return len(xs) == len(ys) and all(abs(x - y) <= tol for x, y in zip(xs, ys))

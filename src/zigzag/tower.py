@@ -175,6 +175,12 @@ def _level_report(build: TowerBuild, pairs: tuple = ()) -> TowerReport:
     return TowerReport(build.valency, summaries, tuple(pairs))
 
 
+def _tower_report(build: TowerBuild) -> TowerReport:
+    """The report of any build: the spectrum check's from two levels on,
+    else the level summaries alone."""
+    return tower_spectrum_check(build) if len(build.levels) > 1 else _level_report(build)
+
+
 def tower_spectrum_check(build: TowerBuild) -> TowerReport:
     """Verify the spectral claims between consecutive levels.
 

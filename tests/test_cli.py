@@ -393,3 +393,37 @@ class TestInputRules:
         code, _, err = invoke(["spectrum", "-g", str(path)], capsys)
         assert code == 2
         assert err.startswith("error: bad graph input")
+
+    @pytest.mark.parametrize("what", ["labeling", "map"])
+    def test_reference_to_a_missing_graph_exit_2(self, capsys, tmp_path, what):
+        g = self._write(tmp_path, "g.json", io.graph_to_obj(C3))
+        if what == "labeling":
+            obj = {"base": "g.json", "labels": "nowhere.json", "map": []}
+            argv = ["product", "-g", g, "-H", g, "-l"]
+        else:
+            obj = {"domain": "nowhere.json", "codomain": "g.json", "map": []}
+            argv = ["check", "cover", "--map"]
+        path = self._write(tmp_path, f"{what}.json", obj)
+        code, out, err = invoke(argv + [path], capsys)
+        assert code == 2
+        assert err.startswith(f"error: bad {what} input {path}:") and "nowhere.json" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["spectrum", "-g", "-", "-g", "-"], None),
+            (["product", "-g", "-", "-g", "G", "-H", "-", "--constant", "1"], None),
+            (["product", "-g", "-", "-H", "G", "-H", "-", "--constant", "1"], "-g, -H"),
+            (["product", "-H", "-", "-g", "G", "--labels", "-", "-g", "-", "--constant", "1"], "--labels, -g"),
+        ],
+    )
+    def test_stdin_rule_reads_the_last_value_of_each_flag(self, capsys, monkeypatch, tmp_path, argv, flags):
+        g = self._write(tmp_path, "g.json", io.graph_to_obj(C4))
+        argv = [g if x == "G" else x for x in argv]
+        code, out, err = invoke(argv, capsys, stdin=io.dumps_graph(C4), monkeypatch=monkeypatch)
+        if flags is None:
+            assert code == 0, err
+        else:
+            assert code == 2 and err.rstrip().endswith(f"got {flags}")
+            assert out == ""
