@@ -2,13 +2,16 @@
 
 All writers emit canonical output (vertices and edges in canonical order,
 fixed key order, trailing newline) so that serialization round-trips are
-byte-exact.
+byte-exact.  The graph, labeling, vertex-map and product documents are
+written straight from the objects, in the layout `canonical_dumps` gives
+their JSON trees.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from functools import cached_property
 from pathlib import Path
 
 from .graphs import Dart, Graph, VertexId, VertexMap, format_vertex, make_edge
@@ -22,6 +25,61 @@ _INT_TOKEN = re.compile(r"-?\d+")
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+_ATOM = json.JSONEncoder(ensure_ascii=False).encode
+
+
+def _list(items, depth: int, brackets: str = "[]") -> str:
+    """Rendered items as a JSON list (or object) that opens at this depth."""
+    if not items:
+        return brackets
+    ind = "\n" + "  " * (depth + 1)
+    return brackets[0] + ind + ("," + ind).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _object(depth: int, **fields: str) -> str:
+    return _list([f'"{k}": {v}' for k, v in fields.items()], depth, "{}")
+
+
+class _Texts(dict):
+    """Texts of vertex ids, and of edges laid out as pairs, at one depth; each rendered once."""
+
+    def __init__(self, depth: int):  # starts empty, as dict.__new__ leaves it
+        self.depth, self._pair = depth, _list(("%s", "%s"), depth)
+
+    @cached_property
+    def deeper(self) -> _Texts:
+        return _Texts(self.depth + 1)
+
+    def __missing__(self, v) -> str:
+        self[v] = text = self._pair % (self.deeper[v[0]], self.deeper[v[1]]) if isinstance(v, tuple) else _ATOM(v)
+        return text
+
+
+def _graph_text(g: Graph, texts: _Texts) -> str:
+    """The graph as an object two levels above the depth of texts."""
+    d = texts.depth - 2
+    vertices, edges = _list([texts[v] for v in g.vertices], d + 1), _list([texts[e] for e in g.edges], d + 1)
+    return _object(d, vertices=vertices, edges=edges)
+
+
+def _dart_entries(a: HLabeling, texts: _Texts) -> str:
+    """The labeling's (vertex, edge, label) entries as a list at depth 1; texts at depth 3."""
+    entry = _object(2, vertex="%s", edge="%s", label="%s")
+    return _list([entry % (texts[v], texts[e], texts[h]) for (v, e), h in a.mapping.items()], 1)
+
+
+def _fields(obj, kind: str, *keys: str, optional: bool = False) -> list:
+    """The values under keys of a kind of document (an object); optional keys default to empty lists."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{kind} must be an object, not {obj!r:.80}")
+    for k in keys:
+        if k not in obj and not optional:
+            raise ValueError(f"{kind} has no {k!r}")
+        if k in ("vertices", "edges", "map", "labeling", "edge_tags") and not isinstance(obj.get(k, []), list):
+            raise ValueError(f"{kind} {k!r} must be a list, not {obj[k]!r:.80}")
+    return [obj.get(k, []) for k in keys]
 
 
 # vertex ids
@@ -57,22 +115,16 @@ def edge_from_obj(obj):
 
 
 def graph_to_obj(g: Graph) -> dict:
-    return {
-        "vertices": [vertex_to_obj(v) for v in g.vertices],
-        "edges": [edge_to_obj(e) for e in g.edges],
-    }
+    return json.loads(dumps_graph(g))
 
 
 def graph_from_obj(obj) -> Graph:
-    if not isinstance(obj, dict):
-        raise ValueError("graph JSON must be an object")
-    verts = tuple(vertex_from_obj(v) for v in obj.get("vertices", []))
-    edges = tuple(edge_from_obj(e) for e in obj.get("edges", []))
-    return Graph(verts, edges)
+    verts, edges = _fields(obj, "graph JSON", "vertices", "edges", optional=True)
+    return Graph(tuple(vertex_from_obj(v) for v in verts), tuple(edge_from_obj(e) for e in edges))
 
 
 def dumps_graph(g: Graph) -> str:
-    return canonical_dumps(graph_to_obj(g))
+    return _graph_text(g, _Texts(2)) + "\n"
 
 
 def loads_graph(text: str) -> Graph:
@@ -170,30 +222,34 @@ def _ref_to_graph(obj, base_dir) -> Graph:
 
 
 def labeling_to_obj(a: HLabeling) -> dict:
-    return {
-        "base": graph_to_obj(a.base),
-        "labels": graph_to_obj(a.labels),
-        "map": [
-            {"vertex": vertex_to_obj(d.vertex), "edge": edge_to_obj(d.edge), "label": vertex_to_obj(h)}
-            for d, h in a.mapping.items()
-        ],
-    }
+    return json.loads(dumps_labeling(a))
 
 
-def labeling_from_obj(obj, base_dir=None) -> HLabeling:
-    if not isinstance(obj, dict):
-        raise ValueError("labeling JSON must be an object")
-    base = _ref_to_graph(obj["base"], base_dir)
-    labels = _ref_to_graph(obj["labels"], base_dir)
-    mapping = {}
-    for entry in obj["map"]:
-        d = Dart(vertex_from_obj(entry["vertex"]), edge_from_obj(entry["edge"]))
-        mapping[d] = vertex_from_obj(entry["label"])
+def _labeling(obj, kind: str, key: str, base_dir) -> HLabeling:
+    """The labeling of a kind of document: its base, labels, and the entries under key."""
+    base, labels, entries = _fields(obj, kind, "base", "labels", key)
+    base, labels, mapping = _ref_to_graph(base, base_dir), _ref_to_graph(labels, base_dir), {}
+    try:
+        for entry in entries:
+            d = Dart(vertex_from_obj(entry["vertex"]), edge_from_obj(entry["edge"]))
+            if d in mapping:
+                dart = f"({format_vertex(d.vertex)}, {format_vertex(d.edge)})"
+                raise ValueError(f"{kind} {key!r} lists the dart {dart} twice")
+            mapping[d] = vertex_from_obj(entry["label"])
+    except (KeyError, TypeError):
+        _fields(entry, f"{kind} {key!r} entry", "vertex", "edge", "label")  # raises, naming the fault
+        raise
     return HLabeling(base, labels, mapping)
 
 
+def labeling_from_obj(obj, base_dir=None) -> HLabeling:
+    return _labeling(obj, "labeling JSON", "map", base_dir)
+
+
 def dumps_labeling(a: HLabeling) -> str:
-    return canonical_dumps(labeling_to_obj(a))
+    texts = _Texts(3)
+    base, labels = _graph_text(a.base, texts), _graph_text(a.labels, texts)
+    return _object(0, base=base, labels=labels, map=_dart_entries(a, texts)) + "\n"
 
 
 def loads_labeling(text: str, base_dir=None) -> HLabeling:
@@ -209,16 +265,11 @@ def load_labeling_file(path) -> HLabeling:
 
 
 def vertex_map_to_obj(m: VertexMap) -> dict:
-    return {
-        "domain": graph_to_obj(m.domain),
-        "codomain": graph_to_obj(m.codomain),
-        "map": [[vertex_to_obj(v), vertex_to_obj(w)] for v, w in m.mapping.items()],
-    }
+    return json.loads(dumps_vertex_map(m))
 
 
 def vertex_map_from_obj(obj, base_dir=None, domain: Graph | None = None, codomain: Graph | None = None) -> VertexMap:
-    if not isinstance(obj, dict):
-        raise ValueError("vertex-map JSON must be an object")
+    (pairs,) = _fields(obj, "vertex-map JSON", "map")
     if domain is None:
         if "domain" not in obj:
             raise ValueError("vertex-map JSON carries no domain and none was supplied")
@@ -228,15 +279,20 @@ def vertex_map_from_obj(obj, base_dir=None, domain: Graph | None = None, codomai
             raise ValueError("vertex-map JSON carries no codomain and none was supplied")
         codomain = _ref_to_graph(obj["codomain"], base_dir)
     mapping = {}
-    for pair in obj["map"]:
+    for pair in pairs:
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"invalid map entry: {pair!r}")
-        mapping[vertex_from_obj(pair[0])] = vertex_from_obj(pair[1])
+        v = vertex_from_obj(pair[0])
+        if v in mapping:
+            raise ValueError(f"vertex-map JSON 'map' lists vertex {format_vertex(v)} twice")
+        mapping[v] = vertex_from_obj(pair[1])
     return VertexMap(domain, codomain, mapping)
 
 
 def dumps_vertex_map(m: VertexMap) -> str:
-    return canonical_dumps(vertex_map_to_obj(m))
+    texts = _Texts(3)
+    pairs = _list([_list((texts[v], texts[w]), 2) for v, w in m.mapping.items()], 1)
+    return _object(0, domain=_graph_text(m.domain, texts), codomain=_graph_text(m.codomain, texts), map=pairs) + "\n"
 
 
 def load_vertex_map_file(path, domain: Graph | None = None, codomain: Graph | None = None) -> VertexMap:
@@ -249,55 +305,39 @@ def load_vertex_map_file(path, domain: Graph | None = None, codomain: Graph | No
 
 
 def product_to_obj(z: ZigZagGraph) -> dict:
-    tags = []
-    for e, tag in z.edge_tags.items():
-        tags.append(
-            {
-                "edge": edge_to_obj(e),
-                "base_edge": edge_to_obj(tag.base_edge),
-                "h_lo": edge_to_obj(tag.h_lo),
-                "h_hi": edge_to_obj(tag.h_hi),
-            }
-        )
-    obj = {"base": graph_to_obj(z.base), "labels": graph_to_obj(z.labels)}
-    obj["labeling"] = labeling_to_obj(z.labeling)["map"]
-    obj.update(graph_to_obj(z.product))
-    obj["edge_tags"] = tags
-    return obj
+    return json.loads(dumps_product(z))
 
 
 def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
-    if not isinstance(obj, dict):
-        raise ValueError("product JSON must be an object")
-    base = _ref_to_graph(obj["base"], base_dir)
-    labels = _ref_to_graph(obj["labels"], base_dir)
-    mapping = {}
-    for entry in obj["labeling"]:
-        d = Dart(vertex_from_obj(entry["vertex"]), edge_from_obj(entry["edge"]))
-        mapping[d] = vertex_from_obj(entry["label"])
-    labeling = HLabeling(base, labels, mapping)
-    rebuilt = zigzag_product(base, labels, labeling)
+    kind = "product JSON"
+    labeling = _labeling(obj, kind, "labeling", base_dir)
+    verts, edges, tags = _fields(obj, kind, "vertices", "edges", "edge_tags")
+    rebuilt = zigzag_product(labeling.base, labeling.labels, labeling)
 
-    stated = Graph(
-        tuple(vertex_from_obj(v) for v in obj["vertices"]),
-        tuple(edge_from_obj(e) for e in obj["edges"]),
-    )
+    stated = Graph(tuple(vertex_from_obj(v) for v in verts), tuple(edge_from_obj(e) for e in edges))
     if stated != rebuilt.product:
         raise ValueError("product JSON is inconsistent with its own base and labeling")
     stated_tags = {}
-    for entry in obj["edge_tags"]:
-        stated_tags[edge_from_obj(entry["edge"])] = EdgeTag(
-            edge_from_obj(entry["base_edge"]),
-            edge_from_obj(entry["h_lo"]),
-            edge_from_obj(entry["h_hi"]),
-        )
+    try:
+        for entry in tags:
+            tag = entry["base_edge"], entry["h_lo"], entry["h_hi"]
+            stated_tags[edge_from_obj(entry["edge"])] = EdgeTag(*map(edge_from_obj, tag))
+    except (KeyError, TypeError):
+        _fields(entry, f"{kind} 'edge_tags' entry", "edge", "base_edge", "h_lo", "h_hi")
+        raise
     if stated_tags != dict(rebuilt.edge_tags):
         raise ValueError("product JSON edge tags are inconsistent with the construction")
     return rebuilt
 
 
 def dumps_product(z: ZigZagGraph) -> str:
-    return canonical_dumps(product_to_obj(z))
+    texts = _Texts(2)  # product vertices and edges
+    inner = texts.deeper  # ids of the base, the label graph and the labeling; tagged edges
+    tag = _object(2, edge="%s", base_edge="%s", h_lo="%s", h_hi="%s")
+    tags = _list([tag % (inner[e], inner[b], inner[lo], inner[hi]) for e, (b, lo, hi) in z.edge_tags.items()], 1)
+    base, labels, entries = _graph_text(z.base, inner), _graph_text(z.labels, inner), _dart_entries(z.labeling, inner)
+    vertices, edges = _list([texts[v] for v in z.product.vertices], 1), _list([texts[e] for e in z.product.edges], 1)
+    return _object(0, base=base, labels=labels, labeling=entries, vertices=vertices, edges=edges, edge_tags=tags) + "\n"
 
 
 def loads_product(text: str, base_dir=None) -> ZigZagGraph:

@@ -6,7 +6,9 @@ test.  The cover oracle recounts neighbour fibers once per (vertex, adjacent
 fiber) pair, the enumeration the library's one-pass check replaces.  The
 matrix oracles fill dense matrices edge by edge through a vertex -> index
 dict, and the residual multiplies by the dense adjacency: the loops that the
-library's edge-array fills and O(E) residual replace.
+library's edge-array fills and O(E) residual replace.  The document oracles
+build each JSON document as a tree of lists and dicts, for `canonical_dumps`
+to lay out: the layout the library's writers render straight from the objects.
 """
 
 import math
@@ -113,3 +115,39 @@ def normalized_laplacian_matrix(g):
 def dense_residual(g, value, vec):
     """max |A·vec - value·vec| with the dense adjacency."""
     return np.max(np.abs(adjacency_matrix(g) @ vec - value * vec))
+
+
+def _id(v):
+    return [_id(v[0]), _id(v[1])] if isinstance(v, tuple) else v
+
+
+def graph_to_obj(g):
+    return {"vertices": [_id(v) for v in g.vertices], "edges": [_id(e) for e in g.edges]}
+
+
+def labeling_to_obj(a):
+    return {
+        "base": graph_to_obj(a.base),
+        "labels": graph_to_obj(a.labels),
+        "map": [{"vertex": _id(d.vertex), "edge": _id(d.edge), "label": _id(h)} for d, h in a.mapping.items()],
+    }
+
+
+def vertex_map_to_obj(m):
+    return {
+        "domain": graph_to_obj(m.domain),
+        "codomain": graph_to_obj(m.codomain),
+        "map": [[_id(v), _id(w)] for v, w in m.mapping.items()],
+    }
+
+
+def product_to_obj(z):
+    tags = [
+        {"edge": _id(e), "base_edge": _id(t.base_edge), "h_lo": _id(t.h_lo), "h_hi": _id(t.h_hi)}
+        for e, t in z.edge_tags.items()
+    ]
+    obj = {"base": graph_to_obj(z.base), "labels": graph_to_obj(z.labels)}
+    obj["labeling"] = labeling_to_obj(z.labeling)["map"]
+    obj.update(graph_to_obj(z.product))
+    obj["edge_tags"] = tags
+    return obj

@@ -115,6 +115,18 @@ class TestProduct:
         assert code == 0
         assert json.loads(out)["vertices"]
 
+    def test_labeling_file_repeating_a_dart_exit_2(self, capsys, tmp_path):
+        gpath, hpath, lpath = tmp_path / "g.json", tmp_path / "h.json", tmp_path / "l.json"
+        gpath.write_text(io.dumps_graph(C3), encoding="utf-8")
+        hpath.write_text(io.dumps_graph(P3), encoding="utf-8")
+        obj = io.labeling_to_obj(constant_labeling(C3, P3, 1))
+        obj["map"].insert(0, dict(obj["map"][0], label=2))
+        lpath.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(["product", "-g", str(gpath), "-H", str(hpath), "-l", str(lpath)], capsys)
+        assert code == 2
+        assert err.startswith(f"error: bad labeling input {lpath}:") and "twice" in err
+        assert out == ""
+
     def test_missing_labeling_exit_2(self, capsys, tmp_path):
         gpath = tmp_path / "g.json"
         gpath.write_text(io.dumps_graph(C3), encoding="utf-8")

@@ -1,14 +1,17 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import small_graphs
+import oracle
+from conftest import labeled_instances, small_graphs
 from helpers import C3, C4, C6, K2, P3, worked_fixtures
+from test_graphs import mixed_graphs, vertex_maps
 from zigzag import io
 from zigzag.generators import cycle, hypercube, path
-from zigzag.graphs import Graph, VertexMap, identity_map
-from zigzag.labeling import constant_labeling, pullback_labeling
+from zigzag.graphs import Dart, Graph, VertexMap, darts, identity_map
+from zigzag.labeling import HLabeling, constant_labeling, pullback_labeling
 from zigzag.product import zigzag_product
 from zigzag.spectral import adjacency_spectrum
 from zigzag.tower import build_tower, folner_product_check, tower_spectrum_check
@@ -205,3 +208,247 @@ class TestPullbackSerialization:
         p = VertexMap(C6, C3, {i: i % 3 for i in C6.vertices})
         b = pullback_labeling(a, p)
         assert io.loads_labeling(io.dumps_labeling(b)) == b
+
+
+# Ids whose text needs escaping or is not ASCII: a quote, a backslash, control
+# characters, non-ASCII and non-BMP text, and nested pairs of unequal depth.
+AWKWARD = ('"', "\\", "\x00\x1f\n\t\x7f", "é", "𝔾", " ", ("é", ('"', 0)), (("\\", 1), -2), 7)
+AWKWARD_G = Graph((), tuple(zip(AWKWARD, AWKWARD[1:])))
+AWKWARD_H = Graph((), (("é", "𝔾"), ("𝔾", ("é", ('"', 0))), (0, "é")))
+AWKWARD_A = HLabeling(AWKWARD_G, AWKWARD_H, {d: AWKWARD_H.vertices[k % 4] for k, d in enumerate(darts(AWKWARD_G))})
+
+
+@st.composite
+def mixed_labeled_instances(draw):
+    """A mixed-id base and label graph with an arbitrary labeling."""
+    g = draw(mixed_graphs(max_vertices=6))
+    h = draw(mixed_graphs(max_vertices=4).filter(lambda h: h.vertices))
+    return g, h, HLabeling(g, h, {d: draw(st.sampled_from(h.vertices)) for d in darts(g)})
+
+
+class TestWritersKeepTheTreeLayout:
+    """Each writer's text equals canonical_dumps of the document as a tree."""
+
+    @given(mixed_graphs())
+    @example(Graph())
+    @example(Graph(AWKWARD, ()))
+    @example(AWKWARD_G)
+    def test_graph(self, g):
+        assert io.dumps_graph(g) == io.canonical_dumps(oracle.graph_to_obj(g))
+        assert io.graph_to_obj(g) == oracle.graph_to_obj(g)
+
+    @given(vertex_maps())
+    @example(VertexMap(Graph(AWKWARD, ()), AWKWARD_H, {v: "𝔾" for v in AWKWARD}))
+    def test_vertex_map(self, m):
+        assert io.dumps_vertex_map(m) == io.canonical_dumps(oracle.vertex_map_to_obj(m))
+        assert io.vertex_map_to_obj(m) == oracle.vertex_map_to_obj(m)
+
+    @given(st.one_of(labeled_instances(), mixed_labeled_instances()))
+    @example((Graph(), AWKWARD_H, HLabeling(Graph(), AWKWARD_H, {})))
+    @example((Graph(AWKWARD, ()), AWKWARD_H, HLabeling(Graph(AWKWARD, ()), AWKWARD_H, {})))
+    @example((AWKWARD_G, AWKWARD_H, AWKWARD_A))
+    def test_labeling_and_product(self, instance):
+        g, h, a = instance
+        z = zigzag_product(g, h, a)
+        assert io.dumps_labeling(a) == io.canonical_dumps(oracle.labeling_to_obj(a))
+        assert io.labeling_to_obj(a) == oracle.labeling_to_obj(a)
+        text = io.dumps_product(z)
+        assert text == io.canonical_dumps(oracle.product_to_obj(z))
+        assert io.product_to_obj(z) == oracle.product_to_obj(z)
+        assert io.loads_product(text) == z
+
+
+# The product document of one base edge {0, 'q"x'} labeled 1 and 'é' over the
+# label edge {1, 'é'}, as the tree writer laid it out.
+PINNED_PRODUCT = r"""{
+  "base": {
+    "vertices": [
+      0,
+      "q\"x"
+    ],
+    "edges": [
+      [
+        0,
+        "q\"x"
+      ]
+    ]
+  },
+  "labels": {
+    "vertices": [
+      1,
+      "é"
+    ],
+    "edges": [
+      [
+        1,
+        "é"
+      ]
+    ]
+  },
+  "labeling": [
+    {
+      "vertex": 0,
+      "edge": [
+        0,
+        "q\"x"
+      ],
+      "label": 1
+    },
+    {
+      "vertex": "q\"x",
+      "edge": [
+        0,
+        "q\"x"
+      ],
+      "label": "é"
+    }
+  ],
+  "vertices": [
+    [
+      0,
+      "é"
+    ],
+    [
+      "q\"x",
+      1
+    ]
+  ],
+  "edges": [
+    [
+      [
+        0,
+        "é"
+      ],
+      [
+        "q\"x",
+        1
+      ]
+    ]
+  ],
+  "edge_tags": [
+    {
+      "edge": [
+        [
+          0,
+          "é"
+        ],
+        [
+          "q\"x",
+          1
+        ]
+      ],
+      "base_edge": [
+        0,
+        "q\"x"
+      ],
+      "h_lo": [
+        1,
+        "é"
+      ],
+      "h_hi": [
+        1,
+        "é"
+      ]
+    }
+  ]
+}
+"""
+
+
+def test_pinned_product_document():
+    g, h = Graph((), ((0, 'q"x'),)), Graph((), ((1, "é"),))
+    e = g.edges[0]
+    z = zigzag_product(g, h, HLabeling(g, h, {Dart(0, e): 1, Dart('q"x', e): "é"}))
+    assert io.dumps_product(z) == PINNED_PRODUCT
+    assert io.loads_product(PINNED_PRODUCT) == z
+
+
+def _labeling_obj():
+    return oracle.labeling_to_obj(constant_labeling(C4, P3, 1))
+
+
+def _product_obj():
+    return oracle.product_to_obj(zigzag_product(C4, P3, constant_labeling(C4, P3, 1)))
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"vertices": 5}', "graph JSON 'vertices' must be a list, not 5"),
+            ('{"edges": "01"}', "graph JSON 'edges' must be a list, not '01'"),
+            ("[0, 1]", "graph JSON must be an object, not [0, 1]"),
+        ],
+    )
+    def test_graph(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            io.loads_graph(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda obj: obj.clear(), "labeling JSON has no 'base'"),
+            (lambda obj: obj.update(map=[5]), "labeling JSON 'map' entry must be an object, not 5"),
+            (lambda obj: obj["map"][1].pop("label"), "labeling JSON 'map' entry has no 'label'"),
+            (lambda obj: obj.update(map={}), "labeling JSON 'map' must be a list, not {}"),
+        ],
+    )
+    def test_labeling(self, change, message):
+        obj = _labeling_obj()
+        change(obj)
+        with pytest.raises(ValueError) as exc:
+            io.loads_labeling(json.dumps(obj))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda obj: obj.pop("vertices"), "product JSON has no 'vertices'"),
+            (lambda obj: obj["labeling"].append([0]), "product JSON 'labeling' entry must be an object, not [0]"),
+            (lambda obj: obj["edge_tags"][3].pop("h_lo"), "product JSON 'edge_tags' entry has no 'h_lo'"),
+            (lambda obj: obj.update(edge_tags=None), "product JSON 'edge_tags' must be a list, not None"),
+        ],
+    )
+    def test_product(self, change, message):
+        obj = _product_obj()
+        change(obj)
+        with pytest.raises(ValueError) as exc:
+            io.loads_product(json.dumps(obj))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"domain": oracle.graph_to_obj(K2)}, "vertex-map JSON has no 'map'"),
+            ({"map": 0}, "vertex-map JSON 'map' must be a list, not 0"),
+            ("map", "vertex-map JSON must be an object, not 'map'"),
+        ],
+    )
+    def test_vertex_map(self, obj, message):
+        with pytest.raises(ValueError) as exc:
+            io.vertex_map_from_obj(obj, domain=K2, codomain=K2)
+        assert str(exc.value) == message
+
+
+class TestRepeatedEntries:
+    """A dart or vertex listed twice is refused, not settled by its last entry."""
+
+    def test_labeling_dart(self):
+        obj = _labeling_obj()
+        first = obj["map"][0]
+        assert (first["vertex"], first["edge"]) == (0, [0, 1])
+        obj["map"] = [dict(first, label=2)] + obj["map"]
+        with pytest.raises(ValueError, match=r"labeling JSON 'map' lists the dart \(0, \(0,1\)\) twice"):
+            io.loads_labeling(json.dumps(obj))
+
+    def test_product_labeling_dart(self):
+        obj = _product_obj()
+        obj["labeling"].append(dict(obj["labeling"][-1]))
+        with pytest.raises(ValueError, match=r"product JSON 'labeling' lists the dart \(3, \(2,3\)\) twice"):
+            io.loads_product(json.dumps(obj))
+
+    def test_vertex_map_vertex(self):
+        obj = {"domain": oracle.graph_to_obj(K2), "codomain": oracle.graph_to_obj(K2), "map": [[0, 1], [0, 0], [1, 1]]}
+        with pytest.raises(ValueError, match="vertex-map JSON 'map' lists vertex 0 twice"):
+            io.vertex_map_from_obj(obj)
