@@ -267,12 +267,10 @@ def induced_dart_map(m: VertexMap):
 
 def is_isomorphism(m: VertexMap) -> bool:
     """True iff m is a bijective morphism whose inverse is a morphism."""
-    if not is_graph_morphism(m):
+    try:
+        return is_graph_morphism(m) and is_graph_morphism(inverse_map(m))
+    except ValueError:  # not a bijection
         return False
-    values = list(m.mapping.values())
-    if len(set(values)) != len(values) or set(values) != set(m.codomain.vertices):
-        return False
-    return is_graph_morphism(inverse_map(m))
 
 
 def inverse_map(m: VertexMap) -> VertexMap:

@@ -82,6 +82,25 @@ def _fields(obj, kind: str, *keys: str, optional: bool = False) -> list:
     return [obj.get(k, []) for k in keys]
 
 
+def _once(items, kind: str, key: str, what: str) -> tuple:
+    """The items as a tuple, refusing any that is listed twice."""
+    items = tuple(items)
+    if len(set(items)) != len(items):
+        seen: set = set()
+        twice = next(x for x in items if x in seen or seen.add(x))
+        raise ValueError(f"{kind} {key!r} lists the {what} {format_vertex(twice)} twice")
+    return items
+
+
+def _from_text(text: str, build, *args):
+    """build(the JSON value of text, *args); a document nested too deeply
+    for Python's recursion limit is refused as malformed."""
+    try:
+        return build(json.loads(text), *args)
+    except RecursionError:
+        raise ValueError("JSON document nested too deeply") from None
+
+
 # vertex ids
 
 
@@ -119,8 +138,10 @@ def graph_to_obj(g: Graph) -> dict:
 
 
 def graph_from_obj(obj) -> Graph:
-    verts, edges = _fields(obj, "graph JSON", "vertices", "edges", optional=True)
-    return Graph(tuple(vertex_from_obj(v) for v in verts), tuple(edge_from_obj(e) for e in edges))
+    kind = "graph JSON"
+    verts, edges = _fields(obj, kind, "vertices", "edges", optional=True)
+    return Graph(_once(map(vertex_from_obj, verts), kind, "vertices", "vertex"),
+                 _once(map(edge_from_obj, edges), kind, "edges", "edge"))
 
 
 def dumps_graph(g: Graph) -> str:
@@ -128,7 +149,7 @@ def dumps_graph(g: Graph) -> str:
 
 
 def loads_graph(text: str) -> Graph:
-    return graph_from_obj(json.loads(text))
+    return _from_text(text, graph_from_obj)
 
 
 # edge-list text: one edge per line, two whitespace-separated atom tokens
@@ -253,7 +274,7 @@ def dumps_labeling(a: HLabeling) -> str:
 
 
 def loads_labeling(text: str, base_dir=None) -> HLabeling:
-    return labeling_from_obj(json.loads(text), base_dir)
+    return _from_text(text, labeling_from_obj, base_dir)
 
 
 def load_labeling_file(path) -> HLabeling:
@@ -297,8 +318,7 @@ def dumps_vertex_map(m: VertexMap) -> str:
 
 def load_vertex_map_file(path, domain: Graph | None = None, codomain: Graph | None = None) -> VertexMap:
     path = Path(path)
-    obj = json.loads(path.read_text(encoding="utf-8"))
-    return vertex_map_from_obj(obj, base_dir=path.parent, domain=domain, codomain=codomain)
+    return _from_text(path.read_text(encoding="utf-8"), vertex_map_from_obj, path.parent, domain, codomain)
 
 
 # products
@@ -314,18 +334,22 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
     verts, edges, tags = _fields(obj, kind, "vertices", "edges", "edge_tags")
     rebuilt = zigzag_product(labeling.base, labeling.labels, labeling)
 
-    stated = Graph(tuple(vertex_from_obj(v) for v in verts), tuple(edge_from_obj(e) for e in edges))
-    if stated != rebuilt.product:
+    verts = _once(map(vertex_from_obj, verts), kind, "vertices", "vertex")
+    if Graph(verts, _once(map(edge_from_obj, edges), kind, "edges", "edge")) != rebuilt.product:
         raise ValueError("product JSON is inconsistent with its own base and labeling")
     stated_tags = {}
     try:
         for entry in tags:
-            tag = entry["base_edge"], entry["h_lo"], entry["h_hi"]
-            stated_tags[edge_from_obj(entry["edge"])] = EdgeTag(*map(edge_from_obj, tag))
+            e, tag = edge_from_obj(entry["edge"]), (entry["base_edge"], entry["h_lo"], entry["h_hi"])
+            if e in stated_tags:
+                raise ValueError(f"{kind} 'edge_tags' lists the edge {format_vertex(e)} twice")
+            stated_tags[e] = EdgeTag(*map(edge_from_obj, tag))
     except (KeyError, TypeError):
         _fields(entry, f"{kind} 'edge_tags' entry", "edge", "base_edge", "h_lo", "h_hi")
         raise
-    if stated_tags != dict(rebuilt.edge_tags):
+    if len(stated_tags) != len(rebuilt.product.edges) or any(
+        stated_tags.get(e) != t for e, t in rebuilt.edge_tags.items()
+    ):
         raise ValueError("product JSON edge tags are inconsistent with the construction")
     return rebuilt
 
@@ -341,7 +365,7 @@ def dumps_product(z: ZigZagGraph) -> str:
 
 
 def loads_product(text: str, base_dir=None) -> ZigZagGraph:
-    return product_from_obj(json.loads(text), base_dir)
+    return _from_text(text, product_from_obj, base_dir)
 
 
 def load_product_file(path) -> ZigZagGraph:

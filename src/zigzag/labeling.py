@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import ItemsView, Iterable, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -21,25 +21,83 @@ from .graphs import (
 )
 
 
+class _Derived(Mapping):
+    """A read-only mapping whose values are computed from other data;
+    `items()` and `values()` iterate `_items()`, a bulk walk."""
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return (x for _, x in self._mapping._items())
+
+
+class _DartLabels(_Derived):
+    """Dart -> label view of a table with one label per non-isolated vertex, in dart order."""
+
+    def __init__(self, base: Graph, table: dict):
+        self._base, self._table = base, table
+
+    def __getitem__(self, dart):
+        if isinstance(dart, tuple) and len(dart) == 2 and dart[1] in self._base.edge_set and dart[0] in dart[1]:
+            return self._table[dart[0]]
+        raise KeyError(dart)
+
+    def __iter__(self):  # the darts are built only when walked
+        return iter(self._base._darts)
+
+    def __len__(self):
+        return 2 * len(self._base.edges)
+
+    def _items(self):
+        t = self._table
+        return ((d, t[d[0]]) for d in self._base._darts)
+
+
 @dataclass(frozen=True, eq=False)
 class HLabeling:
-    """Assignment of a label-graph vertex to every dart of a base graph."""
+    """Assignment of a label-graph vertex to every dart of a base graph.
+
+    A locally constant labeling is stored as one label per non-isolated base
+    vertex, `mapping` being a read-only view of it over the darts; any other
+    as one entry per dart.  Equality and hashing do not depend on the form given.
+    """
 
     base: Graph
     labels: Graph
     mapping: Mapping
 
     def __post_init__(self):
-        got, expected = self.mapping, darts(self.base)
-        ordered = {d: got[d] for d in expected if d in got}
-        if not len(got) == len(ordered) == len(expected):
-            missing = sorted(set(expected) - set(got))
-            extra = sorted(set(got) - set(expected))
-            raise ValueError(f"labeling must cover every dart exactly (missing {missing}, extra {extra})")
-        bad = [h for h in ordered.values() if not self.labels.has_vertex(h)]
+        got = self.mapping
+        if isinstance(got, _DartLabels) and got._base is self.base:
+            table = got._table  # one label per non-isolated vertex, by construction
+        else:
+            expected = darts(self.base)
+            ordered = {d: got[d] for d in expected if d in got}
+            if not len(got) == len(ordered) == len(expected):
+                missing = sorted(set(expected) - set(got))
+                extra = sorted(set(got) - set(expected))
+                raise ValueError(f"labeling must cover every dart exactly (missing {missing}, extra {extra})")
+            table = {d.vertex: h for d, h in ordered.items()}
+            if any(table[d.vertex] != h for d, h in ordered.items()):
+                table = None
+        stored = ordered if table is None else table
+        bad = [h for h in stored.values() if not self.labels.has_vertex(h)]
         if bad:
             raise ValueError(f"labels outside the label graph: {sorted(set(bad), key=vertex_key)}")
-        object.__setattr__(self, "mapping", MappingProxyType(ordered))
+        object.__setattr__(self, "mapping", MappingProxyType(ordered) if table is None else _DartLabels(self.base, table))
+        object.__setattr__(self, "_vertex_labels", table)  # None when some vertex has two labels
+        object.__setattr__(self, "_stored", stored)
 
     def __call__(self, dart: Dart) -> VertexId:
         return self.mapping[dart]
@@ -49,35 +107,34 @@ class HLabeling:
 
     @cached_property
     def image(self) -> frozenset:
-        return frozenset(self.mapping.values())
+        return frozenset(self._stored.values())
 
-    @cached_property
-    def _vertex_labels(self) -> dict | None:
-        """Vertex -> label table, or None when some vertex has two labels."""
-        table: dict = {}
-        for d, h in self.mapping.items():
-            if table.setdefault(d.vertex, h) != h:
-                return None
-        return table
+    def _edge_labels(self):
+        """(edge, label at its first end, label at its second end) for every base edge, in order."""
+        t, mp = self._vertex_labels, self.mapping
+        if t is not None:
+            return ((e, t[e[0]], t[e[1]]) for e in self.base.edges)
+        return ((e, mp[Dart(e[0], e)], mp[Dart(e[1], e)]) for e in self.base.edges)
 
     def __eq__(self, other):
         if not isinstance(other, HLabeling):
             return NotImplemented
-        return (self.base, self.labels, self.mapping) == (other.base, other.labels, other.mapping)
+        # A labeling has one stored form, and the two forms of one base never store equal dicts.
+        return (self.base, self.labels, self._stored) == (other.base, other.labels, other._stored)
 
     def __hash__(self):
-        return hash((self.base, self.labels, tuple(self.mapping.items())))
+        return hash((self.base, self.labels, tuple(self._stored.items())))
 
 
 def constant_labeling(base: Graph, labels: Graph, h: VertexId) -> HLabeling:
     if not labels.has_vertex(h):
         raise ValueError(f"label {format_vertex(h)} not in the label graph")
-    return HLabeling(base, labels, {d: h for d in darts(base)})
+    return vertex_labeling(base, labels, dict.fromkeys(base.vertices, h))
 
 
 def vertex_labeling(base: Graph, labels: Graph, per_vertex: Mapping) -> HLabeling:
-    """Locally constant labeling from a per-vertex label table."""
-    return HLabeling(base, labels, {d: per_vertex[d.vertex] for d in darts(base)})
+    """Locally constant labeling from a per-vertex label table (isolated vertices may be left out)."""
+    return HLabeling(base, labels, _DartLabels(base, {v: per_vertex[v] for v, ns in base.adjacency.items() if ns}))
 
 
 def is_locally_constant(a: HLabeling) -> bool:
@@ -121,7 +178,9 @@ def pullback_labeling(a: HLabeling, m: VertexMap) -> HLabeling:
     """Precompose a labeling with the dart map of a morphism into its base."""
     if m.codomain != a.base:
         raise ValueError("pullback needs a map into the labeled graph")
-    dmap = induced_dart_map(m)
+    dmap, t = induced_dart_map(m), a._vertex_labels  # refuses a non-morphism
+    if t is not None:  # a morphism sends every non-isolated vertex to one
+        return vertex_labeling(m.domain, a.labels, {v: t[x] for v, x in m.mapping.items() if x in t})
     return HLabeling(m.domain, a.labels, {d: a(dmap(d)) for d in darts(m.domain)})
 
 
@@ -155,40 +214,29 @@ class LabeledMorphism:
             raise ValueError("underlying vertex map is not a graph morphism")
 
 
-def _require_same_labels(lm: LabeledMorphism) -> None:
+def _label_pairs(lm: LabeledMorphism):
+    """(source label, target label of the image dart) for every source dart."""
     if lm.source.labels != lm.target.labels:
         raise ValueError("labeled morphism check needs both labelings in the same label graph")
+    return zip(lm.source.mapping.values(), pullback_labeling(lm.target, lm.map).mapping.values())
 
 
 def is_strict_morphism(lm: LabeledMorphism) -> bool:
     """True iff the target labeling pulled through the dart map equals the source."""
-    _require_same_labels(lm)
-    dmap = induced_dart_map(lm.map)
-    return all(lm.target(dmap(d)) == h for d, h in lm.source.mapping.items())
+    return all(s == t for s, t in _label_pairs(lm))
 
 
 def is_weak_morphism(lm: LabeledMorphism) -> bool:
     """Commutation up to adjacency: every neighbor of a source label is a
     neighbor of the corresponding target label."""
-    _require_same_labels(lm)
-    h = lm.source.labels
-    dmap = induced_dart_map(lm.map)
-    for d, lbl in lm.source.mapping.items():
-        target_lbl = lm.target(dmap(d))
-        if not set(h.neighbors(lbl)) <= set(h.neighbors(target_lbl)):
-            return False
-    return True
+    nb = lm.source.labels.neighbors
+    return all(set(nb(s)) <= set(nb(t)) for s, t in _label_pairs(lm))
 
 
 def matching_label_neighborhoods(lm: LabeledMorphism) -> bool:
     """Bidirectional form of the weak condition: label neighborhoods agree."""
-    _require_same_labels(lm)
-    h = lm.source.labels
-    dmap = induced_dart_map(lm.map)
-    for d, lbl in lm.source.mapping.items():
-        if set(h.neighbors(lbl)) != set(h.neighbors(lm.target(dmap(d)))):
-            return False
-    return True
+    nb = lm.source.labels.neighbors
+    return all(set(nb(s)) == set(nb(t)) for s, t in _label_pairs(lm))
 
 
 def satisfies_neighbor_reflecting(psi: VertexMap) -> bool:

@@ -4,15 +4,16 @@ The product of a labeled graph has one vertex (u, i) for every base vertex u
 and label-graph vertex i adjacent to the label of some dart at u, and one
 edge {(u,i),(v,j)} for every base edge {u,v} whose two dart labels are
 adjacent to i and j respectively.  Every product edge remembers its base
-edge and the two label-graph edges that witnessed it.
+edge and the two label-graph edges that witnessed it; these tags are
+derived from the labeling when asked for, not stored.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .graphs import (
@@ -21,9 +22,7 @@ from .graphs import (
     Graph,
     VertexMap,
     check_combinatorial_cover,
-    darts,
     format_vertex,
-    induced_dart_map,
     is_connected,
     is_covering_map,
     is_graph_morphism,
@@ -32,6 +31,7 @@ from .graphs import (
 )
 from .labeling import (
     HLabeling,
+    _Derived,
     LabeledMorphism,
     image_valency,
     is_locally_constant,
@@ -59,9 +59,38 @@ class EdgeTag(NamedTuple):
     h_hi: Edge
 
 
+class _EdgeTags(_Derived):
+    """Product edge -> EdgeTag view: ((u,i),(v,j)) -> ((u,v), {i, a(u,uv)}, {j, a(v,uv)})."""
+
+    def __init__(self, product: Graph, labels: Graph, labeling: HLabeling):
+        self._of = self._product, self._labels, self._labeling = product, labels, labeling
+
+    def __getitem__(self, e):
+        if e not in self._product.edge_set:
+            raise KeyError(e)
+        (u, i), (v, j) = e
+        b, edge, a = (u, v), self._labels._edge, self._labeling
+        return EdgeTag(b, edge(i, a(Dart(u, b))), edge(j, a(Dart(v, b))))
+
+    def __iter__(self):
+        return iter(self._product.edges)
+
+    def __len__(self):
+        return len(self._product.edges)
+
+    def _items(self):
+        edges, t = self._product.edges, self._labeling._vertex_labels
+        if t is None:
+            return ((e, self[e]) for e in edges)
+        edge = self._labels._edge
+        ends = {p: edge(p[1], t[p[0]]) for p in self._product.vertices}  # one label edge per product vertex
+        return ((e, EdgeTag((e[0][0], e[1][0]), ends[e[0]], ends[e[1]])) for e in edges)
+
+
 @dataclass(frozen=True, eq=False)
 class ZigZagGraph:
-    """A zig-zag product together with its construction data."""
+    """A zig-zag product together with its construction data.  Its edge tags
+    are derived from the labeling; tags given explicitly must equal them."""
 
     product: Graph
     base: Graph
@@ -70,21 +99,25 @@ class ZigZagGraph:
     edge_tags: Mapping
 
     def __post_init__(self):
-        tags = dict(self.edge_tags)
-        if set(tags) != set(self.product.edges):
-            raise ValueError("edge tags must cover exactly the product edges")
-        ordered = {e: tags[e] for e in self.product.edges}
-        object.__setattr__(self, "edge_tags", MappingProxyType(ordered))
+        given, derived = self.edge_tags, _EdgeTags(self.product, self.labels, self.labeling)
+        if not (isinstance(given, _EdgeTags) and given._of == derived._of):  # the view zigzag_product made
+            try:
+                same = dict(given) == {e: derived[e] for e in self.product.edges}
+            except (KeyError, TypeError, ValueError):  # a product edge over no labeled base edge
+                same = False
+            if not same:
+                raise ValueError("edge tags must cover exactly the product edges, as the labeling gives them")
+        object.__setattr__(self, "edge_tags", derived)
 
     def __eq__(self, other):
         if not isinstance(other, ZigZagGraph):
             return NotImplemented
+        # The edge tags are derived from the product, label graph and labeling compared here.
         return (
             self.product == other.product
             and self.base == other.base
             and self.labels == other.labels
             and self.labeling == other.labeling
-            and self.edge_tags == other.edge_tags
         )
 
 
@@ -101,48 +134,36 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
     if a.labels != h:
         raise ValueError("labeling does not map into the given label graph")
 
-    # (u, label) -> [((u, i), {i, label}) for each i ~ label], one object per product vertex.
-    nodes = {}
-    for d, lbl in a.mapping.items():
-        if (d.vertex, lbl) not in nodes:
-            nodes[d.vertex, lbl] = [((d.vertex, i), h._edge(i, lbl)) for i in h.adjacency[lbl]]
+    nodes = {}  # (u, label) -> [(u, i) for each i ~ label], one object per product vertex
 
-    # Base edges (u, v) have rank(u) < rank(v), so (u, i) < (v, j) for all i, j.
-    tags = {}
-    for e in g.edges:
-        u, v = e
-        ends_v = nodes[v, a(Dart(v, e))]
-        for p, eps_u in nodes[u, a(Dart(u, e))]:
-            for q, eps_v in ends_v:
-                tags[p, q] = EdgeTag(e, eps_u, eps_v)
-    prod = Graph(tuple(p for ends in nodes.values() for p, _ in ends), tuple(tags))
-    return ZigZagGraph(prod, g, h, a, tags)
+    def ends(u, lbl):
+        if (u, lbl) not in nodes:
+            nodes[u, lbl] = [(u, i) for i in h.adjacency[lbl]]
+        return nodes[u, lbl]
+
+    pairs = []
+    for (u, v), lu, lv in a._edge_labels():
+        ends_v = ends(v, lv)  # made even when no (u, i) exists: (v, j) is still a vertex
+        pairs += [(p, q) for p in ends(u, lu) for q in ends_v]
+    prod = Graph(tuple(p for ps in nodes.values() for p in ps), tuple(pairs))
+    return ZigZagGraph(prod, g, h, a, _EdgeTags(prod, h, a))
 
 
 def product_valency_check(z: ZigZagGraph) -> bool:
     """Degree of (u,i) must equal the sum of val(label at v) over base
     neighbors v of u whose label at u is adjacent to i."""
-    h = z.labels
-    for u, i in z.product.vertices:
-        expected = 0
-        for v in z.base.neighbors(u):
-            e = z.base._edge(u, v)
-            if h.has_edge(z.labeling(Dart(u, e)), i):
-                expected += h.degree(z.labeling(Dart(v, e)))
-        if z.product.degree((u, i)) != expected:
-            return False
-    return True
+    adj, expected = z.labels.adjacency, Counter()
+    for (u, v), lu, lv in z.labeling._edge_labels():
+        expected.update({(u, i): len(adj[lv]) for i in adj[lu]})
+        expected.update({(v, j): len(adj[lu]) for j in adj[lv]})
+    return all(len(ns) == expected[p] for p, ns in z.product.adjacency.items())
 
 
 def product_edge_count_check(z: ZigZagGraph) -> bool:
     """Product edge count must equal the sum over base edges of the product
     of the two dart-label valencies."""
-    h = z.labels
-    expected = 0
-    for e in z.base.edges:
-        u, v = e
-        expected += h.degree(z.labeling(Dart(u, e))) * h.degree(z.labeling(Dart(v, e)))
-    return len(z.product.edges) == expected
+    deg = z.labels.degree
+    return len(z.product.edges) == sum(deg(lu) * deg(lv) for _, lu, lv in z.labeling._edge_labels())
 
 
 def section_subgraphs(z: ZigZagGraph):
@@ -177,12 +198,12 @@ def projection(z: ZigZagGraph) -> VertexMap:
 
     The image subgraph carries exactly the base vertices and edges that some
     product vertex or edge lies above; with no degenerate labels this is the
-    whole base graph.
+    whole base graph.  The edges hit are those whose two dart labels both
+    have neighbours in the label graph.
     """
-    first = {u for u, _ in z.product.vertices}
-    hit_edges = {tag.base_edge for tag in z.edge_tags.values()}
-    image = Graph(tuple(first), tuple(hit_edges))
-    pi = VertexMap(z.product, image, {(u, i): u for u, i in z.product.vertices})
+    first, adj = {p: p[0] for p in z.product.vertices}, z.labels.adjacency
+    hit_edges = [e for e, lu, lv in z.labeling._edge_labels() if adj[lu] and adj[lv]]
+    pi = VertexMap(z.product, Graph(tuple(set(first.values())), tuple(hit_edges)), first)
     if not is_graph_morphism(pi):
         raise RuntimeError("projection failed to be a graph morphism")
     return pi
@@ -244,13 +265,8 @@ def is_product_isomorphism(phi: VertexMap, psi: VertexMap, z1: ZigZagGraph, z2: 
         raise ValueError("both factor maps must be graph isomorphisms")
     if not (is_strict_morphism(lm) or matching_label_neighborhoods(lm)):
         return False
-    f = _pair_map(phi, psi, z1, z2)
-    values = list(f.mapping.values())
-    if len(set(values)) != len(values) or set(values) != set(z2.product.vertices):
-        raise RuntimeError("induced map is not a bijection despite admissible factors")
-    back = VertexMap(z2.product, z1.product, {w: v for v, w in f.mapping.items()})
-    if not is_graph_morphism(back):
-        raise RuntimeError("inverse of the induced map is not a graph morphism")
+    if not is_isomorphism(_pair_map(phi, psi, z1, z2)):
+        raise RuntimeError("induced map is not an isomorphism despite admissible factors")
     return True
 
 
@@ -272,9 +288,7 @@ def lift_pair(f: VertexMap, gmap: Mapping, z: ZigZagGraph) -> VertexMap:
     if bad:
         raise ValueError(f"choice map leaves the label graph at: {sorted(bad, key=vertex_key)}")
 
-    dmap = induced_dart_map(f)
-    for d in darts(f.domain):
-        lbl = z.labeling(dmap(d))
+    for d, lbl in pullback_labeling(z.labeling, f).mapping.items():  # the label of each image dart
         if not z.labels.has_edge(gmap[d.vertex], lbl):
             raise ValueError(
                 f"adjacency precondition fails at dart {d}: choice {format_vertex(gmap[d.vertex])} "
@@ -291,6 +305,13 @@ def lift_pair(f: VertexMap, gmap: Mapping, z: ZigZagGraph) -> VertexMap:
     if not is_graph_morphism(lifted):
         raise RuntimeError("lifted pair failed to be a graph morphism")
     return lifted
+
+
+def _lift(p: VertexMap, z: ZigZagGraph) -> tuple:
+    """The labeling pulled back along p, its product, and (x,i) -> (p(x), i) onto z's product."""
+    beta = pullback_labeling(z.labeling, p)
+    lifted = zigzag_product(p.domain, z.labels, beta)
+    return beta, lifted, VertexMap(lifted.product, z.product, {(x, i): (p(x), i) for x, i in lifted.product.vertices})
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,11 +334,7 @@ def lift_covering(p: VertexMap, z: ZigZagGraph) -> CoveringLift:
         raise ValueError("covering must land in the product's base graph")
     if not is_covering_map(p):
         raise ValueError("map is not a covering map")
-    beta = pullback_labeling(z.labeling, p)
-    lifted = zigzag_product(p.domain, z.labels, beta)
-    phat = VertexMap(
-        lifted.product, z.product, {(x, i): (p(x), i) for x, i in lifted.product.vertices}
-    )
+    beta, lifted, phat = _lift(p, z)
     verified = is_covering_map(phat)
     if not verified:
         raise RuntimeError("lifted map failed the covering check; construction bug")
@@ -343,11 +360,7 @@ def lift_combinatorial_cover(p: VertexMap, z: ZigZagGraph) -> CombinatorialLift:
         raise ValueError(
             f"map is not a combinatorial cover: {base_check.violation} at {base_check.witness}"
         )
-    beta = pullback_labeling(z.labeling, p)
-    lifted = zigzag_product(p.domain, z.labels, beta)
-    phat = VertexMap(
-        lifted.product, z.product, {(x, i): (p(x), i) for x, i in lifted.product.vertices}
-    )
+    beta, lifted, phat = _lift(p, z)
     res = check_combinatorial_cover(phat)
     if not res:
         raise RuntimeError(f"lifted map failed the cover check ({res.violation} at {res.witness})")

@@ -18,6 +18,7 @@ from .labeling import (
     is_locally_constant,
     pullback_labeling,
     restrict_labeling,
+    vertex_labels,
 )
 from .product import projection, zigzag_product
 from .spectral import (
@@ -85,7 +86,8 @@ def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfi
     projection; it stays locally constant with the same image valency, and
     the projection is checked to be a combinatorial cover of index m^2.
     Construction stops early, with the truncated flag set, when the next
-    level would exceed the vertex budget.
+    level would exceed the vertex budget; its size is counted from the
+    labels before it is built.
     """
     if depth < 1:
         raise ValueError("tower depth must be at least 1")
@@ -100,10 +102,14 @@ def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfi
     truncated = False
     while len(levels) < depth:
         current = levels[-1]
-        z = zigzag_product(current.graph, h, current.labeling)
-        if len(z.product.vertices) > config.budget:
+        # One product vertex (u, i) per neighbour i of the label of each non-isolated u.
+        size = sum(len(h.adjacency[x]) for x in vertex_labels(current.labeling).values())
+        if size > config.budget:
             truncated = True
             break
+        z = zigzag_product(current.graph, h, current.labeling)
+        if len(z.product.vertices) != size:
+            raise RuntimeError(f"product has {len(z.product.vertices)} vertices, the labels give {size}")
         pi = projection(z)
         cov = check_combinatorial_cover(pi)
         if not cov:

@@ -1,9 +1,9 @@
 import itertools
 
-from hypothesis import settings
+from hypothesis import assume, settings
 from hypothesis import strategies as st
 
-from zigzag.graphs import Graph, darts
+from zigzag.graphs import Graph, VertexMap, darts
 from zigzag.labeling import HLabeling, vertex_labeling
 
 from helpers import CONSTANT_VALENCY_POOL
@@ -39,3 +39,26 @@ def constant_valency_instances(draw, max_g=6):
     h, cls = draw(st.sampled_from(CONSTANT_VALENCY_POOL))
     per_vertex = {u: draw(st.sampled_from(cls)) for u in g.vertices}
     return g, h, vertex_labeling(g, h, per_vertex)
+
+
+@st.composite
+def labeled_instances_of_both_forms(draw):
+    """Labelings given per dart (mostly not locally constant) or per vertex (locally constant)."""
+    return draw(st.one_of(labeled_instances(), constant_valency_instances()))
+
+
+@st.composite
+def vertex_maps_into(draw, g, max_domain=7, morphism=True):
+    """A vertex map into g whose domain edges are drawn among the pairs the map
+    sends to edges of g (a morphism), or, with morphism=False, that also has
+    one edge sent to a non-edge."""
+    n = draw(st.integers(0 if morphism else 2, max_domain)) if g.vertices else 0
+    f = [draw(st.sampled_from(g.vertices)) for _ in range(n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    good = [(x, y) for x, y in pairs if g.has_edge(f[x], f[y])]
+    edges = draw(st.lists(st.sampled_from(good), unique=True)) if good else []
+    if not morphism:
+        bad = [(x, y) for x, y in pairs if not g.has_edge(f[x], f[y])]
+        assume(bad)
+        edges.append(draw(st.sampled_from(bad)))
+    return VertexMap(Graph(tuple(range(n)), tuple(edges)), g, dict(enumerate(f)))

@@ -9,6 +9,9 @@ dict, and the residual multiplies by the dense adjacency: the loops that the
 library's edge-array fills and O(E) residual replace.  The document oracles
 build each JSON document as a tree of lists and dicts, for `canonical_dumps`
 to lay out: the layout the library's writers render straight from the objects.
+The labeling oracles store what the library derives: the pullback builds one
+entry per dart through the dart map, and the product builds and stores an
+EdgeTag for every edge, from which the projection's image is read.
 """
 
 import math
@@ -16,7 +19,19 @@ from itertools import combinations
 
 import numpy as np
 
-from zigzag.graphs import CoverCheck, Dart, VertexMap, is_graph_morphism, make_edge, vertex_key
+from zigzag.graphs import (
+    CoverCheck,
+    Dart,
+    Graph,
+    VertexMap,
+    darts,
+    induced_dart_map,
+    is_graph_morphism,
+    make_edge,
+    vertex_key,
+)
+from zigzag.labeling import HLabeling
+from zigzag.product import EdgeTag
 
 
 def h_neighbors(h, x):
@@ -46,6 +61,34 @@ def brute_force_zigzag(g, h, a):
                 if i in h_neighbors(h, a(Dart(u, e))) and j in h_neighbors(h, a(Dart(v, e))):
                     edges.add(make_edge((u, i), (v, j)))
     return verts, edges
+
+
+def pullback_labeling(a, m):
+    """Precompose with the dart map: one dict entry per domain dart."""
+    if m.codomain != a.base:
+        raise ValueError("pullback needs a map into the labeled graph")
+    dmap = induced_dart_map(m)
+    return HLabeling(m.domain, a.labels, {d: a(dmap(d)) for d in darts(m.domain)})
+
+
+def zigzag_edge_tags(g, h, a):
+    """(product vertices, {product edge: EdgeTag}) with every tag built and stored."""
+    nodes = {}  # (u, label) -> [((u, i), {i, label}) for each i ~ label]
+    for d, lbl in a.mapping.items():
+        if (d.vertex, lbl) not in nodes:
+            nodes[d.vertex, lbl] = [((d.vertex, i), make_edge(i, lbl)) for i in h.neighbors(lbl)]
+    tags = {}
+    for e in g.edges:
+        u, v = e
+        for p, eps_u in nodes[u, a(Dart(u, e))]:
+            for q, eps_v in nodes[v, a(Dart(v, e))]:
+                tags[p, q] = EdgeTag(e, eps_u, eps_v)
+    return [p for ends in nodes.values() for p, _ in ends], tags
+
+
+def projection_image(vertices, tags):
+    """The base vertices and the base edges that some product vertex or edge lies above."""
+    return Graph(tuple({u for u, _ in vertices}), tuple({t.base_edge for t in tags.values()}))
 
 
 def check_combinatorial_cover(m: VertexMap) -> CoverCheck:

@@ -170,6 +170,15 @@ class TestCheck:
         assert code == 0
         assert "index 4" in out
 
+    def test_pi_check_of_a_product_repeating_a_tag_exit_2(self, capsys, tmp_path):
+        obj = json.loads(io.dumps_product(zigzag_product(C4, P3, constant_labeling(C4, P3, 1))))
+        obj["edge_tags"].insert(0, dict(obj["edge_tags"][0], h_hi=[0, 2]))
+        path = tmp_path / "z.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        code, out, err = invoke(["check", "pi", "-p", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad product input") and "'edge_tags' lists the edge ((0,0),(1,0)) twice" in err
+
     def test_missing_args_exit_2(self, capsys):
         code, _, _ = invoke(["check", "cover"], capsys)
         assert code == 2

@@ -452,3 +452,70 @@ class TestRepeatedEntries:
         obj = {"domain": oracle.graph_to_obj(K2), "codomain": oracle.graph_to_obj(K2), "map": [[0, 1], [0, 0], [1, 1]]}
         with pytest.raises(ValueError, match="vertex-map JSON 'map' lists vertex 0 twice"):
             io.vertex_map_from_obj(obj)
+
+    def test_graph_vertex(self):
+        with pytest.raises(ValueError, match="graph JSON 'vertices' lists the vertex 1 twice"):
+            io.loads_graph('{"vertices": [0, 1, 1], "edges": []}')
+
+    def test_graph_edge(self):
+        with pytest.raises(ValueError, match=r"graph JSON 'edges' lists the edge \(0,1\) twice"):
+            io.loads_graph('{"vertices": [0, 1], "edges": [[0, 1], [1, 0]]}')
+
+    def test_product_vertex_and_edge(self):
+        obj = _product_obj()
+        obj["vertices"].append(obj["vertices"][2])
+        with pytest.raises(ValueError, match=r"product JSON 'vertices' lists the vertex \(1,0\) twice"):
+            io.loads_product(json.dumps(obj))
+        obj = _product_obj()
+        obj["edges"].insert(0, obj["edges"][0][::-1])
+        with pytest.raises(ValueError, match=r"product JSON 'edges' lists the edge \(\(0,0\),\(1,0\)\) twice"):
+            io.loads_product(json.dumps(obj))
+
+    def test_product_edge_tag(self):
+        # The first entry's h_hi [0, 2] is not even an edge of P3; the second is right.
+        obj = _product_obj()
+        first = obj["edge_tags"][0]
+        assert first["edge"] == [[0, 0], [1, 0]]
+        obj["edge_tags"].insert(0, dict(first, h_hi=[0, 2]))
+        with pytest.raises(ValueError, match=r"product JSON 'edge_tags' lists the edge \(\(0,0\),\(1,0\)\) twice"):
+            io.loads_product(json.dumps(obj))
+
+
+# A well-formed pair id 3000 deep: refused for its depth alone, whether json.loads
+# or the id decoding reaches the recursion limit first.
+DEEP = "[" * 3000 + "0" + ", 1]" * 3000
+
+
+class TestDeepNesting:
+    """Documents nested beyond Python's recursion limit are malformed input:
+    every loader raises ValueError, not RecursionError."""
+
+    def _docs(self):
+        graph = '{"vertices": [' + DEEP + "]}"
+        labeling = json.dumps(_labeling_obj())
+        labeling = labeling.replace('"label": 1', '"label": ' + DEEP, 1)
+        assert DEEP in labeling
+        product = json.dumps(_product_obj()).replace('"vertices": [', '"vertices": [' + DEEP + ", ", 1)
+        vmap = json.dumps({"domain": oracle.graph_to_obj(K2), "codomain": oracle.graph_to_obj(K2), "map": [[0, DEEP]]})
+        return graph, labeling, product, vmap.replace('"' + DEEP + '"', DEEP)
+
+    def test_text_loaders(self):
+        graph, labeling, product, _ = self._docs()
+        for load, text in [(io.loads_graph, graph), (io.read_graph_text, graph),
+                           (io.loads_labeling, labeling), (io.loads_product, product)]:
+            with pytest.raises(ValueError, match="nested too deeply"):
+                load(text)
+
+    def test_file_loaders(self, tmp_path):
+        graph, labeling, product, vmap = self._docs()
+        for load, text in [(io.load_graph_file, graph), (io.load_labeling_file, labeling),
+                           (io.load_product_file, product), (io.load_vertex_map_file, vmap)]:
+            path = tmp_path / "deep.json"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError, match="nested too deeply"):
+                load(path)
+
+    def test_deep_but_legal_ids_still_load(self):
+        v = "[" * 200 + "0" + ", 1]" * 200
+        g = io.loads_graph('{"vertices": [' + v + "]}")
+        assert len(g.vertices) == 1 and io.loads_graph(io.dumps_graph(g)) == g

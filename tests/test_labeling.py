@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import constant_valency_instances, labeled_instances
+import oracle
+from conftest import constant_valency_instances, labeled_instances, labeled_instances_of_both_forms, vertex_maps_into
 from helpers import C3, C4, C6, K2, P3, random_dart_labeling
 from zigzag.graphs import Dart, Graph, VertexMap, darts, disjoint_union, identity_map
 from zigzag.labeling import (
@@ -125,6 +127,72 @@ class TestPullback:
         b = pullback_labeling(a, p)
         assert is_locally_constant(b)
         assert image_valency(b) == n
+
+
+class TestStoredForms:
+    """A locally constant labeling is stored per vertex, any other per dart;
+    the forms agree on every reading, whichever way the labeling was given."""
+
+    @given(labeled_instances_of_both_forms())
+    def test_per_dart_and_per_vertex_construction_agree(self, inst):
+        g, h, a = inst
+        given_forms = [HLabeling(g, h, dict(reversed(list(a.mapping.items()))))]
+        if is_locally_constant(a):
+            given_forms.append(vertex_labeling(g, h, vertex_labels(a)))
+        items = [(d, a(d)) for d in darts(g)]
+        for b in given_forms:
+            assert b == a and hash(b) == hash(a)
+            assert list(b.mapping.items()) == list(a.mapping.items()) == items
+            assert list(b.mapping.values()) == [x for _, x in items]
+            assert list(b.mapping) == list(darts(g)) and len(b.mapping) == len(items)
+            assert all(b.mapping[tuple(d)] == x for d, x in items)
+            assert is_locally_constant(b) == is_locally_constant(a)
+
+    @given(labeled_instances_of_both_forms())
+    def test_non_darts_raise_key_error(self, inst):
+        g, h, a = inst
+        strays = [5, "x", (0,), (0, 1, 2), Dart(0, (0, 99)), Dart("v", (0, 1))]
+        strays += [Dart(w, e) for e in g.edges[:2] for w in g.vertices if w not in e][:3]
+        for d in strays:
+            with pytest.raises(KeyError):
+                a.mapping[d]
+            assert d not in a.mapping
+
+    def test_dict_built_locally_constant_labeling_is_stored_per_vertex(self):
+        a = HLabeling(C4, P3, {d: 1 for d in darts(C4)})
+        assert a.mapping.__class__ is constant_labeling(C4, P3, 1).mapping.__class__
+        assert a == constant_labeling(C4, P3, 1) and hash(a) == hash(constant_labeling(C4, P3, 1))
+
+    def test_vertex_labeling_needs_every_non_isolated_vertex(self):
+        g = Graph((0, 1, 2), ((0, 1),))
+        assert vertex_labeling(g, P3, {0: 1, 1: 1}) == constant_labeling(g, P3, 1)
+        with pytest.raises(KeyError):
+            vertex_labeling(g, P3, {0: 1, 2: 1})
+        with pytest.raises(ValueError, match="outside the label graph"):
+            vertex_labeling(g, P3, {0: 1, 1: 9})
+
+    @given(st.data())
+    def test_pullback_matches_the_per_dart_oracle(self, data):
+        g, h, a = data.draw(labeled_instances_of_both_forms())
+        m = data.draw(vertex_maps_into(g))
+        b, want = pullback_labeling(a, m), oracle.pullback_labeling(a, m)
+        assert b == want and hash(b) == hash(want)
+        assert list(b.mapping.items()) == list(want.mapping.items())
+        assert is_locally_constant(b) == is_locally_constant(want)
+
+    @given(st.data())
+    def test_pullback_refuses_a_non_morphism(self, data):
+        g, h, a = data.draw(labeled_instances_of_both_forms())
+        m = data.draw(vertex_maps_into(g, morphism=False))
+        with pytest.raises(ValueError):
+            oracle.pullback_labeling(a, m)
+        with pytest.raises(ValueError, match="graph morphism"):
+            pullback_labeling(a, m)
+
+    def test_pullback_refuses_a_map_into_another_base(self):
+        a = constant_labeling(C4, P3, 1)
+        with pytest.raises(ValueError, match="map into the labeled graph"):
+            pullback_labeling(a, identity_map(C3))
 
 
 class TestPushforward:

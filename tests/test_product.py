@@ -1,9 +1,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import constant_valency_instances, labeled_instances
+import oracle
+from conftest import constant_valency_instances, labeled_instances, labeled_instances_of_both_forms
 from helpers import C3, C4, C6, K2, P3, random_dart_labeling, worked_fixtures
 from oracle import brute_force_zigzag
 from zigzag.generators import cycle
@@ -26,6 +28,8 @@ from zigzag.labeling import (
     vertex_labeling,
 )
 from zigzag.product import (
+    EdgeTag,
+    ZigZagGraph,
     induced_product_map,
     is_product_isomorphism,
     lift_combinatorial_cover,
@@ -95,6 +99,51 @@ class TestConstruction:
             assert tag.h_lo == make_edge(i, z.labeling(Dart(u, tag.base_edge)))
             assert tag.h_hi == make_edge(j, z.labeling(Dart(v, tag.base_edge)))
             assert tag.h_lo in P3.edge_set and tag.h_hi in P3.edge_set
+
+
+class TestDerivedEdgeTags:
+    """Edge tags are derived from the labeling; they must match the tags the
+    construction used to build and store, read in bulk or one at a time."""
+
+    @given(labeled_instances_of_both_forms())
+    def test_tags_and_projection_match_the_stored_oracle(self, inst):
+        g, h, a = inst
+        z = zigzag_product(g, h, a)
+        verts, tags = oracle.zigzag_edge_tags(g, h, a)
+        assert set(z.product.vertices) == set(verts)
+        assert list(z.edge_tags) == list(z.product.edges) and len(z.edge_tags) == len(tags)
+        assert list(z.edge_tags.items()) == [(e, tags[e]) for e in z.product.edges]
+        assert list(z.edge_tags.values()) == [tags[e] for e in z.product.edges]
+        assert all(z.edge_tags[e] == t and type(z.edge_tags[e]) is EdgeTag for e, t in tags.items())
+        pi = projection(z)
+        assert pi.codomain == oracle.projection_image(verts, tags)
+        assert dict(pi.mapping) == {p: p[0] for p in z.product.vertices}
+
+    def test_non_edges_raise_key_error(self):
+        z = c4p3()
+        for e in [((0, 0), (2, 0)), ((1, 0), (0, 0)), (0, 1), "e"]:
+            with pytest.raises(KeyError):
+                z.edge_tags[e]
+
+    @given(labeled_instances_of_both_forms(), st.data())
+    def test_explicit_tags_checked_by_value(self, inst, data):
+        g, h, a = inst
+        z = zigzag_product(g, h, a)
+        _, tags = oracle.zigzag_edge_tags(g, h, a)
+        assert ZigZagGraph(z.product, g, h, a, tags) == z
+        assume(tags)
+        e = data.draw(st.sampled_from(sorted(tags, key=repr)))
+        t = tags[e]
+        wrong = data.draw(st.sampled_from([
+            t._replace(base_edge=t.base_edge[::-1]),
+            t._replace(h_lo=t.h_lo[::-1]),
+            t._replace(h_lo=t.h_hi, h_hi=t.h_lo),
+        ]))
+        assume(wrong != t)
+        with pytest.raises(ValueError, match="as the labeling gives them"):
+            ZigZagGraph(z.product, g, h, a, {**tags, e: wrong})
+        with pytest.raises(ValueError, match="cover exactly the product edges"):
+            ZigZagGraph(z.product, g, h, a, {k: v for k, v in tags.items() if k != e})
 
 
 def cycle_like(g):

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import C4, K2, P3, random_dart_labeling
+from helpers import C3, C4, K2, P3, random_dart_labeling
 from zigzag.generators import cycle
 from zigzag.graphs import compose, identity_map, is_graph_morphism
 from zigzag.labeling import constant_labeling, image_valency, is_locally_constant
 from zigzag.spectral import RESIDUAL_TOL, adjacency_eigenpairs, lift_eigenvector
 from zigzag.product import zigzag_product
+from zigzag import tower
 from zigzag.tower import (
     TowerConfig,
     build_tower,
@@ -57,6 +58,22 @@ class TestBuildTower:
         assert build.truncated
         assert len(build.levels) == 3
         assert build.requested_depth == 5
+
+    @pytest.mark.parametrize("g, h, label", [(C4, P3, 1), (cycle(5), K2, 0), (C3, cycle(4), 2)])
+    def test_budget_stops_where_building_then_counting_did(self, g, h, label, monkeypatch):
+        # The budget is checked before each product is built, from the labels;
+        # it must stop exactly where building the level and counting it did.
+        a = constant_labeling(g, h, label)
+        full = [len(lv.graph.vertices) for lv in build_tower(g, h, a, 5, TowerConfig(budget=10**9)).levels]
+        built = []
+        monkeypatch.setattr(tower, "zigzag_product", lambda *args: built.append(args) or zigzag_product(*args))
+        for budget in sorted({1, *full, *(n - 1 for n in full), *(n + 1 for n in full)}):
+            built.clear()
+            build = build_tower(g, h, a, 5, TowerConfig(budget=budget))
+            kept = 1 + next((k for k, n in enumerate(full[1:]) if n > budget), len(full) - 1)
+            assert [len(lv.graph.vertices) for lv in build.levels] == full[:kept]
+            assert build.truncated == (kept < 5)
+            assert len(built) == kept - 1  # the refused level is never built
 
     def test_spectral_cap_skips_eigensolve(self):
         build = c4_tower(3, spectral_cap=10)
