@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -85,6 +84,9 @@ class Graph:
     endpoints, edges, adjacency, darts) is rank order, which equals the
     `vertex_key` / `edge_key` / `dart_key` order; so is the cached array of
     edge-endpoint ranks that the spectral layer reads.  Equality is structural.
+    Graphs that the construction makes from ids it has already checked (the
+    product and the projection's image) come in through `_from_ranks` and
+    skip this re-validation.
     """
 
     vertices: tuple = ()
@@ -121,6 +123,18 @@ class Graph:
         object.__setattr__(self, "edges", tuple((verts[c // n], verts[c % n]) for c in sorted(codes)))
         object.__setattr__(self, "_rank", rank)  # not a field: equality stays structural
 
+    @classmethod
+    def _from_ranks(cls, vertices: tuple, src: np.ndarray, dst: np.ndarray) -> "Graph":
+        """The graph on valid ids given in key order, with edges the sorted,
+        distinct rank pairs src < dst: stored as given, nothing re-checked."""
+        g, end = object.__new__(cls), vertices.__getitem__
+        ranks = np.stack((src, dst), axis=1).astype(np.intp, copy=False)
+        ranks.flags.writeable = False
+        edges = tuple(zip(map(end, src.tolist()), map(end, dst.tolist())))
+        rank = dict(zip(vertices, range(len(vertices))))
+        g.__dict__.update(vertices=vertices, edges=edges, _rank=rank, _edge_ranks=ranks)
+        return g
+
     def _edge(self, u: VertexId, v: VertexId) -> Edge:
         """The pair {u, v} of vertices of this graph, endpoints in rank order."""
         return (u, v) if self._rank[u] < self._rank[v] else (v, u)
@@ -130,6 +144,17 @@ class Graph:
         ranks = np.array([(self._rank[u], self._rank[v]) for u, v in self.edges], dtype=np.intp).reshape(-1, 2)
         ranks.flags.writeable = False
         return ranks
+
+    @cached_property
+    def _degrees(self) -> np.ndarray:
+        return np.bincount(self._edge_ranks.ravel(), minlength=len(self.vertices))
+
+    @cached_property
+    def _csr(self) -> tuple:
+        """Neighbour index (indptr, indices): indices[indptr[r]:indptr[r + 1]] are r's neighbour ranks, in order."""
+        n, (src, dst) = len(self.vertices), self._edge_ranks.T
+        rows, cols = np.concatenate((src, dst)), np.concatenate((dst, src))
+        return np.concatenate(([0], np.cumsum(self._degrees))), cols[np.argsort(rows * n + cols)]
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -162,7 +187,7 @@ class Graph:
         return len(self.neighbors(v))
 
     def has_vertex(self, v: VertexId) -> bool:
-        return v in self.adjacency
+        return v in self._rank
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
         ru, rv = self._rank.get(u), self._rank.get(v)
@@ -186,6 +211,18 @@ class Graph:
 
     def max_degree(self) -> int:
         return max((len(ns) for ns in self.adjacency.values()), default=0)
+
+
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The values of a, each once, in increasing order."""
+    a = np.sort(a)
+    return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[r], starts[r] + 1, ..., starts[r] + lengths[r] - 1 for every r in turn."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def darts(g: Graph) -> tuple:
@@ -213,11 +250,18 @@ class VertexMap:
             raise ValueError(f"map image leaves codomain: {sorted(set(bad), key=vertex_key)}")
         ordered = {v: got[v] for v in self.domain.vertices}
         object.__setattr__(self, "mapping", MappingProxyType(ordered))
+        ranks = map(self.codomain._rank.__getitem__, ordered.values())
+        object.__setattr__(self, "_image_ranks", np.fromiter(ranks, np.intp, len(ordered)))  # in domain rank order
 
     @cached_property
-    def _is_morphism(self) -> bool:
-        has_edge, mp = self.codomain.has_edge, self.mapping
-        return all(has_edge(mp[u], mp[v]) for u, v in self.domain.edges)
+    def _edge_images(self) -> np.ndarray | None:
+        """Index of each domain edge's image among the codomain edges; None if some image is no edge."""
+        n, img = len(self.codomain.vertices), self._image_ranks
+        a, b = img[self.domain._edge_ranks.T]
+        codes = np.minimum(a, b) * n + np.maximum(a, b)
+        known = np.append(self.codomain._edge_ranks @ (n, 1), n * n)  # sorted, and ends in a code no pair has
+        at = np.searchsorted(known, codes)
+        return at if (known[at] == codes).all() else None
 
     def __call__(self, v: VertexId) -> VertexId:
         return self.mapping[v]
@@ -248,7 +292,7 @@ def is_graph_morphism(m: VertexMap) -> bool:
     vertices: the image of an edge must again be an edge, never a loop.
     Maps and graphs are immutable, so the verdict is computed once per map.
     """
-    return m._is_morphism
+    return m._edge_images is not None
 
 
 def induced_dart_map(m: VertexMap):
@@ -284,11 +328,10 @@ def is_covering_map(m: VertexMap) -> bool:
     """True iff m is a morphism restricting to a bijection on every neighborhood."""
     if not is_graph_morphism(m):
         return False
-    for x in m.domain.vertices:
-        images = [m(y) for y in m.domain.neighbors(x)]
-        if len(set(images)) != len(images) or set(images) != set(m.codomain.neighbors(m(x))):
-            return False
-    return True
+    # Neighbours go to neighbours, so: equal degrees, and no vertex sees a vertex twice.
+    (x, y), img, n = m.domain._edge_ranks.T, m._image_ranks, len(m.codomain.vertices)
+    seen = np.concatenate((x * n + img[y], y * n + img[x]))
+    return np.array_equal(m.domain._degrees, m.codomain._degrees[img]) and _distinct(seen).size == seen.size
 
 
 @dataclass(frozen=True)
@@ -308,7 +351,7 @@ class CoverCheck:
 
 
 def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
-    """Check the two combinatorial-covering conditions by enumeration.
+    """Check the two combinatorial-covering conditions by counting over edges and darts.
 
     Condition one: every codomain edge has the same positive number of
     preimage edges.  Condition two: vertices in a common fiber see every
@@ -317,34 +360,31 @@ def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
     """
     if not is_graph_morphism(m):
         return CoverCheck(None, "not-a-morphism", None)
-    mp, cod = m.mapping, m.codomain
-    fiber_edges = Counter(cod._edge(mp[x], mp[y]) for x, y in m.domain.edges)
-
-    index = None
-    for e in cod.edges:
-        count = fiber_edges[e]
+    dom, cod, img, at = m.domain, m.codomain, m._image_ranks, m._edge_images
+    counts = np.bincount(at, minlength=len(cod.edges))
+    odd = np.flatnonzero((counts == 0) | (counts != counts[:1]))
+    if odd.size:
+        e, count = cod.edges[odd[0]], int(counts[odd[0]])
         if count == 0:
             return CoverCheck(None, "empty-edge-fiber", (e,))
-        if index is None:
-            index = count
-        elif count != index:
-            first = next(d for d in cod.edges if fiber_edges[d] == index)
-            return CoverCheck(None, "unequal-edge-fibers", (first, index, e, count))
-    if index is None:
-        index = 1
-
-    # How often each domain vertex sees each fiber, counted once per vertex.
-    sees = {x: Counter(mp[y] for y in ns) for x, ns in m.domain.adjacency.items()}
-    fibers: dict = {}
-    for x in m.domain.vertices:
-        fibers.setdefault(mp[x], []).append(x)
-    for u, fiber in fibers.items():
-        first = fiber[0]
-        for v in cod.neighbors(u):
-            for x in fiber[1:]:
-                if sees[x][v] != sees[first][v]:
-                    return CoverCheck(None, "unequal-neighborhood-fibers", (first, x, v))
-    return CoverCheck(index)
+        return CoverCheck(None, "unequal-edge-fibers", (cod.edges[0], int(counts[0]), e, count))
+    # Condition two: how often each domain vertex x sees each neighbour v of
+    # its image, counted over the darts (x, y) with img(y) = v; pairs in order.
+    indptr, nbrs = cod._csr
+    n, deg = len(cod.vertices), np.diff(indptr)[img]
+    xs = np.repeat(np.arange(img.size), deg)
+    pairs = xs * n + nbrs[_runs(indptr[img], deg)]
+    x, y = dom._edge_ranks.T
+    seen = np.bincount(np.searchsorted(pairs, np.concatenate((x * n + img[y], y * n + img[x]))), minlength=pairs.size)
+    _, first_at, fiber = np.unique(img, return_index=True, return_inverse=True)
+    first, start = first_at[fiber], np.cumsum(deg) - deg
+    bad = np.flatnonzero(seen != seen[np.arange(seen.size) + (start[first] - start)[xs]])  # vs. the fiber's first
+    if bad.size:  # report the first by fiber, then neighbour, then vertex
+        xb, vb = xs[bad], pairs[bad] % n
+        k = np.lexsort((xb, vb, first[xb]))[0]
+        witness = (dom.vertices[first[xb[k]]], dom.vertices[xb[k]], cod.vertices[vb[k]])
+        return CoverCheck(None, "unequal-neighborhood-fibers", witness)
+    return CoverCheck(int(counts[0]) if counts.size else 1)
 
 
 def is_combinatorial_cover(m: VertexMap) -> bool:

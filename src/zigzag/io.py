@@ -30,43 +30,55 @@ def canonical_dumps(obj) -> str:
 _ATOM = json.JSONEncoder(ensure_ascii=False).encode
 
 
-def _list(items, depth: int, brackets: str = "[]") -> str:
-    """Rendered items as a JSON list (or object) that opens at this depth."""
-    if not items:
-        return brackets
-    ind = "\n" + "  " * (depth + 1)
-    return brackets[0] + ind + ("," + ind).join(items) + "\n" + "  " * depth + brackets[1]
+def _list(items, depth: int, brackets: str = "[]") -> list:
+    """The pieces of a JSON list (or object) of the items that opens at this
+    depth; an item is a text or a list of pieces, and "".join gives the text."""
+    sep, out = ",\n" + "  " * (depth + 1), []
+    for item in items:
+        out += (sep, item) if isinstance(item, str) else (sep, *item)
+    out.append("\n" + "  " * depth + brackets[1])
+    out[0] = brackets[0] + sep[1:] if len(out) > 1 else brackets
+    return out
 
 
-def _object(depth: int, **fields: str) -> str:
-    return _list([f'"{k}": {v}' for k, v in fields.items()], depth, "{}")
+def _object(depth: int, **fields) -> list:
+    return _list(([f'"{k}": ', *v] if isinstance(v, list) else f'"{k}": {v}' for k, v in fields.items()), depth, "{}")
+
+
+def _text(pieces: list) -> str:
+    """The document of the pieces, with its final newline: one join."""
+    pieces.append("\n")
+    return "".join(pieces)
 
 
 class _Texts(dict):
     """Texts of vertex ids, and of edges laid out as pairs, at one depth; each rendered once."""
 
     def __init__(self, depth: int):  # starts empty, as dict.__new__ leaves it
-        self.depth, self._pair = depth, _list(("%s", "%s"), depth)
+        self.depth, self._pair = depth, "".join(_list(("%s", "%s"), depth))
 
     @cached_property
     def deeper(self) -> _Texts:
         return _Texts(self.depth + 1)
 
     def __missing__(self, v) -> str:
-        self[v] = text = self._pair % (self.deeper[v[0]], self.deeper[v[1]]) if isinstance(v, tuple) else _ATOM(v)
+        self[v] = text = self.pair(v) if isinstance(v, tuple) else _ATOM(v)
         return text
 
+    def pair(self, v) -> str:  # not kept: a product edge is written once per list
+        return self._pair % (self.deeper[v[0]], self.deeper[v[1]])
 
-def _graph_text(g: Graph, texts: _Texts) -> str:
-    """The graph as an object two levels above the depth of texts."""
+
+def _graph_text(g: Graph, texts: _Texts) -> list:
+    """The pieces of the graph as an object two levels above the depth of texts."""
     d = texts.depth - 2
     vertices, edges = _list([texts[v] for v in g.vertices], d + 1), _list([texts[e] for e in g.edges], d + 1)
     return _object(d, vertices=vertices, edges=edges)
 
 
-def _dart_entries(a: HLabeling, texts: _Texts) -> str:
+def _dart_entries(a: HLabeling, texts: _Texts) -> list:
     """The labeling's (vertex, edge, label) entries as a list at depth 1; texts at depth 3."""
-    entry = _object(2, vertex="%s", edge="%s", label="%s")
+    entry = "".join(_object(2, vertex="%s", edge="%s", label="%s"))
     return _list([entry % (texts[v], texts[e], texts[h]) for (v, e), h in a.mapping.items()], 1)
 
 
@@ -145,7 +157,7 @@ def graph_from_obj(obj) -> Graph:
 
 
 def dumps_graph(g: Graph) -> str:
-    return _graph_text(g, _Texts(2)) + "\n"
+    return _text(_graph_text(g, _Texts(2)))
 
 
 def loads_graph(text: str) -> Graph:
@@ -270,7 +282,7 @@ def labeling_from_obj(obj, base_dir=None) -> HLabeling:
 def dumps_labeling(a: HLabeling) -> str:
     texts = _Texts(3)
     base, labels = _graph_text(a.base, texts), _graph_text(a.labels, texts)
-    return _object(0, base=base, labels=labels, map=_dart_entries(a, texts)) + "\n"
+    return _text(_object(0, base=base, labels=labels, map=_dart_entries(a, texts)))
 
 
 def loads_labeling(text: str, base_dir=None) -> HLabeling:
@@ -313,7 +325,7 @@ def vertex_map_from_obj(obj, base_dir=None, domain: Graph | None = None, codomai
 def dumps_vertex_map(m: VertexMap) -> str:
     texts = _Texts(3)
     pairs = _list([_list((texts[v], texts[w]), 2) for v, w in m.mapping.items()], 1)
-    return _object(0, domain=_graph_text(m.domain, texts), codomain=_graph_text(m.codomain, texts), map=pairs) + "\n"
+    return _text(_object(0, domain=_graph_text(m.domain, texts), codomain=_graph_text(m.codomain, texts), map=pairs))
 
 
 def load_vertex_map_file(path, domain: Graph | None = None, codomain: Graph | None = None) -> VertexMap:
@@ -355,13 +367,13 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
 
 
 def dumps_product(z: ZigZagGraph) -> str:
-    texts = _Texts(2)  # product vertices and edges
-    inner = texts.deeper  # ids of the base, the label graph and the labeling; tagged edges
-    tag = _object(2, edge="%s", base_edge="%s", h_lo="%s", h_hi="%s")
-    tags = _list([tag % (inner[e], inner[b], inner[lo], inner[hi]) for e, (b, lo, hi) in z.edge_tags.items()], 1)
+    texts = _Texts(2)  # product vertices; product edges are rendered, not kept
+    inner = texts.deeper  # ids of the base, the label graph and the labeling
+    tag = "".join(_object(2, edge="%s", base_edge="%s", h_lo="%s", h_hi="%s"))
+    tags = _list([tag % (inner.pair(e), inner[b], inner[lo], inner[hi]) for e, (b, lo, hi) in z.edge_tags.items()], 1)
     base, labels, entries = _graph_text(z.base, inner), _graph_text(z.labels, inner), _dart_entries(z.labeling, inner)
-    vertices, edges = _list([texts[v] for v in z.product.vertices], 1), _list([texts[e] for e in z.product.edges], 1)
-    return _object(0, base=base, labels=labels, labeling=entries, vertices=vertices, edges=edges, edge_tags=tags) + "\n"
+    vertices, edges = _list([texts[v] for v in z.product.vertices], 1), _list(map(texts.pair, z.product.edges), 1)
+    return _text(_object(0, base=base, labels=labels, labeling=entries, vertices=vertices, edges=edges, edge_tags=tags))
 
 
 def loads_product(text: str, base_dir=None) -> ZigZagGraph:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 
+import numpy as np
+
 from .graphs import (
     Dart,
     Graph,
@@ -116,6 +118,14 @@ class HLabeling:
             return ((e, t[e[0]], t[e[1]]) for e in self.base.edges)
         return ((e, mp[Dart(e[0], e)], mp[Dart(e[1], e)]) for e in self.base.edges)
 
+    def _label_ranks(self) -> np.ndarray:
+        """Label ranks at the first and second end of every base edge, in edge order (E×2)."""
+        rank, t, base = self.labels._rank, self._vertex_labels, self.base
+        if t is None:
+            return np.array([(rank[lu], rank[lv]) for _, lu, lv in self._edge_labels()], np.intp).reshape(-1, 2)
+        per_vertex = np.fromiter((rank[t[v]] if v in t else 0 for v in base.vertices), np.intp, len(base.vertices))
+        return per_vertex[base._edge_ranks]
+
     def __eq__(self, other):
         if not isinstance(other, HLabeling):
             return NotImplemented
@@ -134,7 +144,8 @@ def constant_labeling(base: Graph, labels: Graph, h: VertexId) -> HLabeling:
 
 def vertex_labeling(base: Graph, labels: Graph, per_vertex: Mapping) -> HLabeling:
     """Locally constant labeling from a per-vertex label table (isolated vertices may be left out)."""
-    return HLabeling(base, labels, _DartLabels(base, {v: per_vertex[v] for v, ns in base.adjacency.items() if ns}))
+    table = {v: per_vertex[v] for v, d in zip(base.vertices, base._degrees.tolist()) if d}
+    return HLabeling(base, labels, _DartLabels(base, table))
 
 
 def is_locally_constant(a: HLabeling) -> bool:

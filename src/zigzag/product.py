@@ -14,13 +14,18 @@ import itertools
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
+
+import numpy as np
 
 from .graphs import (
     Dart,
     Edge,
     Graph,
     VertexMap,
+    _distinct,
+    _runs,
     check_combinatorial_cover,
     format_vertex,
     is_connected,
@@ -109,6 +114,12 @@ class ZigZagGraph:
                 raise ValueError("edge tags must cover exactly the product edges, as the labeling gives them")
         object.__setattr__(self, "edge_tags", derived)
 
+    @cached_property
+    def _base_ranks(self) -> np.ndarray:
+        """The base rank of every product vertex (u, i): nondecreasing, as the vertices are in rank order."""
+        rank, vs = self.base._rank, self.product.vertices
+        return np.fromiter((rank[u] for u, _ in vs), np.intp, len(vs))
+
     def __eq__(self, other):
         if not isinstance(other, ZigZagGraph):
             return NotImplemented
@@ -134,18 +145,21 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
     if a.labels != h:
         raise ValueError("labeling does not map into the given label graph")
 
-    nodes = {}  # (u, label) -> [(u, i) for each i ~ label], one object per product vertex
-
-    def ends(u, lbl):
-        if (u, lbl) not in nodes:
-            nodes[u, lbl] = [(u, i) for i in h.adjacency[lbl]]
-        return nodes[u, lbl]
-
-    pairs = []
-    for (u, v), lu, lv in a._edge_labels():
-        ends_v = ends(v, lv)  # made even when no (u, i) exists: (v, j) is still a vertex
-        pairs += [(p, q) for p in ends(u, lu) for q in ends_v]
-    prod = Graph(tuple(p for ps in nodes.values() for p in ps), tuple(pairs))
+    # Product vertex (u, i) is coded rank(u)·|V(h)| + rank(i), so codes sort as the ids do.
+    nh, (indptr, nbrs), deg = len(h.vertices), h._csr, h._degrees
+    ends, lab = g._edge_ranks, a._label_ranks()
+    u, lbl = np.divmod(_distinct(ends.ravel() * nh + lab.ravel()), nh)  # (u, label of a dart at u), each once
+    codes = _distinct(np.repeat(u, deg[lbl]) * nh + nbrs[_runs(indptr[lbl], deg[lbl])])
+    # deg(lu)·deg(lv) edges {(u, i), (v, j)} per base edge {u, v}, i ~ lu and j ~ lv.
+    du, dv = deg[lab[:, 0]], deg[lab[:, 1]]
+    e = np.repeat(np.arange(len(ends)), du * dv)
+    t = _runs(np.zeros_like(du), du * dv)
+    src = np.searchsorted(codes, ends[e, 0] * nh + nbrs[indptr[lab[e, 0]] + t // dv[e]])
+    dst = np.searchsorted(codes, ends[e, 1] * nh + nbrs[indptr[lab[e, 1]] + t % dv[e]])
+    order = np.argsort(src * len(codes) + dst)
+    first, second = np.divmod(codes, nh)
+    verts = tuple(zip(map(g.vertices.__getitem__, first.tolist()), map(h.vertices.__getitem__, second.tolist())))
+    prod = Graph._from_ranks(verts, src[order], dst[order])
     return ZigZagGraph(prod, g, h, a, _EdgeTags(prod, h, a))
 
 
@@ -201,9 +215,12 @@ def projection(z: ZigZagGraph) -> VertexMap:
     whole base graph.  The edges hit are those whose two dart labels both
     have neighbours in the label graph.
     """
-    first, adj = {p: p[0] for p in z.product.vertices}, z.labels.adjacency
-    hit_edges = [e for e, lu, lv in z.labeling._edge_labels() if adj[lu] and adj[lv]]
-    pi = VertexMap(z.product, Graph(tuple(set(first.values())), tuple(hit_edges)), first)
+    base, image, keep = z.base, z.base, _distinct(z._base_ranks)
+    hit = z.labels._degrees[z.labeling._label_ranks()].all(axis=1)
+    if keep.size < len(base.vertices) or not hit.all():
+        src, dst = np.searchsorted(keep, base._edge_ranks[hit]).T
+        image = Graph._from_ranks(tuple(map(base.vertices.__getitem__, keep.tolist())), src, dst)
+    pi = VertexMap(z.product, image, {p: p[0] for p in z.product.vertices})
     if not is_graph_morphism(pi):
         raise RuntimeError("projection failed to be a graph morphism")
     return pi

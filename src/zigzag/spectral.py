@@ -33,8 +33,7 @@ def _residual(g: Graph, value: float, vec: np.ndarray) -> float:
 
 
 def normalized_laplacian_matrix(g: Graph) -> np.ndarray:
-    n = len(g.vertices)
-    deg = np.bincount(g._edge_ranks.ravel(), minlength=n)
+    n, deg = len(g.vertices), g._degrees
     isolated = [g.vertices[k] for k in np.flatnonzero(deg == 0)]
     if isolated:
         raise ValueError(f"normalized Laplacian undefined with isolated vertices: {isolated[:3]}")
@@ -148,8 +147,7 @@ def lift_eigenvector(ep: EigenPair, z: ZigZagGraph) -> EigenPair:
         raise ValueError("eigenvector lifting needs a locally constant labeling")
     n = image_valency(z.labeling)
 
-    rank = z.base._rank
-    fhat = ep.vector[[rank[u] for u, _ in z.product.vertices]]
+    fhat = ep.vector[z._base_ranks]
     norm = np.linalg.norm(fhat)
     if abs(norm - np.sqrt(n)) > RESIDUAL_TOL:
         raise ValueError(
@@ -174,15 +172,15 @@ def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
     if abs(ep.value) <= RESIDUAL_TOL:
         return ZeroCertificate(ep.value)
 
-    fibers: dict = {}
-    for (u, _), x in zip(z.product.vertices, ep.vector):
-        fibers.setdefault(u, []).append(x)
-    for u, vals in fibers.items():
-        if max(vals) - min(vals) > RESIDUAL_TOL:
-            raise RuntimeError(
-                f"eigenvector with eigenvalue {ep.value:.6g} is not fiber-constant above {u}"
-            )
-    f = np.array([fibers[u][0] if u in fibers else 0.0 for u in z.base.vertices])
+    # The product vertices are in base-rank order, so every fiber is one run of them.
+    over, vec = z._base_ranks, ep.vector
+    starts = np.flatnonzero(np.diff(over, prepend=-1))
+    bad = np.flatnonzero(np.maximum.reduceat(vec, starts) - np.minimum.reduceat(vec, starts) > RESIDUAL_TOL)
+    if bad.size:
+        u = z.base.vertices[over[starts[bad[0]]]]
+        raise RuntimeError(f"eigenvector with eigenvalue {ep.value:.6g} is not fiber-constant above {u}")
+    f = np.zeros(len(z.base.vertices))
+    f[over[starts]] = vec[starts]  # 0 above no fiber
     return EigenPair(z.base, ep.value / n, f)
 
 
@@ -232,7 +230,9 @@ def cover_radius_check(p: VertexMap, z: ZigZagGraph) -> bool:
 
 def spectrum_contained(small: SpectrumReport, big: SpectrumReport, tol: float = MATCH_TOL) -> bool:
     """Every eigenvalue of the first spectrum occurs in the second, up to tol."""
-    return not any(min(abs(x - y) for y in big.eigenvalues) > tol for x in small.eigenvalues)
+    xs, ys = np.array(small.eigenvalues), np.concatenate(([-np.inf], np.sort(big.eigenvalues), [np.inf]))
+    at = np.searchsorted(ys, xs)  # ys[at - 1] < x <= ys[at], so one of the two is nearest
+    return not (np.minimum(xs - ys[at - 1], ys[at] - xs) > tol).any()
 
 
 def laplacian_containment_check(p: VertexMap, z: ZigZagGraph) -> bool:

@@ -74,7 +74,7 @@ def _level_spectra(g: Graph, cap: int):
     if len(g.vertices) > cap or not g.vertices:
         return None, None
     spec = adjacency_spectrum(g)
-    if any(g.degree(v) == 0 for v in g.vertices):
+    if not g._degrees.all():
         return spec, None
     return spec, normalized_laplacian_spectrum(g)
 

@@ -11,7 +11,12 @@ build each JSON document as a tree of lists and dicts, for `canonical_dumps`
 to lay out: the layout the library's writers render straight from the objects.
 The labeling oracles store what the library derives: the pullback builds one
 entry per dart through the dart map, and the product builds and stores an
-EdgeTag for every edge, from which the projection's image is read.
+EdgeTag for every edge, from which the projection's image is read.  The
+rank-array paths have loop references too: the morphism verdict asks
+`has_edge` once per domain edge, the covering check compares neighbour
+sets vertex by vertex, spectrum containment takes a minimum over
+the whole bigger spectrum per eigenvalue, and eigenvector lift and descent
+walk the product vertices one at a time.
 """
 
 import math
@@ -30,8 +35,9 @@ from zigzag.graphs import (
     make_edge,
     vertex_key,
 )
-from zigzag.labeling import HLabeling
+from zigzag.labeling import HLabeling, image_valency
 from zigzag.product import EdgeTag
+from zigzag.spectral import RESIDUAL_TOL, EigenPair, ZeroCertificate
 
 
 def h_neighbors(h, x):
@@ -89,6 +95,22 @@ def zigzag_edge_tags(g, h, a):
 def projection_image(vertices, tags):
     """The base vertices and the base edges that some product vertex or edge lies above."""
     return Graph(tuple({u for u, _ in vertices}), tuple({t.base_edge for t in tags.values()}))
+
+
+def is_graph_morphism(m):
+    """Every domain edge goes to an edge: one has_edge per domain edge."""
+    return all(m.codomain.has_edge(m(u), m(v)) for u, v in m.domain.edges)
+
+
+def is_covering_map(m):
+    """A morphism whose every neighbourhood goes bijectively onto the image's, one vertex at a time."""
+    if not is_graph_morphism(m):
+        return False
+    for x in m.domain.vertices:
+        images = [m(y) for y in m.domain.neighbors(x)]
+        if len(set(images)) != len(images) or set(images) != set(m.codomain.neighbors(m(x))):
+            return False
+    return True
 
 
 def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
@@ -158,6 +180,32 @@ def normalized_laplacian_matrix(g):
 def dense_residual(g, value, vec):
     """max |A·vec - value·vec| with the dense adjacency."""
     return np.max(np.abs(adjacency_matrix(g) @ vec - value * vec))
+
+
+def spectrum_contained(small, big, tol):
+    """Each eigenvalue of small within tol of the nearest of big, by a minimum over all of big."""
+    return not any(min(abs(x - y) for y in big.eigenvalues) > tol for x in small.eigenvalues)
+
+
+def lifted_vector(vector, z):
+    """The base vector copied to every fiber, through a rank list built per call."""
+    rank = {u: k for k, u in enumerate(z.base.vertices)}
+    return vector[[rank[u] for u, _ in z.product.vertices]]
+
+
+def descend_eigenvector(ep, z):
+    """Fiber values grouped per base vertex, one product vertex at a time."""
+    n = image_valency(z.labeling)
+    if abs(ep.value) <= RESIDUAL_TOL:
+        return ZeroCertificate(ep.value)
+    fibers: dict = {}
+    for (u, _), x in zip(z.product.vertices, ep.vector):
+        fibers.setdefault(u, []).append(x)
+    for u, vals in fibers.items():
+        if max(vals) - min(vals) > RESIDUAL_TOL:
+            raise RuntimeError(f"eigenvector with eigenvalue {ep.value:.6g} is not fiber-constant above {u}")
+    f = np.array([fibers[u][0] if u in fibers else 0.0 for u in z.base.vertices])
+    return EigenPair(z.base, ep.value / n, f)
 
 
 def _id(v):

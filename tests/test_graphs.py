@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracle
-from conftest import small_graphs
+from conftest import small_graphs, vertex_maps_into
 from zigzag.generators import cayley_cyclic, complete, cycle, generate, hypercube, path
 from zigzag.graphs import (
     Dart,
@@ -405,3 +405,28 @@ def test_cover_check_agrees_with_enumeration(m):
     assert is_graph_morphism(m) == all(frozenset((m(u), m(v))) in edges for u, v in m.domain.edges)
     got, want = check_combinatorial_cover(m), oracle.check_combinatorial_cover(m)
     assert (got.index, got.violation, got.witness) == (want.index, want.violation, want.witness)
+
+
+MAPS_INTO_MIXED = st.tuples(st.one_of(mixed_graphs(), small_graphs()).filter(lambda g: g.vertices), st.booleans()).flatmap(
+    lambda c: vertex_maps_into(c[0], morphism=c[1])
+)
+# Over vertex 1 of P3, vertex 1 sees 2 once too often and vertex 2 sees 0 once too often:
+# the witness is the first by fiber, then by neighbour, then by vertex.
+TWO_FAULTS = Graph((), ((0, 10), (0, 20), (1, 11), (1, 21), (1, 22), (2, 12), (2, 13), (2, 23)))
+TWO_FAULTS_MAP = VertexMap(TWO_FAULTS, path(3), {v: (1, 0, 2)[v // 10] for v in TWO_FAULTS.vertices})
+
+
+@given(MAPS_INTO_MIXED)
+@example(VertexMap(Graph((), ((0, 1),)), K2, {0: 0, 1: 0}))  # an edge collapsed to a vertex
+@example(VertexMap(cycle(4), cycle(4), {0: 0, 1: 1, 2: 0, 3: 1}))  # degrees agree, yet 0 sees 1 twice
+@example(TWO_FAULTS_MAP)
+def test_morphism_cover_and_covering_verdicts_match_the_loops(m):
+    """Maps into mixed-id graphs, with collapsed edges and non-edges among the images."""
+    assert is_graph_morphism(m) == oracle.is_graph_morphism(m)
+    assert is_covering_map(m) == oracle.is_covering_map(m)
+    got, want = check_combinatorial_cover(m), oracle.check_combinatorial_cover(m)
+    assert (got.index, got.violation, got.witness) == (want.index, want.violation, want.witness)
+
+
+def test_neighbourhood_witness_order():
+    assert check_combinatorial_cover(TWO_FAULTS_MAP).witness == (0, 2, 0)

@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
 from conftest import constant_valency_instances, labeled_instances, labeled_instances_of_both_forms
-from helpers import C3, C4, C6, K2, P3, random_dart_labeling, worked_fixtures
+from helpers import C3, C4, C6, CONSTANT_VALENCY_POOL, K2, P3, random_dart_labeling, worked_fixtures
 from oracle import brute_force_zigzag
+from test_graphs import mixed_graphs
+from test_io import mixed_labeled_instances
 from zigzag.generators import cycle
 from zigzag.graphs import (
     Dart,
@@ -15,12 +18,14 @@ from zigzag.graphs import (
     VertexMap,
     check_combinatorial_cover,
     compose,
+    darts,
     identity_map,
     is_covering_map,
     is_graph_morphism,
     make_edge,
 )
 from zigzag.labeling import (
+    HLabeling,
     constant_labeling,
     image_valency,
     is_locally_constant,
@@ -99,6 +104,59 @@ class TestConstruction:
             assert tag.h_lo == make_edge(i, z.labeling(Dart(u, tag.base_edge)))
             assert tag.h_hi == make_edge(j, z.labeling(Dart(v, tag.base_edge)))
             assert tag.h_lo in P3.edge_set and tag.h_hi in P3.edge_set
+
+
+@st.composite
+def mixed_vertex_labeled_instances(draw):
+    """A mixed-id base with one label per vertex, from a label graph that may have isolated vertices."""
+    g = draw(mixed_graphs(max_vertices=6))
+    h = draw(st.one_of(mixed_graphs(max_vertices=4), st.sampled_from([h for h, _ in CONSTANT_VALENCY_POOL])))
+    assume(h.vertices or not g.edges)
+    return g, h, vertex_labeling(g, h, {v: draw(st.sampled_from(h.vertices)) for v in g.vertices if g.adjacency[v]})
+
+
+def assert_as_validated(g):
+    """g holds what the validating constructor makes of its vertices and edges."""
+    want = Graph(g.vertices, g.edges)
+    assert (g.vertices, g.edges, g._rank) == (want.vertices, want.edges, want._rank)
+    assert list(g._rank) == list(want._rank)
+    assert g._edge_ranks.dtype == np.intp and not g._edge_ranks.flags.writeable
+    assert np.array_equal(g._edge_ranks, want._edge_ranks)
+
+
+EDGELESS = Graph((0, "a", (1, 2)), ())
+ISOLATED_LABEL = Graph((0, 1, 2), ((0, 1),))
+
+
+class TestRankArrayConstruction:
+    """The product and the projection's image are made from rank arrays and
+    stored unchecked; they must hold what the validating constructor makes."""
+
+    @given(st.one_of(labeled_instances_of_both_forms(), mixed_labeled_instances(), mixed_vertex_labeled_instances()))
+    @example((EDGELESS, Graph(), HLabeling(EDGELESS, Graph(), {})))
+    @example((EDGELESS, K2, HLabeling(EDGELESS, K2, {})))
+    @example((C4, ISOLATED_LABEL, vertex_labeling(C4, ISOLATED_LABEL, {0: 2, 1: 0, 2: 2, 3: 1})))
+    @example((C4, ISOLATED_LABEL, constant_labeling(C4, ISOLATED_LABEL, 2)))
+    # Every vertex has a fiber, but the edge {0, 1} carries the isolated label at 0: the image misses it.
+    @example((C3, ISOLATED_LABEL, HLabeling(C3, ISOLATED_LABEL, {d: 2 if d == (0, (0, 1)) else 0 for d in darts(C3)})))
+    def test_product_and_image_equal_the_validated_graphs_and_the_oracle(self, inst):
+        g, h, a = inst
+        z = zigzag_product(g, h, a)
+        assert_as_validated(z.product)
+        verts, edges = brute_force_zigzag(g, h, a)
+        assert set(z.product.vertices) == verts and set(z.product.edges) == edges
+        _, tags = oracle.zigzag_edge_tags(g, h, a)
+        pi, image = projection(z), oracle.projection_image(verts, tags)
+        assert pi.codomain == image
+        if image == g:
+            assert pi.codomain is g
+        else:
+            assert_as_validated(pi.codomain)
+
+    def test_ids_are_shared_with_the_factors(self):
+        z = c4p3()
+        assert all(u is C4.vertices[C4._rank[u]] and i is P3.vertices[P3._rank[i]] for u, i in z.product.vertices)
+        assert all(p is z.product.vertices[z.product._rank[p]] for e in z.product.edges for p in e)
 
 
 class TestDerivedEdgeTags:

@@ -1,14 +1,18 @@
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import oracle
 from conftest import constant_valency_instances, small_graphs
 from helpers import (
     C3,
     C4,
     C6,
+    CONSTANT_VALENCY_POOL,
     K2,
     K4,
     P3,
@@ -18,12 +22,14 @@ from helpers import (
 )
 from zigzag.generators import cycle, path
 from zigzag.graphs import Graph, VertexMap, identity_map
-from zigzag.labeling import constant_labeling, image_valency
+from test_graphs import mixed_graphs
+from zigzag.labeling import constant_labeling, image_valency, vertex_labeling
 from zigzag.product import zigzag_product
 from zigzag.spectral import (
     MATCH_TOL,
     RESIDUAL_TOL,
     EigenPair,
+    SpectrumReport,
     ZeroCertificate,
     adjacency_eigenpairs,
     adjacency_matrix,
@@ -198,6 +204,87 @@ class TestDescendEigenvector:
             if isinstance(out, ZeroCertificate):
                 continue
             assert out.value == pytest.approx(ep.value / 2, abs=RESIDUAL_TOL)
+
+
+@st.composite
+def mixed_constant_valency_instances(draw):
+    """Locally constant labelings of constant valency on mixed-id bases."""
+    g = draw(mixed_graphs(max_vertices=6).filter(lambda g: g.edges))
+    h, cls = draw(st.sampled_from(CONSTANT_VALENCY_POOL))
+    return g, h, vertex_labeling(g, h, {u: draw(st.sampled_from(cls)) for u in g.vertices})
+
+
+def outcome(f, *args):
+    """What f(*args) returns, an eigenpair as its value and vector, or what it raises."""
+    try:
+        out = f(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+    return (out.value, tuple(out.vector)) if isinstance(out, EigenPair) else out
+
+
+class TestTransportMatchesTheLoops:
+    """Lift and descent through the product's base-rank array agree with the
+    per-vertex loops, on eigenpairs and on vectors that are no eigenvectors."""
+
+    @given(st.one_of(constant_valency_instances(), mixed_constant_valency_instances()))
+    def test_lift(self, inst):
+        g, h, a = inst
+        z, n = zigzag_product(g, h, a), image_valency(a)
+        for ep in adjacency_eigenpairs(g):
+            fhat = oracle.lifted_vector(ep.vector, z)
+            if abs(np.linalg.norm(fhat) - np.sqrt(n)) > RESIDUAL_TOL:
+                with pytest.raises(ValueError, match="lifted norm"):
+                    lift_eigenvector(ep, z)
+            else:
+                assert outcome(lift_eigenvector, ep, z) == outcome(EigenPair, z.product, n * ep.value, fhat)
+
+    @given(st.one_of(constant_valency_instances(), mixed_constant_valency_instances()), st.data())
+    def test_descent(self, inst, data):
+        g, h, a = inst
+        z = zigzag_product(g, h, a)
+        size, values = len(z.product.vertices), st.sampled_from([0.0, 0.5, -1.0, 2.0])
+        per_base = np.array(data.draw(st.lists(values, min_size=len(g.vertices), max_size=len(g.vertices))))
+        per_product = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+        vec = per_base[z._base_ranks] if data.draw(st.booleans()) else per_product  # fiber-constant or not
+        at = data.draw(st.integers(0, size - 1))
+        vec[at] += data.draw(st.sampled_from([0.0, RESIDUAL_TOL / 2, 1e-3]))
+        value = data.draw(st.sampled_from([1.0, -2.0, RESIDUAL_TOL / 2]))
+        stand_in = SimpleNamespace(graph=z.product, value=value, vector=vec)  # not checked as an eigenpair
+        assert outcome(descend_eigenvector, stand_in, z) == outcome(oracle.descend_eigenvector, stand_in, z)
+        for ep in adjacency_eigenpairs(z.product):
+            assert outcome(descend_eigenvector, ep, z) == outcome(oracle.descend_eigenvector, ep, z)
+
+    def test_witness_names_the_first_fiber_that_is_not_constant(self):
+        z = zigzag_product(C4, P3, constant_labeling(C4, P3, 1))
+        vec = np.array([1.0, 1.0, 1.0, 2.0, 1.0, 1.0, 3.0, 1.0])  # fibers over 1 and 3 split
+        stand_in = SimpleNamespace(graph=z.product, value=2.0, vector=vec)
+        with pytest.raises(RuntimeError, match="^eigenvector with eigenvalue 2 is not fiber-constant above 1$"):
+            descend_eigenvector(stand_in, z)
+
+
+def report(values) -> SpectrumReport:
+    return SpectrumReport("adjacency", tuple(values), 0.0, None, None)
+
+
+EIGHTHS = st.integers(-24, 24).map(lambda k: k / 8)
+
+
+@given(
+    st.lists(st.one_of(EIGHTHS, st.floats(-3, 3)), max_size=8),
+    st.lists(st.one_of(EIGHTHS, st.floats(-3, 3)), min_size=1, max_size=8),
+    st.sampled_from([MATCH_TOL, 0.125, 0.25, 0.5]),
+    st.data(),
+)
+@example([0.25, -0.25], [0.0], 0.25, None)
+@example([0.375], [0.0, 0.75], 0.25, None)
+def test_containment_matches_the_pairwise_minimum(xs, ys, tol, data):
+    """Values exactly tol from their nearest neighbour count as contained, by both."""
+    if data is not None:  # eighths, so that y ± tol is exact
+        ys = ys + data.draw(st.lists(EIGHTHS, max_size=3))
+        xs = xs + [y + data.draw(st.sampled_from([-tol, 0.0, tol])) for y in data.draw(st.lists(st.sampled_from(ys), max_size=4))]
+    small, big = report(xs), report(data.draw(st.permutations(ys)) if data is not None else ys)
+    assert spectrum_contained(small, big, tol) == oracle.spectrum_contained(small, big, tol)
 
 
 class TestNormalizedRadius:
