@@ -4,7 +4,9 @@ All writers emit canonical output (vertices and edges in canonical order,
 fixed key order, trailing newline) so that serialization round-trips are
 byte-exact.  The graph, labeling, vertex-map and product documents are
 written straight from the objects, in the layout `canonical_dumps` gives
-their JSON trees.
+their JSON trees.  The product loader checks a document in that layout by
+rendering the product it re-derives and comparing the texts; any other
+document is decoded and compared structurally.
 """
 
 from __future__ import annotations
@@ -12,7 +14,10 @@ from __future__ import annotations
 import json
 import re
 from functools import cached_property
+from json.encoder import encode_basestring
 from pathlib import Path
+
+import numpy as np
 
 from .graphs import Dart, Graph, VertexId, VertexMap, format_vertex, make_edge
 from .labeling import HLabeling
@@ -27,7 +32,9 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-_ATOM = json.JSONEncoder(ensure_ascii=False).encode
+def _atom(v) -> str:
+    """The JSON text of an atom id (an int or a str), as json.dumps writes it."""
+    return encode_basestring(v) if isinstance(v, str) else int.__repr__(v)
 
 
 def _list(items, depth: int, brackets: str = "[]") -> list:
@@ -62,10 +69,10 @@ class _Texts(dict):
         return _Texts(self.depth + 1)
 
     def __missing__(self, v) -> str:
-        self[v] = text = self.pair(v) if isinstance(v, tuple) else _ATOM(v)
+        self[v] = text = self.pair(v) if isinstance(v, tuple) else _atom(v)
         return text
 
-    def pair(self, v) -> str:  # not kept: a product edge is written once per list
+    def pair(self, v) -> str:  # not kept: a product vertex or edge is written once per depth
         return self._pair % (self.deeper[v[0]], self.deeper[v[1]])
 
 
@@ -366,18 +373,70 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
     return rebuilt
 
 
+def _tag_ranks(z: ZigZagGraph) -> list:
+    """For every product edge (u,i)(v,j), in order: the index of its base edge uv, and the label
+    ranks of the ends of {i, a(u,uv)} and of {j, a(v,uv)}, each pair in rank order."""
+    src, dst = z.product._edge_ranks.T
+    nb, nh, codes = len(z.base.vertices), len(z.labels.vertices), z._vertex_codes
+    (u, i), (v, j) = np.divmod(codes[src], nh), np.divmod(codes[dst], nh)  # u < v: the vertices are in rank order
+    b = np.searchsorted(z.base._edge_ranks @ (nb, 1), u * nb + v)
+    lab = z.labeling._label_ranks()[b]
+    return [b] + [end(x, y) for x, y in ((i, lab[:, 0]), (j, lab[:, 1])) for end in (np.minimum, np.maximum)]
+
+
 def dumps_product(z: ZigZagGraph) -> str:
-    texts = _Texts(2)  # product vertices; product edges are rendered, not kept
+    texts = _Texts(2)
     inner = texts.deeper  # ids of the base, the label graph and the labeling
-    tag = "".join(_object(2, edge="%s", base_edge="%s", h_lo="%s", h_hi="%s"))
-    tags = _list([tag % (inner.pair(e), inner[b], inner[lo], inner[hi]) for e, (b, lo, hi) in z.edge_tags.items()], 1)
     base, labels, entries = _graph_text(z.base, inner), _graph_text(z.labels, inner), _dart_entries(z.labeling, inner)
-    vertices, edges = _list([texts[v] for v in z.product.vertices], 1), _list(map(texts.pair, z.product.edges), 1)
-    return _text(_object(0, base=base, labels=labels, labeling=entries, vertices=vertices, edges=edges, edge_tags=tags))
+    # A product vertex is written at depth 2 (vertices), 3 (edges) and 4 (tag edges), rendered once at each;
+    # edges and tags are laid out from the rank arrays.
+    vs, (src, dst) = z.product.vertices, z.product._edge_ranks.T.tolist()
+    at3, at4 = list(map(inner.pair, vs)), list(map(inner.deeper.pair, vs))
+    edges = map(texts._pair.__mod__, zip(map(at3.__getitem__, src), map(at3.__getitem__, dst)))
+    # A tag's base edge is one of the base's, and its label edges are written from the ranks of their ends.
+    base_edges, label_ids = [inner[e] for e in z.base.edges], [inner.deeper[x] for x in z.labels.vertices]
+    b, *ends = (x.tolist() for x in _tag_ranks(z))
+    tag = "".join(_object(2, edge=inner._pair, base_edge="%s", h_lo=inner._pair, h_hi=inner._pair)).__mod__
+    tags = map(tag, zip(map(at4.__getitem__, src), map(at4.__getitem__, dst), map(base_edges.__getitem__, b),
+                        *(map(label_ids.__getitem__, x) for x in ends)))
+    vertices = _list(map(texts.pair, vs), 1)
+    return _text(_object(0, base=base, labels=labels, labeling=entries, vertices=vertices,
+                         edges=_list(edges, 1), edge_tags=_list(tags, 1)))
+
+
+# The keys a canonical product document opens with, each written before its value.
+_CANONICAL_KEYS = ('{\n  "base": ', ',\n  "labels": ', ',\n  "labeling": ')
+_DECODE = json.JSONDecoder().raw_decode
+
+
+def _canonical_product(text: str) -> ZigZagGraph | None:
+    """The product of a document that is the canonical rendering of its own
+    base, label graph and labeling, checked by rendering that product again;
+    None for any other document."""
+    values, at = [], 0
+    try:
+        for key in _CANONICAL_KEYS:
+            if not text.startswith(key, at):
+                return None
+            value, at = _DECODE(text, at + len(key))
+            values.append(value)
+        if not text.startswith(',\n  "vertices": [', at):  # without the product's lists, nothing need be built
+            return None
+        base, labels = graph_from_obj(values[0]), graph_from_obj(values[1])  # a graph given by path is refused
+        # Only the labels are read: the rendering checks the darts stated beside them.
+        labeling = HLabeling(base, labels, dict(zip(base._darts, (vertex_from_obj(x["label"]) for x in values[2]))))
+    except (RecursionError, ValueError, KeyError, TypeError):
+        return None
+    z = zigzag_product(base, labels, labeling)
+    return z if dumps_product(z) == text else None
 
 
 def loads_product(text: str, base_dir=None) -> ZigZagGraph:
-    return _from_text(text, product_from_obj, base_dir)
+    """The product a document states.  A document byte-identical to the
+    canonical rendering is checked by rendering it again; any other is
+    decoded and compared structurally (`product_from_obj`).  Both routes
+    accept and refuse the same documents."""
+    return _canonical_product(text) or _from_text(text, product_from_obj, base_dir)
 
 
 def load_product_file(path) -> ZigZagGraph:

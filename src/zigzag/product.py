@@ -11,7 +11,6 @@ derived from the labeling when asked for, not stored.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,10 +114,15 @@ class ZigZagGraph:
         object.__setattr__(self, "edge_tags", derived)
 
     @cached_property
+    def _vertex_codes(self) -> np.ndarray:
+        """rank(u)·|V(H)| + rank(i) for every product vertex (u, i): increasing, as the vertices are in rank order."""
+        g, h, vs = self.base._rank, self.labels._rank, self.product.vertices
+        return np.fromiter((g[u] * len(h) + h[i] for u, i in vs), np.intp, len(vs))
+
+    @cached_property
     def _base_ranks(self) -> np.ndarray:
-        """The base rank of every product vertex (u, i): nondecreasing, as the vertices are in rank order."""
-        rank, vs = self.base._rank, self.product.vertices
-        return np.fromiter((rank[u] for u, _ in vs), np.intp, len(vs))
+        """The base rank of every product vertex (u, i): nondecreasing."""
+        return self._vertex_codes // len(self.labels.vertices)
 
     def __eq__(self, other):
         if not isinstance(other, ZigZagGraph):
@@ -166,11 +170,16 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
 def product_valency_check(z: ZigZagGraph) -> bool:
     """Degree of (u,i) must equal the sum of val(label at v) over base
     neighbors v of u whose label at u is adjacent to i."""
-    adj, expected = z.labels.adjacency, Counter()
-    for (u, v), lu, lv in z.labeling._edge_labels():
-        expected.update({(u, i): len(adj[lv]) for i in adj[lu]})
-        expected.update({(v, j): len(adj[lu]) for j in adj[lv]})
-    return all(len(ns) == expected[p] for p, ns in z.product.adjacency.items())
+    (indptr, nbrs), deg, nh = z.labels._csr, z.labels._degrees, len(z.labels.vertices)
+    lab = z.labeling._label_ranks()
+    at, other = lab.ravel(), lab[:, ::-1].ravel()  # per dart: the label at its vertex, and at the other end
+    # Each dart (u, uv) adds deg(label at v) to every (u, i) with i ~ label at u.
+    codes = np.repeat(z.base._edge_ranks.ravel(), deg[at]) * nh + nbrs[_runs(indptr[at], deg[at])]
+    known = np.append(z._vertex_codes, len(z.base.vertices) * nh)  # increasing, and ends in a code no vertex has
+    pos = np.searchsorted(known, codes)
+    hit = known[pos] == codes  # contributions to vertices the product lacks are not compared
+    expected = np.bincount(pos[hit], np.repeat(deg[other], deg[at])[hit], minlength=known.size)[:-1]
+    return np.array_equal(expected, z.product._degrees)
 
 
 def product_edge_count_check(z: ZigZagGraph) -> bool:

@@ -14,12 +14,14 @@ entry per dart through the dart map, and the product builds and stores an
 EdgeTag for every edge, from which the projection's image is read.  The
 rank-array paths have loop references too: the morphism verdict asks
 `has_edge` once per domain edge, the covering check compares neighbour
-sets vertex by vertex, spectrum containment takes a minimum over
-the whole bigger spectrum per eigenvalue, and eigenvector lift and descent
-walk the product vertices one at a time.
+sets vertex by vertex, the valency check counts expected degrees per dart
+in a Counter, spectrum containment takes a minimum over the whole bigger
+spectrum per eigenvalue, and eigenvector lift and descent walk the product
+vertices one at a time.
 """
 
 import math
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -90,6 +92,15 @@ def zigzag_edge_tags(g, h, a):
             for q, eps_v in nodes[v, a(Dart(v, e))]:
                 tags[p, q] = EdgeTag(e, eps_u, eps_v)
     return [p for ends in nodes.values() for p, _ in ends], tags
+
+
+def product_valency_check(z):
+    """Expected degrees counted per dart into a Counter, compared through the product's adjacency."""
+    adj, expected = z.labels.adjacency, Counter()
+    for (u, v), lu, lv in z.labeling._edge_labels():
+        expected.update({(u, i): len(adj[lv]) for i in adj[lu]})
+        expected.update({(v, j): len(adj[lu]) for j in adj[lv]})
+    return all(len(ns) == expected[p] for p, ns in z.product.adjacency.items())
 
 
 def projection_image(vertices, tags):

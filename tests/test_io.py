@@ -1,17 +1,19 @@
+import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import labeled_instances, small_graphs
-from helpers import C3, C4, C6, K2, P3, worked_fixtures
+from conftest import labeled_instances, labeled_instances_of_both_forms, small_graphs
+from helpers import C3, C4, C6, K2, K4, P3, random_dart_labeling, worked_fixtures
 from test_graphs import mixed_graphs, vertex_maps
 from zigzag import io
-from zigzag.generators import cycle, hypercube, path
+from zigzag.generators import complete, cycle, hypercube, path
 from zigzag.graphs import Dart, Graph, VertexMap, darts, identity_map
-from zigzag.labeling import HLabeling, constant_labeling, pullback_labeling
+from zigzag.labeling import HLabeling, constant_labeling, pullback_labeling, vertex_labeling
 from zigzag.product import zigzag_product
 from zigzag.spectral import adjacency_spectrum
 from zigzag.tower import build_tower, folner_product_check, tower_spectrum_check
@@ -519,3 +521,150 @@ class TestDeepNesting:
         v = "[" * 200 + "0" + ", 1]" * 200
         g = io.loads_graph('{"vertices": [' + v + "]}")
         assert len(g.vertices) == 1 and io.loads_graph(io.dumps_graph(g)) == g
+
+
+def _c4p3_text():
+    return io.dumps_product(zigzag_product(C4, P3, constant_labeling(C4, P3, 1)))
+
+
+def _relaid(change):
+    """A text transform: change applied to the document's tree, laid out canonically again."""
+    def relaid(text):
+        obj = json.loads(text)
+        change(obj)
+        return io.canonical_dumps(obj)
+    return relaid
+
+
+def _swap_h_lo_and_h_hi(obj):
+    tag = next(t for t in obj["edge_tags"] if t["h_lo"] != t["h_hi"])
+    tag["h_lo"], tag["h_hi"] = tag["h_hi"], tag["h_lo"]
+
+
+PRODUCT_VERTICES = '\n  "vertices": [\n    [\n      0,'
+BASE_VERTICES = '"base": {\n    "vertices": [\n      0,'
+
+
+class TestLoaderEquivalence:
+    """Restated product documents load to the same product as the canonical
+    text, and faulty ones are refused with the same message, whether or not
+    they keep the canonical layout."""
+
+    @pytest.mark.parametrize("name,g,h,a", worked_fixtures())
+    def test_restated_documents_load_equal(self, name, g, h, a, tmp_path):
+        z = zigzag_product(g, h, a)
+        text, rng = io.dumps_product(z), random.Random(name)
+
+        def restated(change):
+            obj = json.loads(text)
+            change(obj)
+            return json.dumps(obj)
+
+        docs = [
+            text,
+            text + "\n",
+            restated(lambda obj: rng.shuffle(obj["vertices"])),
+            restated(lambda obj: obj["edges"][len(obj["edges"]) // 2].reverse()),
+            restated(lambda obj: rng.shuffle(obj["edge_tags"])),
+            restated(lambda obj: obj["edge_tags"][0]["h_lo"].reverse()),
+            json.dumps(json.loads(text), separators=(",", ":")),
+            io.canonical_dumps(dict(json.loads(text), note="an extra key")),
+        ]
+        for doc in docs:
+            assert io.loads_product(doc) == z
+        (tmp_path / "base.json").write_text(io.dumps_graph(g), encoding="utf-8")
+        by_path = restated(lambda obj: obj.update(base="base.json"))
+        assert io.loads_product(by_path, base_dir=tmp_path) == z
+        (tmp_path / "z.json").write_text(by_path, encoding="utf-8")
+        assert io.load_product_file(tmp_path / "z.json") == z
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda t: t.replace(PRODUCT_VERTICES, PRODUCT_VERTICES.replace("0,", "true,"), 1),
+             "invalid vertex id in JSON: True"),
+            (lambda t: t.replace(PRODUCT_VERTICES, PRODUCT_VERTICES.replace("0,", "1.0,"), 1),
+             "invalid vertex id in JSON: 1.0"),
+            (lambda t: t.replace(BASE_VERTICES, BASE_VERTICES.replace("0,", "true,"), 1),
+             "invalid vertex id in JSON: True"),
+            (lambda t: t.replace('"label": 1', '"label": 1.0', 1), "invalid vertex id in JSON: 1.0"),
+            (_relaid(lambda obj: obj["edges"].pop(3)), "product JSON is inconsistent with its own base and labeling"),
+            (_relaid(_swap_h_lo_and_h_hi), "product JSON edge tags are inconsistent with the construction"),
+            (lambda t: t + "x", "Extra data: line 694 column 1 (char 7240)"),
+            (lambda t: t[:t.index(',\n  "vertices": ')] + "\n}\n", "product JSON has no 'vertices'"),
+        ],
+    )
+    def test_faulty_canonical_documents_refused(self, change, message):
+        text = _c4p3_text()
+        doc = change(text)
+        assert doc != text
+        with pytest.raises(ValueError) as exc:
+            io.loads_product(doc)
+        assert str(exc.value) == message
+
+    def test_deep_base_in_canonical_layout(self):
+        doc = _c4p3_text().replace(BASE_VERTICES, BASE_VERTICES.replace("0,", DEEP + ","), 1)
+        assert DEEP in doc
+        with pytest.raises(ValueError) as exc:
+            io.loads_product(doc)
+        assert str(exc.value) == "JSON document nested too deeply"
+
+
+class TestCanonicalRoute:
+    """The canonical route takes exactly the canonical texts, and agrees with the structural one."""
+
+    @given(st.one_of(labeled_instances_of_both_forms(), mixed_labeled_instances()))
+    @example((AWKWARD_G, AWKWARD_H, AWKWARD_A))
+    def test_canonical_texts_take_it(self, instance):
+        z = zigzag_product(*instance)
+        text = io.dumps_product(z)
+        assert io._canonical_product(text) == io.product_from_obj(json.loads(text)) == z
+
+    @pytest.mark.parametrize("name,g,h,a", worked_fixtures())
+    def test_other_texts_do_not(self, name, g, h, a):
+        text = io.dumps_product(zigzag_product(g, h, a))
+        obj = json.loads(text)
+        for doc in (text + "\n", " " + text, json.dumps(obj), io.canonical_dumps(dict(obj, base="base.json")),
+                    io.canonical_dumps({**obj, "vertices": obj["vertices"][::-1]})):
+            assert io._canonical_product(doc) is None
+
+
+def _pinned_products():
+    mixed_g = Graph((), ((0, "a"), ("a", 1), (1, "b"), ("b", 0)))
+    mixed_h = Graph((), ((0, "x"), ("x", 1), (1, "é")))
+    z1 = zigzag_product(C4, P3, constant_labeling(C4, P3, 1))
+    isolated = Graph((0, 1, 2), ((0, 1),))
+    edgeless = Graph((0, "a"), ())
+    return {
+        "mixed ids": zigzag_product(mixed_g, mixed_h, constant_labeling(mixed_g, mixed_h, "x")),
+        "mixed labels": zigzag_product(mixed_g, mixed_h,
+                                       vertex_labeling(mixed_g, mixed_h, {0: "x", "a": 1, 1: 0, "b": "é"})),
+        "nested ids": zigzag_product(z1.product, P3, constant_labeling(z1.product, P3, 1)),
+        "per dart": zigzag_product(C6, K4, random_dart_labeling(random.Random(8), C6, K4)),
+        "hypercube": zigzag_product(hypercube(4), complete(3), constant_labeling(hypercube(4), complete(3), 0)),
+        "edgeless product": zigzag_product(P3, isolated, vertex_labeling(P3, isolated, {0: 2, 1: 0, 2: 2})),
+        "edgeless base": zigzag_product(edgeless, P3, constant_labeling(edgeless, P3, 1)),
+    }
+
+
+# SHA-256 of each product document above, as the writer that walked the
+# edge-tag view one nested-tuple tag at a time rendered it.
+PINNED_DIGESTS = {
+    "mixed ids": "9b018d462586d7afe6be92b6175bca669c9f34de5f8cb6b50754a3536c8e8960",
+    "mixed labels": "b37b18b2c5f3e48f16333fbf5d757c598dbeb0579891b8b17638a6c439c4b251",
+    "nested ids": "3a2b5f18fa595f02ec1f3ba9f40341a47f9df10b262e50c181521be7442d1b40",
+    "per dart": "f6964ead9b9cdf71aa89284a9d8541fad2989acb0e637d7300305f01d3f70f0c",
+    "hypercube": "1eec540a15495dbb0d252075ba038d988e4a34267caf2f7909c1fb0870625164",
+    "edgeless product": "d50ee51339d272054abc3a8b696df5b3ec4bd0d7c806940ea33bfb1be050f7a3",
+    "edgeless base": "b513a354ece41537b0e790d3127304739bf87aa745947e3dc277ec80048ad180",
+}
+
+
+def test_pinned_product_renderings():
+    products = _pinned_products()
+    assert products.keys() == PINNED_DIGESTS.keys()
+    for name, z in products.items():
+        text = io.dumps_product(z)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DIGESTS[name], name
+        assert text == io.canonical_dumps(oracle.product_to_obj(z)), name
+        assert io.loads_product(text) == z, name

@@ -204,6 +204,12 @@ class TestDerivedEdgeTags:
             ZigZagGraph(z.product, g, h, a, {k: v for k, v in tags.items() if k != e})
 
 
+def without_edge(z, e):
+    """z with the product edge e taken out of its product graph (and its tag)."""
+    kept = tuple(x for x in z.product.edges if x != e)
+    return ZigZagGraph(Graph(z.product.vertices, kept), z.base, z.labels, z.labeling, {x: z.edge_tags[x] for x in kept})
+
+
 def cycle_like(g):
     # A 4-cycle on whatever the vertices are; used for the mixed P3 product.
     assert len(g.vertices) == 4 and len(g.edges) == 4 and g.is_regular() == 2
@@ -257,6 +263,35 @@ class TestCountingLemmas:
         z = zigzag_product(g, h, a)
         assert product_valency_check(z)
         assert product_edge_count_check(z)
+
+    @given(labeled_instances_of_both_forms())
+    @example((P3, Graph((0, 1, 2), ((0, 1),)), vertex_labeling(P3, Graph((0, 1, 2), ((0, 1),)), {0: 2, 1: 0, 2: 2})))
+    @example((C3, K2, HLabeling(C3, K2, {d: k % 2 for k, d in enumerate(darts(C3))})))
+    def test_valency_check_agrees_with_the_loop(self, inst):
+        z = zigzag_product(*inst)
+        assert product_valency_check(z) is oracle.product_valency_check(z) is True
+
+    @pytest.mark.parametrize("name,g,h,a", worked_fixtures())
+    def test_valency_check_refuses_a_product_missing_an_edge(self, name, g, h, a):
+        z = zigzag_product(g, h, a)
+        for cut in (without_edge(z, z.product.edges[0]), without_edge(z, z.product.edges[-1])):
+            assert product_valency_check(cut) is oracle.product_valency_check(cut) is False
+
+    def test_valency_check_passes_a_product_missing_an_isolated_vertex(self):
+        # (1, 1) lies over darts whose other ends carry the isolated label 2: it is expected with degree 0.
+        h = Graph((0, 1, 2), ((0, 1),))
+        a = vertex_labeling(P3, h, {0: 2, 1: 0, 2: 2})
+        z = zigzag_product(P3, h, a)
+        assert z.product.vertices == ((1, 1),)
+        cut = ZigZagGraph(Graph(), P3, h, a, {})
+        assert product_valency_check(cut) is oracle.product_valency_check(cut) is True
+
+    @given(labeled_instances_of_both_forms(), st.data())
+    def test_valency_check_refuses_a_random_product_missing_an_edge(self, inst, data):
+        z = zigzag_product(*inst)
+        assume(z.product.edges)
+        cut = without_edge(z, data.draw(st.sampled_from(z.product.edges)))
+        assert product_valency_check(cut) is oracle.product_valency_check(cut) is False
 
     @given(constant_valency_instances())
     @settings(max_examples=30)
