@@ -150,11 +150,19 @@ class Graph:
         return np.bincount(self._edge_ranks.ravel(), minlength=len(self.vertices))
 
     @cached_property
+    def _edge_codes(self) -> np.ndarray:
+        """rank(u)·|V| + rank(v) for every edge (u, v), increasing, then |V|², a code no pair has."""
+        return np.append(self._edge_ranks @ (len(self.vertices), 1), len(self.vertices) ** 2)
+
+    def _dart_order(self) -> np.ndarray:
+        """The darts in dart order, as positions in the flattened E×2 array of edge ends."""
+        ends = self._edge_ranks
+        return np.argsort(ends.ravel() * len(self.vertices) + ends[:, ::-1].ravel())
+
+    @cached_property
     def _csr(self) -> tuple:
         """Neighbour index (indptr, indices): indices[indptr[r]:indptr[r + 1]] are r's neighbour ranks, in order."""
-        n, (src, dst) = len(self.vertices), self._edge_ranks.T
-        rows, cols = np.concatenate((src, dst)), np.concatenate((dst, src))
-        return np.concatenate(([0], np.cumsum(self._degrees))), cols[np.argsort(rows * n + cols)]
+        return np.concatenate(([0], np.cumsum(self._degrees))), self._edge_ranks[:, ::-1].ravel()[self._dart_order()]
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -172,11 +180,9 @@ class Graph:
     @cached_property
     def _darts(self) -> tuple:
         # As for adjacency, darts at a vertex come in rank order of their other end.
-        at = {v: [] for v in self.vertices}
-        for e in self.edges:
-            for x in e:
-                at[x].append(Dart(x, e))
-        return tuple(d for ds in at.values() for d in ds)
+        order = self._dart_order()
+        ends = map(self.vertices.__getitem__, self._edge_ranks.ravel()[order].tolist())
+        return tuple(map(Dart, ends, map(self.edges.__getitem__, (order // 2).tolist())))
 
     def neighbors(self, v: VertexId) -> tuple:
         if v not in self.adjacency:
@@ -256,10 +262,9 @@ class VertexMap:
     @cached_property
     def _edge_images(self) -> np.ndarray | None:
         """Index of each domain edge's image among the codomain edges; None if some image is no edge."""
-        n, img = len(self.codomain.vertices), self._image_ranks
+        n, img, known = len(self.codomain.vertices), self._image_ranks, self.codomain._edge_codes
         a, b = img[self.domain._edge_ranks.T]
         codes = np.minimum(a, b) * n + np.maximum(a, b)
-        known = np.append(self.codomain._edge_ranks @ (n, 1), n * n)  # sorted, and ends in a code no pair has
         at = np.searchsorted(known, codes)
         return at if (known[at] == codes).all() else None
 

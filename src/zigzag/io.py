@@ -17,10 +17,8 @@ from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
 
-import numpy as np
-
 from .graphs import Dart, Graph, VertexId, VertexMap, format_vertex, make_edge
-from .labeling import HLabeling
+from .labeling import HLabeling, _per_edge, _ranks
 from .product import EdgeTag, ZigZagGraph, zigzag_product
 from .spectral import SpectrumReport
 from .tower import FolnerReport, TowerReport
@@ -373,17 +371,6 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
     return rebuilt
 
 
-def _tag_ranks(z: ZigZagGraph) -> list:
-    """For every product edge (u,i)(v,j), in order: the index of its base edge uv, and the label
-    ranks of the ends of {i, a(u,uv)} and of {j, a(v,uv)}, each pair in rank order."""
-    src, dst = z.product._edge_ranks.T
-    nb, nh, codes = len(z.base.vertices), len(z.labels.vertices), z._vertex_codes
-    (u, i), (v, j) = np.divmod(codes[src], nh), np.divmod(codes[dst], nh)  # u < v: the vertices are in rank order
-    b = np.searchsorted(z.base._edge_ranks @ (nb, 1), u * nb + v)
-    lab = z.labeling._label_ranks()[b]
-    return [b] + [end(x, y) for x, y in ((i, lab[:, 0]), (j, lab[:, 1])) for end in (np.minimum, np.maximum)]
-
-
 def dumps_product(z: ZigZagGraph) -> str:
     texts = _Texts(2)
     inner = texts.deeper  # ids of the base, the label graph and the labeling
@@ -395,7 +382,7 @@ def dumps_product(z: ZigZagGraph) -> str:
     edges = map(texts._pair.__mod__, zip(map(at3.__getitem__, src), map(at3.__getitem__, dst)))
     # A tag's base edge is one of the base's, and its label edges are written from the ranks of their ends.
     base_edges, label_ids = [inner[e] for e in z.base.edges], [inner.deeper[x] for x in z.labels.vertices]
-    b, *ends = (x.tolist() for x in _tag_ranks(z))
+    b, *ends = (x.tolist() for x in z.edge_tags._tag_ranks())
     tag = "".join(_object(2, edge=inner._pair, base_edge="%s", h_lo=inner._pair, h_hi=inner._pair)).__mod__
     tags = map(tag, zip(map(at4.__getitem__, src), map(at4.__getitem__, dst), map(base_edges.__getitem__, b),
                         *(map(label_ids.__getitem__, x) for x in ends)))
@@ -423,11 +410,11 @@ def _canonical_product(text: str) -> ZigZagGraph | None:
         if not text.startswith(',\n  "vertices": [', at):  # without the product's lists, nothing need be built
             return None
         base, labels = graph_from_obj(values[0]), graph_from_obj(values[1])  # a graph given by path is refused
-        # Only the labels are read: the rendering checks the darts stated beside them.
-        labeling = HLabeling(base, labels, dict(zip(base._darts, (vertex_from_obj(x["label"]) for x in values[2]))))
+        # Only the labels are read, in the base's dart order: the rendering checks the darts stated beside them.
+        lab = _per_edge(base, _ranks(labels, [vertex_from_obj(x["label"]) for x in values[2]]))
     except (RecursionError, ValueError, KeyError, TypeError):
         return None
-    z = zigzag_product(base, labels, labeling)
+    z = zigzag_product(base, labels, HLabeling._from_ranks(base, labels, lab))
     return z if dumps_product(z) == text else None
 
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections.abc import ItemsView, Iterable, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -14,9 +13,9 @@ from .graphs import (
     Graph,
     VertexId,
     VertexMap,
+    _distinct,
     darts,
     format_vertex,
-    induced_dart_map,
     is_graph_morphism,
     make_edge,
     vertex_key,
@@ -45,15 +44,18 @@ class _Values(ValuesView):
 
 
 class _DartLabels(_Derived):
-    """Dart -> label view of a table with one label per non-isolated vertex, in dart order."""
+    """Dart -> label view of the label ranks at the two ends of every base edge, in dart order."""
 
-    def __init__(self, base: Graph, table: dict):
-        self._base, self._table = base, table
+    def __init__(self, base: Graph, labels: Graph, lab: np.ndarray):
+        self._base, self._labels, self._lab = base, labels, lab
 
     def __getitem__(self, dart):
-        if isinstance(dart, tuple) and len(dart) == 2 and dart[1] in self._base.edge_set and dart[0] in dart[1]:
-            return self._table[dart[0]]
-        raise KeyError(dart)
+        base = self._base
+        if not (isinstance(dart, tuple) and len(dart) == 2 and dart[1] in base.edge_set and dart[0] in dart[1]):
+            raise KeyError(dart)
+        (u, v), rank = dart[1], base._rank
+        k = np.searchsorted(base._edge_codes, rank[u] * len(rank) + rank[v])  # the edge's row, in O(log E)
+        return self._labels.vertices[self._lab[k, 0 if dart[0] == u else 1]]
 
     def __iter__(self):  # the darts are built only when walked
         return iter(self._base._darts)
@@ -62,17 +64,34 @@ class _DartLabels(_Derived):
         return 2 * len(self._base.edges)
 
     def _items(self):
-        t = self._table
-        return ((d, t[d[0]]) for d in self._base._darts)
+        at_darts = self._lab.ravel()[self._base._dart_order()].tolist()
+        return zip(self._base._darts, map(self._labels.vertices.__getitem__, at_darts))
+
+
+def _ranks(labels: Graph, given: list) -> np.ndarray:
+    """The ranks of the given labels in the label graph; a label outside it is refused."""
+    bad = [h for h in given if not labels.has_vertex(h)]
+    if bad:
+        raise ValueError(f"labels outside the label graph: {sorted(set(bad), key=vertex_key)}")
+    return np.fromiter(map(labels._rank.__getitem__, given), np.intp, len(given))
+
+
+def _per_edge(base: Graph, at_darts: np.ndarray) -> np.ndarray:
+    """Values given at the darts of base, in dart order, as an E×2 array in edge order."""
+    flat = np.empty(2 * len(base.edges), np.intp)
+    flat[base._dart_order()] = at_darts
+    return flat.reshape(-1, 2)
 
 
 @dataclass(frozen=True, eq=False)
 class HLabeling:
     """Assignment of a label-graph vertex to every dart of a base graph.
 
-    A locally constant labeling is stored as one label per non-isolated base
-    vertex, `mapping` being a read-only view of it over the darts; any other
-    as one entry per dart.  Equality and hashing do not depend on the form given.
+    Stored as the label ranks at the first and at the second end of every
+    base edge (an E×2 array in edge order); `mapping` is a read-only
+    dart -> label view of it, in dart order, and the vertex table, the image,
+    equality and hashing are derived from it.  Labelings derived from others
+    come in through `_from_ranks`, unchecked.
     """
 
     base: Graph
@@ -80,26 +99,25 @@ class HLabeling:
     mapping: Mapping
 
     def __post_init__(self):
-        got = self.mapping
-        if isinstance(got, _DartLabels) and got._base is self.base:
-            table = got._table  # one label per non-isolated vertex, by construction
-        else:
-            expected = darts(self.base)
-            ordered = {d: got[d] for d in expected if d in got}
-            if not len(got) == len(ordered) == len(expected):
-                missing = sorted(set(expected) - set(got))
-                extra = sorted(set(got) - set(expected))
-                raise ValueError(f"labeling must cover every dart exactly (missing {missing}, extra {extra})")
-            table = {d.vertex: h for d, h in ordered.items()}
-            if any(table[d.vertex] != h for d, h in ordered.items()):
-                table = None
-        stored = ordered if table is None else table
-        bad = [h for h in stored.values() if not self.labels.has_vertex(h)]
-        if bad:
-            raise ValueError(f"labels outside the label graph: {sorted(set(bad), key=vertex_key)}")
-        object.__setattr__(self, "mapping", MappingProxyType(ordered) if table is None else _DartLabels(self.base, table))
-        object.__setattr__(self, "_vertex_labels", table)  # None when some vertex has two labels
-        object.__setattr__(self, "_stored", stored)
+        got, expected = self.mapping, darts(self.base)
+        given = [got[d] for d in expected if d in got]
+        if not len(got) == len(given) == len(expected):
+            missing = sorted(set(expected) - set(got))
+            extra = sorted(set(got) - set(expected))
+            raise ValueError(f"labeling must cover every dart exactly (missing {missing}, extra {extra})")
+        self._store(_per_edge(self.base, _ranks(self.labels, given)))
+
+    @classmethod
+    def _from_ranks(cls, base: Graph, labels: Graph, lab: np.ndarray) -> "HLabeling":
+        """The labeling with label ranks lab (E×2, np.intp) at the two ends of each base edge: nothing re-checked."""
+        a = object.__new__(cls)
+        a.__dict__.update(base=base, labels=labels)
+        return a._store(lab)
+
+    def _store(self, lab: np.ndarray) -> "HLabeling":
+        lab.flags.writeable = False
+        self.__dict__.update(_label_ranks=lab, mapping=_DartLabels(self.base, self.labels, lab))
+        return self
 
     def __call__(self, dart: Dart) -> VertexId:
         return self.mapping[dart]
@@ -109,55 +127,49 @@ class HLabeling:
 
     @cached_property
     def image(self) -> frozenset:
-        return frozenset(self._stored.values())
+        return frozenset(map(self.labels.vertices.__getitem__, _distinct(self._label_ranks.ravel()).tolist()))
 
-    def _edge_labels(self):
-        """(edge, label at its first end, label at its second end) for every base edge, in order."""
-        t, mp = self._vertex_labels, self.mapping
-        if t is not None:
-            return ((e, t[e[0]], t[e[1]]) for e in self.base.edges)
-        return ((e, mp[Dart(e[0], e)], mp[Dart(e[1], e)]) for e in self.base.edges)
-
-    def _label_ranks(self) -> np.ndarray:
-        """Label ranks at the first and second end of every base edge, in edge order (E×2)."""
-        rank, t, base = self.labels._rank, self._vertex_labels, self.base
-        if t is None:
-            return np.array([(rank[lu], rank[lv]) for _, lu, lv in self._edge_labels()], np.intp).reshape(-1, 2)
-        per_vertex = np.fromiter((rank[t[v]] if v in t else 0 for v in base.vertices), np.intp, len(base.vertices))
-        return per_vertex[base._edge_ranks]
+    @cached_property
+    def _vertex_ranks(self) -> np.ndarray | None:
+        """The label rank of every base vertex (-1 at an isolated one); None if two darts at a vertex differ."""
+        ends, lab = self.base._edge_ranks, self._label_ranks
+        per_vertex = np.full(len(self.base.vertices), -1, np.intp)
+        per_vertex[ends] = lab
+        return per_vertex if np.array_equal(per_vertex[ends], lab) else None
 
     def __eq__(self, other):
         if not isinstance(other, HLabeling):
             return NotImplemented
-        # A labeling has one stored form, and the two forms of one base never store equal dicts.
-        return (self.base, self.labels, self._stored) == (other.base, other.labels, other._stored)
+        same_graphs = (self.base, self.labels) == (other.base, other.labels)
+        return same_graphs and np.array_equal(self._label_ranks, other._label_ranks)
 
     def __hash__(self):
-        return hash((self.base, self.labels, tuple(self._stored.items())))
+        return hash((self.base, self.labels, self._label_ranks.tobytes()))
 
 
 def constant_labeling(base: Graph, labels: Graph, h: VertexId) -> HLabeling:
     if not labels.has_vertex(h):
         raise ValueError(f"label {format_vertex(h)} not in the label graph")
-    return vertex_labeling(base, labels, dict.fromkeys(base.vertices, h))
+    return HLabeling._from_ranks(base, labels, np.full((len(base.edges), 2), labels._rank[h], np.intp))
 
 
 def vertex_labeling(base: Graph, labels: Graph, per_vertex: Mapping) -> HLabeling:
     """Locally constant labeling from a per-vertex label table (isolated vertices may be left out)."""
-    table = {v: per_vertex[v] for v, d in zip(base.vertices, base._degrees.tolist()) if d}
-    return HLabeling(base, labels, _DartLabels(base, table))
+    used, ranks = base._degrees > 0, np.zeros(len(base.vertices), np.intp)
+    ranks[used] = _ranks(labels, [per_vertex[v] for v, d in zip(base.vertices, used.tolist()) if d])
+    return HLabeling._from_ranks(base, labels, ranks[base._edge_ranks])
 
 
 def is_locally_constant(a: HLabeling) -> bool:
     """True iff all darts at any one vertex share a label."""
-    return a._vertex_labels is not None
+    return a._vertex_ranks is not None
 
 
 def vertex_labels(a: HLabeling) -> dict:
     """Vertex -> label table of a locally constant labeling."""
     if not is_locally_constant(a):
         raise ValueError("labeling is not locally constant")
-    return dict(a._vertex_labels)
+    return {v: a.labels.vertices[r] for v, r in zip(a.base.vertices, a._vertex_ranks.tolist()) if r >= 0}
 
 
 class ImageValencyError(ValueError):
@@ -189,10 +201,13 @@ def pullback_labeling(a: HLabeling, m: VertexMap) -> HLabeling:
     """Precompose a labeling with the dart map of a morphism into its base."""
     if m.codomain != a.base:
         raise ValueError("pullback needs a map into the labeled graph")
-    dmap, t = induced_dart_map(m), a._vertex_labels  # refuses a non-morphism
-    if t is not None:  # a morphism sends every non-isolated vertex to one
-        return vertex_labeling(m.domain, a.labels, {v: t[x] for v, x in m.mapping.items() if x in t})
-    return HLabeling(m.domain, a.labels, {d: a(dmap(d)) for d in darts(m.domain)})
+    if not is_graph_morphism(m):
+        raise ValueError("dart map is only induced by a graph morphism")
+    # The label at a domain edge's first end sits at its image edge's first end, or at its second
+    # where the image's ends are stored the other way round; lab is flat, two entries per edge.
+    (x, y), lab = m._image_ranks[m.domain._edge_ranks.T], a._label_ranks.ravel()
+    at = 2 * m._edge_images + (x > y)
+    return HLabeling._from_ranks(m.domain, a.labels, np.stack((lab[at], lab[at ^ 1]), axis=1))
 
 
 def pushforward_labeling(a: HLabeling, psi: VertexMap) -> HLabeling:
@@ -201,13 +216,13 @@ def pushforward_labeling(a: HLabeling, psi: VertexMap) -> HLabeling:
         raise ValueError("pushforward needs a map out of the label graph")
     if not is_graph_morphism(psi):
         raise ValueError("pushforward along a non-morphism")
-    return HLabeling(a.base, psi.codomain, {d: psi(h) for d, h in a.mapping.items()})
+    return HLabeling._from_ranks(a.base, psi.codomain, psi._image_ranks[a._label_ranks])
 
 
 def restrict_labeling(a: HLabeling, subset: Iterable[VertexId]) -> HLabeling:
-    """Restriction to the subgraph induced on a vertex subset."""
+    """Restriction to the subgraph induced on a vertex subset: the pullback along its inclusion."""
     sub = a.base.induced_subgraph(subset)
-    return HLabeling(sub, a.labels, {d: a(d) for d in darts(sub)})
+    return pullback_labeling(a, VertexMap(sub, a.base, {v: v for v in sub.vertices}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,11 +240,12 @@ class LabeledMorphism:
             raise ValueError("underlying vertex map is not a graph morphism")
 
 
-def _label_pairs(lm: LabeledMorphism):
-    """(source label, target label of the image dart) for every source dart."""
+def _label_pairs(lm: LabeledMorphism) -> set:
+    """The distinct (source label, target label of the image dart) pairs over the source darts."""
     if lm.source.labels != lm.target.labels:
         raise ValueError("labeled morphism check needs both labelings in the same label graph")
-    return zip(lm.source.mapping.values(), pullback_labeling(lm.target, lm.map).mapping.values())
+    pulled, vs = pullback_labeling(lm.target, lm.map)._label_ranks, lm.source.labels.vertices
+    return {(vs[s], vs[t]) for s, t in zip(lm.source._label_ranks.ravel().tolist(), pulled.ravel().tolist())}
 
 
 def is_strict_morphism(lm: LabeledMorphism) -> bool:

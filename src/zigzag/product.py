@@ -66,14 +66,14 @@ class EdgeTag(NamedTuple):
 class _EdgeTags(_Derived):
     """Product edge -> EdgeTag view: ((u,i),(v,j)) -> ((u,v), {i, a(u,uv)}, {j, a(v,uv)})."""
 
-    def __init__(self, product: Graph, labels: Graph, labeling: HLabeling):
-        self._of = self._product, self._labels, self._labeling = product, labels, labeling
+    def __init__(self, product: Graph, labeling: HLabeling, codes: np.ndarray):
+        self._product, self._labeling, self._codes = product, labeling, codes
 
     def __getitem__(self, e):
         if e not in self._product.edge_set:
             raise KeyError(e)
         (u, i), (v, j) = e
-        b, edge, a = (u, v), self._labels._edge, self._labeling
+        b, edge, a = (u, v), self._labeling.labels._edge, self._labeling
         return EdgeTag(b, edge(i, a(Dart(u, b))), edge(j, a(Dart(v, b))))
 
     def __iter__(self):
@@ -82,19 +82,29 @@ class _EdgeTags(_Derived):
     def __len__(self):
         return len(self._product.edges)
 
+    def _tag_ranks(self) -> list:
+        """For every product edge (u,i)(v,j), in order: the index of its base edge uv, and the label
+        ranks of the ends of {i, a(u,uv)} and of {j, a(v,uv)}, each pair in rank order."""
+        src, dst = self._product._edge_ranks.T
+        base, nh = self._labeling.base, len(self._labeling.labels.vertices)
+        (u, i), (v, j) = np.divmod(self._codes[src], nh), np.divmod(self._codes[dst], nh)  # u < v
+        b = np.searchsorted(base._edge_codes, u * len(base.vertices) + v)
+        lab = self._labeling._label_ranks[b]
+        return [b] + [end(x, y) for x, y in ((i, lab[:, 0]), (j, lab[:, 1])) for end in (np.minimum, np.maximum)]
+
     def _items(self):
-        edges, t = self._product.edges, self._labeling._vertex_labels
-        if t is None:
-            return ((e, self[e]) for e in edges)
-        edge = self._labels._edge
-        ends = {p: edge(p[1], t[p[0]]) for p in self._product.vertices}  # one label edge per product vertex
-        return ((e, EdgeTag((e[0][0], e[1][0]), ends[e[0]], ends[e[1]])) for e in edges)
+        b, *ends = (x.tolist() for x in self._tag_ranks())
+        base_edges, labels = self._labeling.base.edges, self._labeling.labels.vertices
+        lo_a, lo_b, hi_a, hi_b = (map(labels.__getitem__, x) for x in ends)
+        tags = map(EdgeTag, map(base_edges.__getitem__, b), zip(lo_a, lo_b), zip(hi_a, hi_b))
+        return zip(self._product.edges, tags)
 
 
 @dataclass(frozen=True, eq=False)
 class ZigZagGraph:
     """A zig-zag product together with its construction data.  Its edge tags
-    are derived from the labeling; tags given explicitly must equal them."""
+    are derived from the labeling; tags given explicitly must equal them.
+    `_vertex_codes` holds rank(u)·|V(H)| + rank(i) for every product vertex (u, i), increasing."""
 
     product: Graph
     base: Graph
@@ -103,21 +113,28 @@ class ZigZagGraph:
     edge_tags: Mapping
 
     def __post_init__(self):
-        given, derived = self.edge_tags, _EdgeTags(self.product, self.labels, self.labeling)
-        if not (isinstance(given, _EdgeTags) and given._of == derived._of):  # the view zigzag_product made
-            try:
-                same = dict(given) == {e: derived[e] for e in self.product.edges}
-            except (KeyError, TypeError, ValueError):  # a product edge over no labeled base edge
-                same = False
-            if not same:
-                raise ValueError("edge tags must cover exactly the product edges, as the labeling gives them")
-        object.__setattr__(self, "edge_tags", derived)
-
-    @cached_property
-    def _vertex_codes(self) -> np.ndarray:
-        """rank(u)·|V(H)| + rank(i) for every product vertex (u, i): increasing, as the vertices are in rank order."""
+        if (self.labeling.base, self.labeling.labels) != (self.base, self.labels):
+            raise ValueError("labeling does not tie the given base and label graphs")
         g, h, vs = self.base._rank, self.labels._rank, self.product.vertices
-        return np.fromiter((g[u] * len(h) + h[i] for u, i in vs), np.intp, len(vs))
+        for p in vs:
+            if not (isinstance(p, tuple) and p[0] in g and p[1] in h):
+                raise ValueError(f"product vertex {format_vertex(p)} is not a (base vertex, label vertex) pair")
+        codes = np.fromiter((g[u] * len(h) + h[i] for u, i in vs), np.intp, len(vs))
+        derived = _EdgeTags(self.product, self.labeling, codes)
+        try:
+            same = dict(self.edge_tags) == {e: derived[e] for e in self.product.edges}
+        except (KeyError, TypeError, ValueError):  # a product edge over no labeled base edge
+            same = False
+        if not same:
+            raise ValueError("edge tags must cover exactly the product edges, as the labeling gives them")
+        self.__dict__.update(edge_tags=derived, _vertex_codes=codes)
+
+    @classmethod
+    def _from_ranks(cls, product: Graph, a: HLabeling, codes: np.ndarray) -> "ZigZagGraph":
+        """The product of a labeling with these vertex codes, made by `zigzag_product`: nothing re-checked."""
+        z, tags = object.__new__(cls), _EdgeTags(product, a, codes)
+        z.__dict__.update(product=product, base=a.base, labels=a.labels, labeling=a, edge_tags=tags, _vertex_codes=codes)
+        return z
 
     @cached_property
     def _base_ranks(self) -> np.ndarray:
@@ -151,7 +168,7 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
 
     # Product vertex (u, i) is coded rank(u)·|V(h)| + rank(i), so codes sort as the ids do.
     nh, (indptr, nbrs), deg = len(h.vertices), h._csr, h._degrees
-    ends, lab = g._edge_ranks, a._label_ranks()
+    ends, lab = g._edge_ranks, a._label_ranks
     u, lbl = np.divmod(_distinct(ends.ravel() * nh + lab.ravel()), nh)  # (u, label of a dart at u), each once
     codes = _distinct(np.repeat(u, deg[lbl]) * nh + nbrs[_runs(indptr[lbl], deg[lbl])])
     # deg(lu)·deg(lv) edges {(u, i), (v, j)} per base edge {u, v}, i ~ lu and j ~ lv.
@@ -163,30 +180,30 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
     order = np.argsort(src * len(codes) + dst)
     first, second = np.divmod(codes, nh)
     verts = tuple(zip(map(g.vertices.__getitem__, first.tolist()), map(h.vertices.__getitem__, second.tolist())))
-    prod = Graph._from_ranks(verts, src[order], dst[order])
-    return ZigZagGraph(prod, g, h, a, _EdgeTags(prod, h, a))
+    return ZigZagGraph._from_ranks(Graph._from_ranks(verts, src[order], dst[order]), a, codes)
 
 
 def product_valency_check(z: ZigZagGraph) -> bool:
     """Degree of (u,i) must equal the sum of val(label at v) over base
     neighbors v of u whose label at u is adjacent to i."""
     (indptr, nbrs), deg, nh = z.labels._csr, z.labels._degrees, len(z.labels.vertices)
-    lab = z.labeling._label_ranks()
+    lab = z.labeling._label_ranks
     at, other = lab.ravel(), lab[:, ::-1].ravel()  # per dart: the label at its vertex, and at the other end
     # Each dart (u, uv) adds deg(label at v) to every (u, i) with i ~ label at u.
     codes = np.repeat(z.base._edge_ranks.ravel(), deg[at]) * nh + nbrs[_runs(indptr[at], deg[at])]
+    weights = np.repeat(deg[other], deg[at])
     known = np.append(z._vertex_codes, len(z.base.vertices) * nh)  # increasing, and ends in a code no vertex has
     pos = np.searchsorted(known, codes)
-    hit = known[pos] == codes  # contributions to vertices the product lacks are not compared
-    expected = np.bincount(pos[hit], np.repeat(deg[other], deg[at])[hit], minlength=known.size)[:-1]
-    return np.array_equal(expected, z.product._degrees)
+    hit = known[pos] == codes  # a vertex the product lacks must be expected with degree 0
+    expected = np.bincount(pos[hit], weights[hit], minlength=known.size)[:-1]
+    return not weights[~hit].any() and np.array_equal(expected, z.product._degrees)
 
 
 def product_edge_count_check(z: ZigZagGraph) -> bool:
     """Product edge count must equal the sum over base edges of the product
     of the two dart-label valencies."""
-    deg = z.labels.degree
-    return len(z.product.edges) == sum(deg(lu) * deg(lv) for _, lu, lv in z.labeling._edge_labels())
+    deg, lab = z.labels._degrees, z.labeling._label_ranks
+    return len(z.product.edges) == int((deg[lab[:, 0]] * deg[lab[:, 1]]).sum())
 
 
 def section_subgraphs(z: ZigZagGraph):
@@ -225,7 +242,7 @@ def projection(z: ZigZagGraph) -> VertexMap:
     have neighbours in the label graph.
     """
     base, image, keep = z.base, z.base, _distinct(z._base_ranks)
-    hit = z.labels._degrees[z.labeling._label_ranks()].all(axis=1)
+    hit = z.labels._degrees[z.labeling._label_ranks].all(axis=1)
     if keep.size < len(base.vertices) or not hit.all():
         src, dst = np.searchsorted(keep, base._edge_ranks[hit]).T
         image = Graph._from_ranks(tuple(map(base.vertices.__getitem__, keep.tolist())), src, dst)

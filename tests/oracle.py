@@ -9,9 +9,11 @@ dict, and the residual multiplies by the dense adjacency: the loops that the
 library's edge-array fills and O(E) residual replace.  The document oracles
 build each JSON document as a tree of lists and dicts, for `canonical_dumps`
 to lay out: the layout the library's writers render straight from the objects.
-The labeling oracles store what the library derives: the pullback builds one
-entry per dart through the dart map, and the product builds and stores an
-EdgeTag for every edge, from which the projection's image is read.  The
+The labeling oracles store what the library derives: the pullback,
+pushforward and restriction build one dict entry per dart (through the dart
+map, the label map, and the darts of the induced subgraph), and the product
+builds and stores an EdgeTag for every edge, from which the projection's
+image is read.  The
 rank-array paths have loop references too: the morphism verdict asks
 `has_edge` once per domain edge, the covering check compares neighbour
 sets vertex by vertex, the valency check counts expected degrees per dart
@@ -79,6 +81,21 @@ def pullback_labeling(a, m):
     return HLabeling(m.domain, a.labels, {d: a(dmap(d)) for d in darts(m.domain)})
 
 
+def pushforward_labeling(a, psi):
+    """Postcompose the labels: one dict entry per dart."""
+    if psi.domain != a.labels:
+        raise ValueError("pushforward needs a map out of the label graph")
+    if not is_graph_morphism(psi):
+        raise ValueError("pushforward along a non-morphism")
+    return HLabeling(a.base, psi.codomain, {d: psi(h) for d, h in a.mapping.items()})
+
+
+def restrict_labeling(a, subset):
+    """Restrict to the induced subgraph: one dict entry per dart of it, read from the labeling."""
+    sub = a.base.induced_subgraph(subset)
+    return HLabeling(sub, a.labels, {d: a(d) for d in darts(sub)})
+
+
 def zigzag_edge_tags(g, h, a):
     """(product vertices, {product edge: EdgeTag}) with every tag built and stored."""
     nodes = {}  # (u, label) -> [((u, i), {i, label}) for each i ~ label]
@@ -97,7 +114,8 @@ def zigzag_edge_tags(g, h, a):
 def product_valency_check(z):
     """Expected degrees counted per dart into a Counter, compared through the product's adjacency."""
     adj, expected = z.labels.adjacency, Counter()
-    for (u, v), lu, lv in z.labeling._edge_labels():
+    for u, v in z.base.edges:
+        lu, lv = z.labeling(Dart(u, (u, v))), z.labeling(Dart(v, (u, v)))
         expected.update({(u, i): len(adj[lv]) for i in adj[lu]})
         expected.update({(v, j): len(adj[lu]) for j in adj[lv]})
     return all(len(ns) == expected[p] for p, ns in z.product.adjacency.items())

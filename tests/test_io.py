@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -13,7 +14,15 @@ from test_graphs import mixed_graphs, vertex_maps
 from zigzag import io
 from zigzag.generators import complete, cycle, hypercube, path
 from zigzag.graphs import Dart, Graph, VertexMap, darts, identity_map
-from zigzag.labeling import HLabeling, constant_labeling, pullback_labeling, vertex_labeling
+from zigzag.labeling import (
+    HLabeling,
+    constant_labeling,
+    is_locally_constant,
+    pullback_labeling,
+    restrict_labeling,
+    vertex_labeling,
+    vertex_labels,
+)
 from zigzag.product import zigzag_product
 from zigzag.spectral import adjacency_spectrum
 from zigzag.tower import build_tower, folner_product_check, tower_spectrum_check
@@ -668,3 +677,30 @@ def test_pinned_product_renderings():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DIGESTS[name], name
         assert text == io.canonical_dumps(oracle.product_to_obj(z)), name
         assert io.loads_product(text) == z, name
+
+
+def test_labelings_and_products_leave_no_reference_cycles():
+    # The labeling and edge-tag views hold the graphs and arrays they read, not
+    # their owner, so everything here is freed by reference counting alone.
+    def work():
+        g, h = hypercube(3), cycle(4)
+        for a in (constant_labeling(g, h, 0), random_dart_labeling(random.Random(11), g, h)):
+            z = zigzag_product(g, h, a)
+            text = io.dumps_product(z)
+            for back in (io.loads_product(text), io.product_from_obj(json.loads(text))):
+                assert back == z and dict(back.edge_tags.items()) == dict(z.edge_tags.items())
+            assert io.loads_labeling(io.dumps_labeling(a)) == a
+            r = restrict_labeling(a, g.vertices[:5])
+            zr = zigzag_product(r.base, h, r)
+            assert list(zr.edge_tags.values()) and list(r.mapping.items()) and r.image
+            if is_locally_constant(a):
+                assert set(vertex_labels(a).values()) == {0}
+
+    work()  # first calls may fill caches that live on
+    gc.collect()
+    gc.disable()
+    try:
+        work()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,11 +1,13 @@
+import itertools
+
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracle
 from conftest import constant_valency_instances, labeled_instances, labeled_instances_of_both_forms, vertex_maps_into
 from helpers import C3, C4, C6, K2, P3, random_dart_labeling
-from zigzag.graphs import Dart, Graph, VertexMap, darts, disjoint_union, identity_map
+from zigzag.graphs import Dart, Graph, VertexMap, darts, disjoint_union, identity_map, make_edge
 from zigzag.labeling import (
     HLabeling,
     ImageValencyError,
@@ -193,6 +195,120 @@ class TestStoredForms:
         a = constant_labeling(C4, P3, 1)
         with pytest.raises(ValueError, match="map into the labeled graph"):
             pullback_labeling(a, identity_map(C3))
+
+
+@st.composite
+def label_maps_out_of(draw, h, morphism=True):
+    """A vertex map out of h into a graph on range(len(h.vertices)) holding the image
+    of every edge of h, plus random edges; with morphism=False, one image edge is left
+    out of the codomain (or an edge collapses), so the map is no morphism."""
+    n, f = len(h.vertices), {}
+    for x in h.vertices:  # a colouring: adjacent vertices get distinct images
+        taken = {f[y] for y in h.neighbors(x) if y in f}
+        f[x] = draw(st.sampled_from([c for c in range(n) if c not in taken] if morphism else range(n)))
+    images = {make_edge(f[x], f[y]) for x, y in h.edges if f[x] != f[y]}
+    pairs = list(itertools.combinations(range(n), 2))
+    extra = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    edges = images | extra
+    if not morphism:
+        assume(images or any(f[x] == f[y] for x, y in h.edges))
+        if images and not any(f[x] == f[y] for x, y in h.edges):
+            edges -= {draw(st.sampled_from(sorted(images)))}
+    return VertexMap(h, Graph(tuple(range(n)), tuple(edges)), f)
+
+
+ISOLATED_VERTICES = (
+    Graph((0, 1, 2, 3, 4), ((1, 2), (2, 3))),
+    Graph((0, 1, 2), ((0, 1), (0, 2), (1, 2))),
+    Graph((0, 1, 2), ((0, 1),)),
+)
+
+
+class TestTransformsMatchThePerDartReferences:
+    """Pushforward, restriction and pullback read and write label-rank arrays;
+    they must give the labelings the per-dart dict references build."""
+
+    @staticmethod
+    def assert_same(b, want):
+        assert b == want and hash(b) == hash(want)
+        assert list(b.mapping.items()) == list(want.mapping.items())
+        assert is_locally_constant(b) == is_locally_constant(want)
+
+    @given(st.data())
+    def test_pushforward(self, data):
+        g, h, a = data.draw(labeled_instances_of_both_forms())
+        psi = data.draw(label_maps_out_of(h))
+        self.assert_same(pushforward_labeling(a, psi), oracle.pushforward_labeling(a, psi))
+
+    def test_pushforward_over_isolated_vertices(self):
+        g, h = ISOLATED_VERTICES[0], ISOLATED_VERTICES[2]  # 0 and 4 isolated in the base, 2 in the labels
+        psi = VertexMap(h, P3, {0: 0, 1: 1, 2: 2})
+        for a in (vertex_labeling(g, h, {1: 2, 2: 0, 3: 2}), random_dart_labeling(random.Random(5), g, h)):
+            self.assert_same(pushforward_labeling(a, psi), oracle.pushforward_labeling(a, psi))
+
+    @given(st.data())
+    def test_restriction(self, data):
+        g, h, a = data.draw(labeled_instances_of_both_forms())
+        subset = data.draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
+        self.assert_same(restrict_labeling(a, subset), oracle.restrict_labeling(a, subset))
+
+    @pytest.mark.parametrize("subset", [(), (0,), (0, 1, 2), (1, 2, 3), (0, 1, 2, 3, 4), (2, 4)])
+    def test_restriction_keeps_isolated_vertices(self, subset):
+        g, h = ISOLATED_VERTICES[0], ISOLATED_VERTICES[1]
+        for a in (vertex_labeling(g, h, {1: 0, 2: 1, 3: 2}), random_dart_labeling(random.Random(5), g, h)):
+            b = restrict_labeling(a, subset)
+            self.assert_same(b, oracle.restrict_labeling(a, subset))
+            assert b.base.vertices == tuple(sorted(subset))
+
+    @given(st.data())
+    def test_non_morphisms_get_the_same_error_text(self, data):
+        g, h, a = data.draw(labeled_instances_of_both_forms())
+        psi = data.draw(label_maps_out_of(h, morphism=False))
+        with pytest.raises(ValueError) as want:
+            oracle.pushforward_labeling(a, psi)
+        with pytest.raises(ValueError, match="^pushforward along a non-morphism$") as got:
+            pushforward_labeling(a, psi)
+        assert str(got.value) == str(want.value)
+        m = data.draw(vertex_maps_into(g, morphism=False))
+        with pytest.raises(ValueError) as want:
+            oracle.pullback_labeling(a, m)
+        with pytest.raises(ValueError, match="^dart map is only induced by a graph morphism$") as got:
+            pullback_labeling(a, m)
+        assert str(got.value) == str(want.value)
+
+    def test_maps_from_another_graph_get_the_same_error_text(self):
+        a = constant_labeling(C4, P3, 1)
+        for ours, ref, arg in (
+            (pushforward_labeling, oracle.pushforward_labeling, identity_map(K2)),
+            (restrict_labeling, oracle.restrict_labeling, {0, 9}),
+        ):
+            with pytest.raises(ValueError) as want:
+                ref(a, arg)
+            with pytest.raises(ValueError) as got:
+                ours(a, arg)
+            assert str(got.value) == str(want.value)
+
+
+class TestDartLookup:
+    """Single darts are looked up by their edge's position among the base edges."""
+
+    @given(labeled_instances_of_both_forms())
+    def test_pairs_that_are_no_stored_edge_raise_key_error(self, inst):
+        g, h, a = inst
+        non_edges = [(u, v) for u, v in itertools.combinations(g.vertices, 2) if not g.has_edge(u, v)]
+        strays = [Dart(x, e) for e in non_edges for x in e]
+        strays += [Dart(x, (v, u)) for u, v in g.edges for x in (u, v)]  # an edge with its ends swapped
+        for d in strays:
+            with pytest.raises(KeyError):
+                a(d)
+            assert d not in a.mapping
+
+    @given(labeled_instances_of_both_forms())
+    def test_every_dart_reads_its_own_label(self, inst):
+        g, h, a = inst
+        items = list(a.mapping.items())
+        assert [a(d) for d, _ in items] == [x for _, x in items]
+        assert [a.label(d.vertex, d.edge[::-1]) for d, _ in items] == [x for _, x in items]
 
 
 class TestPushforward:

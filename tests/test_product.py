@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from zigzag.graphs import (
     check_combinatorial_cover,
     compose,
     darts,
+    format_vertex,
     identity_map,
     is_covering_map,
     is_graph_morphism,
@@ -303,6 +305,46 @@ class TestCountingLemmas:
         n = image_valency(a)
         z = zigzag_product(g, h, a)
         assert z.product.is_regular() == d * n
+
+
+class TestExplicitProducts:
+    """A product given explicitly must be made of (base vertex, label vertex)
+    pairs, and the valency check must see a vertex of positive expected degree
+    that it lacks."""
+
+    @pytest.mark.parametrize("vertices", [((0, 0),), (), ((0, 0), (1, 1))])
+    def test_valency_check_refuses_a_product_missing_a_vertex_of_positive_degree(self, vertices):
+        # The product over K2 labeled 0 in K2 is the edge {(0,1), (1,1)}; each end is expected with degree 1.
+        a = constant_labeling(K2, K2, 0)
+        z = ZigZagGraph(Graph(vertices, ()), K2, K2, a, {})
+        assert product_valency_check(z) is False
+        assert product_edge_count_check(z) is False
+
+    @given(labeled_instances_of_both_forms(), st.data())
+    def test_valency_check_refuses_a_random_product_missing_a_vertex(self, inst, data):
+        z = zigzag_product(*inst)
+        assume(z.product.edges)
+        p = data.draw(st.sampled_from([v for v in z.product.vertices if z.product.degree(v)]))
+        kept = tuple(e for e in z.product.edges if p not in e)
+        vs = tuple(v for v in z.product.vertices if v != p)
+        cut = ZigZagGraph(Graph(vs, kept), z.base, z.labels, z.labeling, {e: z.edge_tags[e] for e in kept})
+        assert product_valency_check(cut) is False
+
+    @pytest.mark.parametrize("vertex", [7, "x", (0, 5), (5, 0), ("0", 1), ((0, 1), 1), (0, (1, 0))])
+    def test_a_product_vertex_that_is_no_pair_of_the_factors_is_refused(self, vertex):
+        a = constant_labeling(K2, K2, 0)
+        text = f"product vertex {format_vertex(vertex)} is not a (base vertex, label vertex) pair"
+        with pytest.raises(ValueError, match=re.escape(text)):
+            ZigZagGraph(Graph((vertex,), ()), K2, K2, a, {})
+        with pytest.raises(ValueError, match=re.escape(text)):
+            ZigZagGraph(Graph(((0, 1), (1, 1), vertex), (((0, 1), (1, 1)),)), K2, K2, a, k2k2().edge_tags)
+
+    def test_a_labeling_of_other_graphs_is_refused(self):
+        z = c4p3()
+        with pytest.raises(ValueError, match="labeling does not tie the given base and label graphs"):
+            ZigZagGraph(z.product, C4, P3, constant_labeling(C4, C3, 1), z.edge_tags)
+        with pytest.raises(ValueError, match="labeling does not tie the given base and label graphs"):
+            ZigZagGraph(z.product, C4, P3, constant_labeling(C6, P3, 1), z.edge_tags)
 
 
 class TestSections:
