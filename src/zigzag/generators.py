@@ -6,22 +6,34 @@ from collections.abc import Iterable, Sequence
 
 from .graphs import Graph
 
+# The most vertices plus edges a generator builds: four times the edges of a level-10 C4/P3 tower.
+_MAX_SIZE = 2**22
+
+
+def _check_size(kind: str, params, size: int) -> None:
+    """Refuse, before anything is built, a graph of more than _MAX_SIZE vertices plus edges."""
+    if size > _MAX_SIZE:
+        raise ValueError(f"{kind} {' '.join(map(str, params))} would have more than {_MAX_SIZE} vertices plus edges")
+
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
+    _check_size("cycle", (n,), 2 * n)
     return Graph(tuple(range(n)), tuple((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs at least 1 vertex, got {n}")
+    _check_size("path", (n,), 2 * n - 1)
     return Graph(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {n}")
+    _check_size("complete", (n,), n * (n + 1) // 2)
     return Graph(tuple(range(n)), tuple((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
@@ -29,6 +41,7 @@ def hypercube(d: int) -> Graph:
     """d-dimensional hypercube on bitstring atoms of length d."""
     if d < 1:
         raise ValueError(f"hypercube needs dimension at least 1, got {d}")
+    _check_size("hypercube", (d,), (d + 2) << (min(d, 64) - 1))  # 2^d + d·2^(d-1); past d = 64, any value over
     verts = [format(i, f"0{d}b") for i in range(2**d)]
     edges = []
     for i in range(2**d):
@@ -53,6 +66,7 @@ def cayley_cyclic(n: int, generators: Iterable[int]) -> Graph:
     missing = {s for s in gens if (n - s) % n not in gens}
     if missing:
         raise ValueError(f"generating set not closed under negation mod {n}: missing inverses for {sorted(missing)}")
+    _check_size("cayley_cyclic", (n, *sorted(gens)), n + n * len(gens) // 2)
     edges = tuple((i, (i + s) % n) for i in range(n) for s in gens)
     return Graph(tuple(range(n)), edges)
 

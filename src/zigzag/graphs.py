@@ -82,11 +82,11 @@ class Graph:
     duplicates dropped, edge endpoints added to the vertex set.  The ids are
     ranked by one `vertex_key` sort, and every stored order (vertices, edge
     endpoints, edges, adjacency, darts) is rank order, which equals the
-    `vertex_key` / `edge_key` / `dart_key` order; so is the cached array of
-    edge-endpoint ranks that the spectral layer reads.  Equality is structural.
+    `vertex_key` / `edge_key` / `dart_key` order; so is the stored array of
+    edge-endpoint ranks that the other layers read.  Equality is structural.
     Graphs that the construction makes from ids it has already checked (the
     product and the projection's image) come in through `_from_ranks` and
-    skip this re-validation.
+    skip this re-validation; both ways store through `_store`.
     """
 
     vertices: tuple = ()
@@ -106,7 +106,7 @@ class Graph:
         for v in self.vertices:
             if stored(v) is None:
                 raise ValueError(f"invalid vertex id: {v!r}")
-        pairs = []
+        ends = []
         for e in self.edges:
             u, v = e
             pair = stored(u), stored(v)
@@ -114,36 +114,31 @@ class Graph:
                 raise ValueError(f"invalid edge endpoints: {e!r}")
             if pair[0] is pair[1]:
                 raise ValueError(f"loop edge at {format_vertex(u)} not allowed in a simple graph")
-            pairs.append(pair)
+            ends += pair
 
         verts = tuple(sorted(first, key=vertex_key))
         rank, n = {v: r for r, v in enumerate(verts)}, len(verts)
-        codes = {min(ru, rv) * n + max(ru, rv) for ru, rv in ((rank[u], rank[v]) for u, v in pairs)}
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", tuple((verts[c // n], verts[c % n]) for c in sorted(codes)))
-        object.__setattr__(self, "_rank", rank)  # not a field: equality stays structural
+        ends = np.fromiter(map(rank.__getitem__, ends), np.intp, len(ends)).reshape(-1, 2)
+        self._store(verts, rank, *np.divmod(_distinct(ends.min(axis=1) * n + ends.max(axis=1)), n))
 
     @classmethod
     def _from_ranks(cls, vertices: tuple, src: np.ndarray, dst: np.ndarray) -> "Graph":
         """The graph on valid ids given in key order, with edges the sorted,
         distinct rank pairs src < dst: stored as given, nothing re-checked."""
-        g, end = object.__new__(cls), vertices.__getitem__
+        return object.__new__(cls)._store(vertices, dict(zip(vertices, range(len(vertices)))), src, dst)
+
+    def _store(self, vertices: tuple, rank: dict, src: np.ndarray, dst: np.ndarray) -> "Graph":
+        # _rank and _edge_ranks are not fields: equality stays structural.
         ranks = np.stack((src, dst), axis=1).astype(np.intp, copy=False)
         ranks.flags.writeable = False
+        end = vertices.__getitem__
         edges = tuple(zip(map(end, src.tolist()), map(end, dst.tolist())))
-        rank = dict(zip(vertices, range(len(vertices))))
-        g.__dict__.update(vertices=vertices, edges=edges, _rank=rank, _edge_ranks=ranks)
-        return g
+        self.__dict__.update(vertices=vertices, edges=edges, _rank=rank, _edge_ranks=ranks)
+        return self
 
     def _edge(self, u: VertexId, v: VertexId) -> Edge:
         """The pair {u, v} of vertices of this graph, endpoints in rank order."""
         return (u, v) if self._rank[u] < self._rank[v] else (v, u)
-
-    @cached_property
-    def _edge_ranks(self) -> np.ndarray:
-        ranks = np.array([(self._rank[u], self._rank[v]) for u, v in self.edges], dtype=np.intp).reshape(-1, 2)
-        ranks.flags.writeable = False
-        return ranks
 
     @cached_property
     def _degrees(self) -> np.ndarray:

@@ -83,8 +83,9 @@ def _graph_text(g: Graph, texts: _Texts) -> list:
 
 def _dart_entries(a: HLabeling, texts: _Texts) -> list:
     """The labeling's (vertex, edge, label) entries as a list at depth 1; texts at depth 3."""
-    entry = "".join(_object(2, vertex="%s", edge="%s", label="%s"))
-    return _list([entry % (texts[v], texts[e], texts[h]) for (v, e), h in a.mapping.items()], 1)
+    entry, labels = "".join(_object(2, vertex="%s", edge="%s", label="%s")), [texts[h] for h in a.labels.vertices]
+    at_darts = zip(a.base._darts, a._dart_ranks().tolist())
+    return _list([entry % (texts[v], texts[e], labels[h]) for (v, e), h in at_darts], 1)
 
 
 def _fields(obj, kind: str, *keys: str, optional: bool = False) -> list:
@@ -364,9 +365,7 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
     except (KeyError, TypeError):
         _fields(entry, f"{kind} 'edge_tags' entry", "edge", "base_edge", "h_lo", "h_hi")
         raise
-    if len(stated_tags) != len(rebuilt.product.edges) or any(
-        stated_tags.get(e) != t for e, t in rebuilt.edge_tags.items()
-    ):
+    if stated_tags != rebuilt.edge_tags:
         raise ValueError("product JSON edge tags are inconsistent with the construction")
     return rebuilt
 
@@ -382,7 +381,7 @@ def dumps_product(z: ZigZagGraph) -> str:
     edges = map(texts._pair.__mod__, zip(map(at3.__getitem__, src), map(at3.__getitem__, dst)))
     # A tag's base edge is one of the base's, and its label edges are written from the ranks of their ends.
     base_edges, label_ids = [inner[e] for e in z.base.edges], [inner.deeper[x] for x in z.labels.vertices]
-    b, *ends = (x.tolist() for x in z.edge_tags._tag_ranks())
+    b, *ends = (x.tolist() for x in z._tag_ranks())
     tag = "".join(_object(2, edge=inner._pair, base_edge="%s", h_lo=inner._pair, h_hi=inner._pair)).__mod__
     tags = map(tag, zip(map(at4.__getitem__, src), map(at4.__getitem__, dst), map(base_edges.__getitem__, b),
                         *(map(label_ids.__getitem__, x) for x in ends)))

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Iterable, Mapping, ValuesView
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -20,52 +21,6 @@ from .graphs import (
     make_edge,
     vertex_key,
 )
-
-
-class _Derived(Mapping):
-    """A read-only mapping whose values are computed from other data;
-    `items()` and `values()` iterate `_items()`, a bulk walk."""
-
-    def items(self):
-        return _Items(self)
-
-    def values(self):
-        return _Values(self)
-
-
-class _Items(ItemsView):
-    def __iter__(self):
-        return self._mapping._items()
-
-
-class _Values(ValuesView):
-    def __iter__(self):
-        return (x for _, x in self._mapping._items())
-
-
-class _DartLabels(_Derived):
-    """Dart -> label view of the label ranks at the two ends of every base edge, in dart order."""
-
-    def __init__(self, base: Graph, labels: Graph, lab: np.ndarray):
-        self._base, self._labels, self._lab = base, labels, lab
-
-    def __getitem__(self, dart):
-        base = self._base
-        if not (isinstance(dart, tuple) and len(dart) == 2 and dart[1] in base.edge_set and dart[0] in dart[1]):
-            raise KeyError(dart)
-        (u, v), rank = dart[1], base._rank
-        k = np.searchsorted(base._edge_codes, rank[u] * len(rank) + rank[v])  # the edge's row, in O(log E)
-        return self._labels.vertices[self._lab[k, 0 if dart[0] == u else 1]]
-
-    def __iter__(self):  # the darts are built only when walked
-        return iter(self._base._darts)
-
-    def __len__(self):
-        return 2 * len(self._base.edges)
-
-    def _items(self):
-        at_darts = self._lab.ravel()[self._base._dart_order()].tolist()
-        return zip(self._base._darts, map(self._labels.vertices.__getitem__, at_darts))
 
 
 def _ranks(labels: Graph, given: list) -> np.ndarray:
@@ -88,9 +43,10 @@ class HLabeling:
     """Assignment of a label-graph vertex to every dart of a base graph.
 
     Stored as the label ranks at the first and at the second end of every
-    base edge (an E×2 array in edge order); `mapping` is a read-only
-    dart -> label view of it, in dart order, and the vertex table, the image,
-    equality and hashing are derived from it.  Labelings derived from others
+    base edge (an E×2 array in edge order); the vertex table, the image,
+    equality and hashing are derived from it.  `mapping`, a read-only
+    dart -> label dict in dart order, is built from it when first read and
+    then kept; library code reads the array.  Labelings derived from others
     come in through `_from_ranks`, unchecked.
     """
 
@@ -116,8 +72,20 @@ class HLabeling:
 
     def _store(self, lab: np.ndarray) -> "HLabeling":
         lab.flags.writeable = False
-        self.__dict__.update(_label_ranks=lab, mapping=_DartLabels(self.base, self.labels, lab))
+        self.__dict__.pop("mapping", None)  # a given mapping is rebuilt from the ranks, in dart order
+        self.__dict__.update(_label_ranks=lab)
         return self
+
+    def __getattr__(self, name):  # only for the one field not stored
+        if name != "mapping":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        labels = map(self.labels.vertices.__getitem__, self._dart_ranks().tolist())
+        self.__dict__["mapping"] = mapping = MappingProxyType(dict(zip(self.base._darts, labels)))
+        return mapping
+
+    def _dart_ranks(self) -> np.ndarray:
+        """The label rank at every dart of the base, in dart order."""
+        return self._label_ranks.ravel()[self.base._dart_order()]
 
     def __call__(self, dart: Dart) -> VertexId:
         return self.mapping[dart]
@@ -187,7 +155,7 @@ def image_valency(a: HLabeling) -> int:
     an isolated label vertex (valency 0) is used; the spectral descent step
     divides by this number, so zero is never a legal answer.
     """
-    if not a.mapping:
+    if not a.base.edges:
         raise ImageValencyError("labeling has empty image: base graph has no darts")
     valencies = tuple(sorted({a.labels.degree(h) for h in a.image}))
     if valencies == (0,):

@@ -5,7 +5,7 @@ and label-graph vertex i adjacent to the label of some dart at u, and one
 edge {(u,i),(v,j)} for every base edge {u,v} whose two dart labels are
 adjacent to i and j respectively.  Every product edge remembers its base
 edge and the two label-graph edges that witnessed it; these tags are
-derived from the labeling when asked for, not stored.
+derived from the labeling's rank array, and kept as a dict only once read.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
 
 from .graphs import (
-    Dart,
     Edge,
     Graph,
     VertexMap,
@@ -35,7 +35,6 @@ from .graphs import (
 )
 from .labeling import (
     HLabeling,
-    _Derived,
     LabeledMorphism,
     image_valency,
     is_locally_constant,
@@ -63,47 +62,12 @@ class EdgeTag(NamedTuple):
     h_hi: Edge
 
 
-class _EdgeTags(_Derived):
-    """Product edge -> EdgeTag view: ((u,i),(v,j)) -> ((u,v), {i, a(u,uv)}, {j, a(v,uv)})."""
-
-    def __init__(self, product: Graph, labeling: HLabeling, codes: np.ndarray):
-        self._product, self._labeling, self._codes = product, labeling, codes
-
-    def __getitem__(self, e):
-        if e not in self._product.edge_set:
-            raise KeyError(e)
-        (u, i), (v, j) = e
-        b, edge, a = (u, v), self._labeling.labels._edge, self._labeling
-        return EdgeTag(b, edge(i, a(Dart(u, b))), edge(j, a(Dart(v, b))))
-
-    def __iter__(self):
-        return iter(self._product.edges)
-
-    def __len__(self):
-        return len(self._product.edges)
-
-    def _tag_ranks(self) -> list:
-        """For every product edge (u,i)(v,j), in order: the index of its base edge uv, and the label
-        ranks of the ends of {i, a(u,uv)} and of {j, a(v,uv)}, each pair in rank order."""
-        src, dst = self._product._edge_ranks.T
-        base, nh = self._labeling.base, len(self._labeling.labels.vertices)
-        (u, i), (v, j) = np.divmod(self._codes[src], nh), np.divmod(self._codes[dst], nh)  # u < v
-        b = np.searchsorted(base._edge_codes, u * len(base.vertices) + v)
-        lab = self._labeling._label_ranks[b]
-        return [b] + [end(x, y) for x, y in ((i, lab[:, 0]), (j, lab[:, 1])) for end in (np.minimum, np.maximum)]
-
-    def _items(self):
-        b, *ends = (x.tolist() for x in self._tag_ranks())
-        base_edges, labels = self._labeling.base.edges, self._labeling.labels.vertices
-        lo_a, lo_b, hi_a, hi_b = (map(labels.__getitem__, x) for x in ends)
-        tags = map(EdgeTag, map(base_edges.__getitem__, b), zip(lo_a, lo_b), zip(hi_a, hi_b))
-        return zip(self._product.edges, tags)
-
-
 @dataclass(frozen=True, eq=False)
 class ZigZagGraph:
-    """A zig-zag product together with its construction data.  Its edge tags
-    are derived from the labeling; tags given explicitly must equal them.
+    """A zig-zag product together with its construction data.  `edge_tags`,
+    a read-only product edge -> EdgeTag dict in edge order, is built from the
+    labeling's ranks when first read and then kept (library code reads
+    `_tag_ranks`); tags given explicitly must equal it.
     `_vertex_codes` holds rank(u)·|V(H)| + rank(i) for every product vertex (u, i), increasing."""
 
     product: Graph
@@ -119,22 +83,39 @@ class ZigZagGraph:
         for p in vs:
             if not (isinstance(p, tuple) and p[0] in g and p[1] in h):
                 raise ValueError(f"product vertex {format_vertex(p)} is not a (base vertex, label vertex) pair")
-        codes = np.fromiter((g[u] * len(h) + h[i] for u, i in vs), np.intp, len(vs))
-        derived = _EdgeTags(self.product, self.labeling, codes)
-        try:
-            same = dict(self.edge_tags) == {e: derived[e] for e in self.product.edges}
-        except (KeyError, TypeError, ValueError):  # a product edge over no labeled base edge
+        stated = self.__dict__.pop("edge_tags")
+        self.__dict__.update(_vertex_codes=np.fromiter((g[u] * len(h) + h[i] for u, i in vs), np.intp, len(vs)))
+        u, v = self._base_ranks[self.product._edge_ranks.T]
+        try:  # every product edge lies over a base edge, and its tag is the one the labeling gives
+            same = np.isin(u * len(g) + v, self.base._edge_codes).all() and dict(stated) == self.edge_tags
+        except (TypeError, ValueError):
             same = False
         if not same:
             raise ValueError("edge tags must cover exactly the product edges, as the labeling gives them")
-        self.__dict__.update(edge_tags=derived, _vertex_codes=codes)
 
     @classmethod
     def _from_ranks(cls, product: Graph, a: HLabeling, codes: np.ndarray) -> "ZigZagGraph":
         """The product of a labeling with these vertex codes, made by `zigzag_product`: nothing re-checked."""
-        z, tags = object.__new__(cls), _EdgeTags(product, a, codes)
-        z.__dict__.update(product=product, base=a.base, labels=a.labels, labeling=a, edge_tags=tags, _vertex_codes=codes)
+        z = object.__new__(cls)
+        z.__dict__.update(product=product, base=a.base, labels=a.labels, labeling=a, _vertex_codes=codes)
         return z
+
+    def __getattr__(self, name):  # only for the one field not stored
+        if name != "edge_tags":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        b, *ends = (x.tolist() for x in self._tag_ranks())
+        lo_a, lo_b, hi_a, hi_b = (map(self.labels.vertices.__getitem__, x) for x in ends)
+        tags = map(EdgeTag, map(self.base.edges.__getitem__, b), zip(lo_a, lo_b), zip(hi_a, hi_b))
+        self.__dict__["edge_tags"] = edge_tags = MappingProxyType(dict(zip(self.product.edges, tags)))
+        return edge_tags
+
+    def _tag_ranks(self) -> list:
+        """For every product edge (u,i)(v,j), in order: the index of its base edge uv, and the label
+        ranks of the ends of {i, a(u,uv)} and of {j, a(v,uv)}, each pair in rank order."""
+        (u, v), (i, j) = np.divmod(self._vertex_codes[self.product._edge_ranks.T], len(self.labels.vertices))
+        b = np.searchsorted(self.base._edge_codes, u * len(self.base.vertices) + v)  # u < v
+        lab = np.take(self.labeling._label_ranks, b, axis=0)
+        return [b] + [end(x, y) for x, y in ((i, lab[:, 0]), (j, lab[:, 1])) for end in (np.minimum, np.maximum)]
 
     @cached_property
     def _base_ranks(self) -> np.ndarray:
@@ -331,7 +312,8 @@ def lift_pair(f: VertexMap, gmap: Mapping, z: ZigZagGraph) -> VertexMap:
     if bad:
         raise ValueError(f"choice map leaves the label graph at: {sorted(bad, key=vertex_key)}")
 
-    for d, lbl in pullback_labeling(z.labeling, f).mapping.items():  # the label of each image dart
+    labels = map(z.labels.vertices.__getitem__, pullback_labeling(z.labeling, f)._dart_ranks().tolist())
+    for d, lbl in zip(f.domain._darts, labels):  # the label of each image dart
         if not z.labels.has_edge(gmap[d.vertex], lbl):
             raise ValueError(
                 f"adjacency precondition fails at dart {d}: choice {format_vertex(gmap[d.vertex])} "

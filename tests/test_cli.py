@@ -1,5 +1,6 @@
 import io as std_io
 import json
+import time
 
 import pytest
 
@@ -37,6 +38,15 @@ class TestGen:
         code, _, err = invoke(["gen", "cycle", "2"], capsys)
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("argv", [["hypercube", "40"], ["complete", "100000"], ["cycle", "1000000000"]])
+    def test_oversized_graph_exits_2_before_building(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = invoke(["gen", *argv], capsys)
+        assert time.perf_counter() - start < 5
+        assert code == 2 and not out
+        want = f"{' '.join(argv)} would have more than 4194304 vertices plus edges"
+        assert err == f"error: bad generator parameters: {want}\n"
 
     def test_unknown_kind_exit_2(self, capsys):
         code, _, _ = invoke(["gen", "moebius", "5"], capsys)

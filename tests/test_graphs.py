@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import small_graphs, vertex_maps_into
+from zigzag import generators
 from zigzag.generators import cayley_cyclic, complete, cycle, generate, hypercube, path
 from zigzag.graphs import (
     Dart,
@@ -268,6 +269,24 @@ class TestGenerators:
             cayley_cyclic(6, {0, 1, 5})
         with pytest.raises(ValueError, match="negation"):
             cayley_cyclic(6, {1})
+
+    @pytest.mark.parametrize("kind, params", [
+        ("cycle", (5,)), ("path", (1,)), ("path", (4,)), ("complete", (1,)), ("complete", (5,)),
+        ("hypercube", (1,)), ("hypercube", (4,)), ("cayley_cyclic", (1,)), ("cayley_cyclic", (2, 1)),
+        ("cayley_cyclic", (8, 1, 7)), ("cayley_cyclic", (8, 4)), ("cayley_cyclic", (6, 1, 2, 3, 4, 5)),
+    ])
+    def test_size_guard_predicts_vertices_plus_edges(self, monkeypatch, kind, params):
+        g = generate(kind, params)
+        monkeypatch.setattr(generators, "_MAX_SIZE", len(g.vertices) + len(g.edges))
+        assert generate(kind, params) == g
+        monkeypatch.setattr(generators, "_MAX_SIZE", len(g.vertices) + len(g.edges) - 1)
+        with pytest.raises(ValueError, match=f"more than {generators._MAX_SIZE} vertices plus edges"):
+            generate(kind, params)
+
+    def test_size_guard_limit(self):
+        assert generators._MAX_SIZE == 2**22
+        with pytest.raises(ValueError, match="cycle 2097153 would have more than 4194304 vertices plus edges"):
+            cycle(2**21 + 1)
         with pytest.raises(ValueError):
             generate("moebius", [5])
 

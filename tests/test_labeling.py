@@ -132,8 +132,9 @@ class TestPullback:
 
 
 class TestStoredForms:
-    """A locally constant labeling is stored per vertex, any other per dart;
-    the forms agree on every reading, whichever way the labeling was given."""
+    """Every labeling is stored one way, as the label ranks at the two ends of
+    each base edge; a labeling given per dart, in any order, or per vertex
+    reads the same in every way."""
 
     @given(labeled_instances_of_both_forms())
     def test_per_dart_and_per_vertex_construction_agree(self, inst):

@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 
@@ -12,7 +13,8 @@ from helpers import C3, C4, C6, CONSTANT_VALENCY_POOL, K2, P3, random_dart_label
 from oracle import brute_force_zigzag
 from test_graphs import mixed_graphs
 from test_io import mixed_labeled_instances
-from zigzag.generators import cycle
+from zigzag import io
+from zigzag.generators import cycle, hypercube
 from zigzag.graphs import (
     Dart,
     Graph,
@@ -49,6 +51,8 @@ from zigzag.product import (
     section_subgraphs,
     zigzag_product,
 )
+from zigzag.spectral import adjacency_eigenpairs, descend_eigenvector, lift_eigenvector
+from zigzag.tower import build_tower, folner_product_check, tower_spectrum_check
 
 
 def mod_map(big, small, n):
@@ -206,6 +210,46 @@ class TestDerivedEdgeTags:
             ZigZagGraph(z.product, g, h, a, {k: v for k, v in tags.items() if k != e})
 
 
+class TestDerivedDicts:
+    """`HLabeling.mapping` and `ZigZagGraph.edge_tags` are read-only dicts built
+    when first read; the library's own paths read the rank arrays instead."""
+
+    def test_hot_paths_build_neither_dict(self, monkeypatch):
+        kinds, made = (HLabeling, ZigZagGraph), []  # made: (kind, holds a built dict) per new instance
+        before = {id(x) for x in gc.get_objects() if isinstance(x, kinds)}
+
+        def note(x):
+            if id(x) not in before:
+                made.append((type(x), "mapping" in vars(x) or "edge_tags" in vars(x)))
+
+        for kind in kinds:  # instances freed on the way are seen as they go
+            monkeypatch.setattr(kind, "__del__", note, raising=False)
+        build = build_tower(C4, P3, constant_labeling(C4, P3, 1), 6)
+        report = tower_spectrum_check(build)
+        g, h = hypercube(3), cycle(6)
+        z = io.loads_product(io.dumps_product(zigzag_product(g, h, constant_labeling(g, h, 0))))
+        index = pi_combinatorial_cover_check(z)
+        folner = folner_product_check(g, h, z.labeling, [g.vertices[:2], g.vertices[:5]])
+        pairs = [ep for ep in adjacency_eigenpairs(g) if abs(ep.value) > 1e-6]
+        back = [descend_eigenvector(lift_eigenvector(ep, z), z) for ep in pairs]
+        assert report.all_ok and index == 4 and folner.all_ok and len(back) == len(pairs) == 8
+        for x in gc.get_objects():
+            if isinstance(x, kinds):
+                note(x)
+        assert all(sum(kind is k for k, _ in made) >= 10 for kind in kinds)
+        assert not any(built for _, built in made)
+
+    def test_dicts_are_read_only(self):
+        z = c4p3()
+        d, e = darts(C4)[0], z.product.edges[0]
+        with pytest.raises(TypeError):
+            z.labeling.mapping[d] = 0
+        with pytest.raises(TypeError):
+            z.edge_tags[e] = z.edge_tags[e]
+        assert z.labeling.mapping[d] == 1 and z.labeling.mapping is z.labeling.mapping
+        assert z.edge_tags is z.edge_tags
+
+
 def without_edge(z, e):
     """z with the product edge e taken out of its product graph (and its tag)."""
     kept = tuple(x for x in z.product.edges if x != e)
@@ -338,6 +382,14 @@ class TestExplicitProducts:
             ZigZagGraph(Graph((vertex,), ()), K2, K2, a, {})
         with pytest.raises(ValueError, match=re.escape(text)):
             ZigZagGraph(Graph(((0, 1), (1, 1), vertex), (((0, 1), (1, 1)),)), K2, K2, a, k2k2().edge_tags)
+
+    @pytest.mark.parametrize("edge", [((0, 0), (2, 0)), ((0, 0), (0, 2))])
+    def test_a_product_edge_over_no_base_edge_is_refused_whatever_its_tag(self, edge):
+        # {0, 2} is no edge of C4, and a fiber holds no edge; the tag names the base edge {0, 3} with the right labels.
+        z = c4p3()
+        tags = {**z.edge_tags, edge: EdgeTag((0, 3), (0, 1), make_edge(edge[1][1], 1))}
+        with pytest.raises(ValueError, match="cover exactly the product edges"):
+            ZigZagGraph(Graph(z.product.vertices, tuple(tags)), C4, P3, z.labeling, tags)
 
     def test_a_labeling_of_other_graphs_is_refused(self):
         z = c4p3()
