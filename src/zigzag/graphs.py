@@ -6,6 +6,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from types import MappingProxyType
 from typing import NamedTuple, Union
 
@@ -74,7 +75,28 @@ def dart_key(d: Dart):
     return (vertex_key(d.vertex), edge_key(d.edge))
 
 
-@dataclass(frozen=True)
+class _Decoded:
+    """A dataclass field that instances may store in another form: when it is not
+    in the instance's dict, its value is built by the named method on first read
+    and then kept there.  On the class it reads as the field's default, if any.
+    (A `__getattr__` fallback would do the same, but slow every attribute read.)"""
+
+    def __init__(self, method: str, *default):
+        self.method, self.default = method, default
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if not self.default:
+                raise AttributeError(self.name)  # a field without a default
+            return self.default[0]
+        obj.__dict__[self.name] = value = getattr(obj, self.method)()
+        return value
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable finite simple undirected graph.
 
@@ -83,14 +105,15 @@ class Graph:
     ranked by one `vertex_key` sort, and every stored order (vertices, edge
     endpoints, edges, adjacency, darts) is rank order, which equals the
     `vertex_key` / `edge_key` / `dart_key` order; so is the stored array of
-    edge-endpoint ranks that the other layers read.  Equality is structural.
-    Graphs that the construction makes from ids it has already checked (the
-    product and the projection's image) come in through `_from_ranks` and
-    skip this re-validation; both ways store through `_store`.
+    edge-endpoint ranks that the other layers read.  `edges` is decoded from
+    it when first read and then kept; equality and hashing read the vertices
+    and the array.  Graphs that the construction makes from ids it has
+    already checked (the product and the projection's image) come in through
+    `_from_ranks` and skip this re-validation; both store through `_store`.
     """
 
     vertices: tuple = ()
-    edges: tuple = ()
+    edges: tuple = _Decoded("_edge_ids", ())
 
     def __post_init__(self):
         first: dict = {}  # distinct id -> the first object given for it
@@ -128,13 +151,25 @@ class Graph:
         return object.__new__(cls)._store(vertices, dict(zip(vertices, range(len(vertices)))), src, dst)
 
     def _store(self, vertices: tuple, rank: dict, src: np.ndarray, dst: np.ndarray) -> "Graph":
-        # _rank and _edge_ranks are not fields: equality stays structural.
         ranks = np.stack((src, dst), axis=1).astype(np.intp, copy=False)
         ranks.flags.writeable = False
-        end = vertices.__getitem__
-        edges = tuple(zip(map(end, src.tolist()), map(end, dst.tolist())))
-        self.__dict__.update(vertices=vertices, edges=edges, _rank=rank, _edge_ranks=ranks)
+        self.__dict__.pop("edges", None)  # given edges are decoded again from the ranks, when read
+        self.__dict__.update(vertices=vertices, _rank=rank, _edge_ranks=ranks)
         return self
+
+    def _edge_ids(self) -> tuple:
+        end, (src, dst) = self.vertices.__getitem__, self._edge_ranks.T.tolist()
+        return tuple(zip(map(end, src), map(end, dst)))
+
+    def __eq__(self, other):
+        if self is other:  # skips comparing the arrays, which may be long
+            return True
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return self.vertices == other.vertices and np.array_equal(self._edge_ranks, other._edge_ranks)
+
+    def __hash__(self):
+        return hash((self.vertices, self._edge_ranks.tobytes()))
 
     def _edge(self, u: VertexId, v: VertexId) -> Edge:
         """The pair {u, v} of vertices of this graph, endpoints in rank order."""
@@ -165,12 +200,8 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> dict:
-        # Edges are in (rank, rank) order, so lower neighbours come first, each list sorted.
-        adj = {v: [] for v in self.vertices}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: tuple(ns) for v, ns in adj.items()}
+        ns = map(self.vertices.__getitem__, self._csr[1].tolist())
+        return {v: tuple(islice(ns, d)) for v, d in zip(self.vertices, self._degrees.tolist())}
 
     @cached_property
     def _darts(self) -> tuple:
@@ -233,14 +264,15 @@ def darts(g: Graph) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class VertexMap:
-    """Total function between the vertex sets of two graphs."""
+    """Total function between the vertex sets of two graphs, stored as the codomain
+    rank of every domain vertex's image; `mapping` is decoded from it when first read."""
 
     domain: Graph
     codomain: Graph
-    mapping: Mapping
+    mapping: Mapping = _Decoded("_image_ids")
 
     def __post_init__(self):
-        got = dict(self.mapping)
+        got = dict(self.__dict__.pop("mapping"))  # decoded again from the ranks, in domain order, when read
         dom = set(self.domain.vertices)
         if set(got) != dom:
             extra = sorted(set(got) - dom, key=vertex_key)
@@ -249,10 +281,19 @@ class VertexMap:
         bad = [v for v in got.values() if not self.codomain.has_vertex(v)]
         if bad:
             raise ValueError(f"map image leaves codomain: {sorted(set(bad), key=vertex_key)}")
-        ordered = {v: got[v] for v in self.domain.vertices}
-        object.__setattr__(self, "mapping", MappingProxyType(ordered))
-        ranks = map(self.codomain._rank.__getitem__, ordered.values())
-        object.__setattr__(self, "_image_ranks", np.fromiter(ranks, np.intp, len(ordered)))  # in domain rank order
+        ranks = map(self.codomain._rank.__getitem__, map(got.__getitem__, self.domain.vertices))
+        self.__dict__.update(_image_ranks=np.fromiter(ranks, np.intp, len(dom)))
+
+    @classmethod
+    def _from_ranks(cls, domain: Graph, codomain: Graph, image_ranks: np.ndarray) -> "VertexMap":
+        """The map sending domain rank r to codomain rank image_ranks[r] (np.intp): nothing re-checked."""
+        m = object.__new__(cls)
+        m.__dict__.update(domain=domain, codomain=codomain, _image_ranks=image_ranks)
+        return m
+
+    def _image_ids(self) -> Mapping:
+        images = map(self.codomain.vertices.__getitem__, self._image_ranks.tolist())
+        return MappingProxyType(dict(zip(self.domain.vertices, images)))
 
     @cached_property
     def _edge_images(self) -> np.ndarray | None:
@@ -269,10 +310,11 @@ class VertexMap:
     def __eq__(self, other):
         if not isinstance(other, VertexMap):
             return NotImplemented
-        return (self.domain, self.codomain, self.mapping) == (other.domain, other.codomain, other.mapping)
+        same_graphs = (self.domain, self.codomain) == (other.domain, other.codomain)
+        return same_graphs and np.array_equal(self._image_ranks, other._image_ranks)
 
     def __hash__(self):
-        return hash((self.domain, self.codomain, tuple(self.mapping.items())))
+        return hash((self.domain, self.codomain, self._image_ranks.tobytes()))
 
 
 def identity_map(g: Graph) -> VertexMap:
@@ -361,26 +403,29 @@ def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
     if not is_graph_morphism(m):
         return CoverCheck(None, "not-a-morphism", None)
     dom, cod, img, at = m.domain, m.codomain, m._image_ranks, m._edge_images
-    counts = np.bincount(at, minlength=len(cod.edges))
+    counts = np.bincount(at, minlength=len(cod._edge_ranks))
     odd = np.flatnonzero((counts == 0) | (counts != counts[:1]))
     if odd.size:
         e, count = cod.edges[odd[0]], int(counts[odd[0]])
         if count == 0:
             return CoverCheck(None, "empty-edge-fiber", (e,))
         return CoverCheck(None, "unequal-edge-fibers", (cod.edges[0], int(counts[0]), e, count))
-    # Condition two: how often each domain vertex x sees each neighbour v of
-    # its image, counted over the darts (x, y) with img(y) = v; pairs in order.
-    indptr, nbrs = cod._csr
-    n, deg = len(cod.vertices), np.diff(indptr)[img]
+    # Condition two: how often each domain vertex x sees each neighbour v of its image, counted over the
+    # darts (x, y) with img(y) = v, in slots listing the pairs (x, v) in order; v's position among img(x)'s
+    # neighbours, read at the image edge's end img(x), gives the slot.
+    order, deg = cod._dart_order(), cod._degrees[img]
+    nth = np.empty_like(order)  # per edge end, flattened: the position of the other end among its neighbours
+    nth[order] = _runs(np.zeros_like(cod._degrees), cod._degrees)
+    (x, y), start = dom._edge_ranks.T, np.cumsum(deg) - deg
+    end = 2 * at + (img[x] > img[y])  # the end of the image edge that x goes to
+    seen = np.bincount(np.concatenate((start[x] + nth[end], start[y] + nth[end ^ 1])), minlength=deg.sum())
     xs = np.repeat(np.arange(img.size), deg)
-    pairs = xs * n + nbrs[_runs(indptr[img], deg)]
-    x, y = dom._edge_ranks.T
-    seen = np.bincount(np.searchsorted(pairs, np.concatenate((x * n + img[y], y * n + img[x]))), minlength=pairs.size)
     _, first_at, fiber = np.unique(img, return_index=True, return_inverse=True)
-    first, start = first_at[fiber], np.cumsum(deg) - deg
+    first = first_at[fiber]
     bad = np.flatnonzero(seen != seen[np.arange(seen.size) + (start[first] - start)[xs]])  # vs. the fiber's first
     if bad.size:  # report the first by fiber, then neighbour, then vertex
-        xb, vb = xs[bad], pairs[bad] % n
+        (indptr, nbrs), xb = cod._csr, xs[bad]
+        vb = nbrs[indptr[img[xb]] + bad - start[xb]]
         k = np.lexsort((xb, vb, first[xb]))[0]
         witness = (dom.vertices[first[xb[k]]], dom.vertices[xb[k]], cod.vertices[vb[k]])
         return CoverCheck(None, "unequal-neighborhood-fibers", witness)

@@ -14,6 +14,7 @@ from .graphs import (
     Graph,
     VertexId,
     VertexMap,
+    _Decoded,
     _distinct,
     darts,
     format_vertex,
@@ -33,7 +34,7 @@ def _ranks(labels: Graph, given: list) -> np.ndarray:
 
 def _per_edge(base: Graph, at_darts: np.ndarray) -> np.ndarray:
     """Values given at the darts of base, in dart order, as an E×2 array in edge order."""
-    flat = np.empty(2 * len(base.edges), np.intp)
+    flat = np.empty(2 * len(base._edge_ranks), np.intp)
     flat[base._dart_order()] = at_darts
     return flat.reshape(-1, 2)
 
@@ -43,16 +44,18 @@ class HLabeling:
     """Assignment of a label-graph vertex to every dart of a base graph.
 
     Stored as the label ranks at the first and at the second end of every
-    base edge (an E×2 array in edge order); the vertex table, the image,
-    equality and hashing are derived from it.  `mapping`, a read-only
-    dart -> label dict in dart order, is built from it when first read and
-    then kept; library code reads the array.  Labelings derived from others
-    come in through `_from_ranks`, unchecked.
+    base edge (an E×2 array in edge order, of the smallest unsigned dtype
+    that holds every rank of the label graph, so arithmetic on it upcasts
+    first); the vertex table, the image, equality and hashing are derived
+    from it.  `mapping`, a read-only dart -> label dict in dart order, is
+    built from it when first read and then kept; library code reads the
+    array.  Labelings derived from others come in through `_from_ranks`,
+    unchecked.
     """
 
     base: Graph
     labels: Graph
-    mapping: Mapping
+    mapping: Mapping = _Decoded("_dart_labels")
 
     def __post_init__(self):
         got, expected = self.mapping, darts(self.base)
@@ -65,23 +68,21 @@ class HLabeling:
 
     @classmethod
     def _from_ranks(cls, base: Graph, labels: Graph, lab: np.ndarray) -> "HLabeling":
-        """The labeling with label ranks lab (E×2, np.intp) at the two ends of each base edge: nothing re-checked."""
+        """The labeling with label ranks lab (E×2, any integer type) at each base edge's ends: nothing re-checked."""
         a = object.__new__(cls)
         a.__dict__.update(base=base, labels=labels)
         return a._store(lab)
 
     def _store(self, lab: np.ndarray) -> "HLabeling":
+        lab = lab.astype(np.min_scalar_type(max(len(self.labels.vertices) - 1, 0)), copy=False)
         lab.flags.writeable = False
         self.__dict__.pop("mapping", None)  # a given mapping is rebuilt from the ranks, in dart order
         self.__dict__.update(_label_ranks=lab)
         return self
 
-    def __getattr__(self, name):  # only for the one field not stored
-        if name != "mapping":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _dart_labels(self) -> Mapping:
         labels = map(self.labels.vertices.__getitem__, self._dart_ranks().tolist())
-        self.__dict__["mapping"] = mapping = MappingProxyType(dict(zip(self.base._darts, labels)))
-        return mapping
+        return MappingProxyType(dict(zip(self.base._darts, labels)))
 
     def _dart_ranks(self) -> np.ndarray:
         """The label rank at every dart of the base, in dart order."""
@@ -118,7 +119,7 @@ class HLabeling:
 def constant_labeling(base: Graph, labels: Graph, h: VertexId) -> HLabeling:
     if not labels.has_vertex(h):
         raise ValueError(f"label {format_vertex(h)} not in the label graph")
-    return HLabeling._from_ranks(base, labels, np.full((len(base.edges), 2), labels._rank[h], np.intp))
+    return HLabeling._from_ranks(base, labels, np.full((len(base._edge_ranks), 2), labels._rank[h], np.intp))
 
 
 def vertex_labeling(base: Graph, labels: Graph, per_vertex: Mapping) -> HLabeling:
@@ -155,7 +156,7 @@ def image_valency(a: HLabeling) -> int:
     an isolated label vertex (valency 0) is used; the spectral descent step
     divides by this number, so zero is never a legal answer.
     """
-    if not a.base.edges:
+    if not len(a.base._edge_ranks):
         raise ImageValencyError("labeling has empty image: base graph has no darts")
     valencies = tuple(sorted({a.labels.degree(h) for h in a.image}))
     if valencies == (0,):

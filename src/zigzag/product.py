@@ -23,6 +23,7 @@ from .graphs import (
     Edge,
     Graph,
     VertexMap,
+    _Decoded,
     _distinct,
     _runs,
     check_combinatorial_cover,
@@ -74,7 +75,7 @@ class ZigZagGraph:
     base: Graph
     labels: Graph
     labeling: HLabeling
-    edge_tags: Mapping
+    edge_tags: Mapping = _Decoded("_tag_dict")
 
     def __post_init__(self):
         if (self.labeling.base, self.labeling.labels) != (self.base, self.labels):
@@ -100,14 +101,11 @@ class ZigZagGraph:
         z.__dict__.update(product=product, base=a.base, labels=a.labels, labeling=a, _vertex_codes=codes)
         return z
 
-    def __getattr__(self, name):  # only for the one field not stored
-        if name != "edge_tags":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def _tag_dict(self) -> Mapping:
         b, *ends = (x.tolist() for x in self._tag_ranks())
         lo_a, lo_b, hi_a, hi_b = (map(self.labels.vertices.__getitem__, x) for x in ends)
         tags = map(EdgeTag, map(self.base.edges.__getitem__, b), zip(lo_a, lo_b), zip(hi_a, hi_b))
-        self.__dict__["edge_tags"] = edge_tags = MappingProxyType(dict(zip(self.product.edges, tags)))
-        return edge_tags
+        return MappingProxyType(dict(zip(self.product.edges, tags)))
 
     def _tag_ranks(self) -> list:
         """For every product edge (u,i)(v,j), in order: the index of its base edge uv, and the label
@@ -148,20 +146,23 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
         raise ValueError("labeling does not map into the given label graph")
 
     # Product vertex (u, i) is coded rank(u)·|V(h)| + rank(i), so codes sort as the ids do.
+    # The label ranks upcast with the intp edge ends.
     nh, (indptr, nbrs), deg = len(h.vertices), h._csr, h._degrees
     ends, lab = g._edge_ranks, a._label_ranks
     u, lbl = np.divmod(_distinct(ends.ravel() * nh + lab.ravel()), nh)  # (u, label of a dart at u), each once
     codes = _distinct(np.repeat(u, deg[lbl]) * nh + nbrs[_runs(indptr[lbl], deg[lbl])])
-    # deg(lu)·deg(lv) edges {(u, i), (v, j)} per base edge {u, v}, i ~ lu and j ~ lv.
+    # Per base edge uv: the ranks of (u, i) for i ~ a(u, uv), and of (v, j) for j ~ a(v, uv), each increasing,
+    # searched once per edge end; the product edges gather them below.
     du, dv = deg[lab[:, 0]], deg[lab[:, 1]]
-    e = np.repeat(np.arange(len(ends)), du * dv)
-    t = _runs(np.zeros_like(du), du * dv)
-    src = np.searchsorted(codes, ends[e, 0] * nh + nbrs[indptr[lab[e, 0]] + t // dv[e]])
-    dst = np.searchsorted(codes, ends[e, 1] * nh + nbrs[indptr[lab[e, 1]] + t % dv[e]])
-    order = np.argsort(src * len(codes) + dst)
+    src, dst = (np.repeat(w, d) * nh + nbrs[_runs(indptr[x], d)] for w, x, d in zip(ends.T, lab.T, (du, dv)))
+    src, dst = np.searchsorted(codes, src), np.searchsorted(codes, dst)
+    # The edges {(u, i), (v, j)} in order: each (u, i) by rank, then by base edge (a stable sort), with every (v, j).
+    at = np.argsort(src, kind="stable")
+    e = np.repeat(np.arange(len(ends)), du)[at]
+    src, dst = np.repeat(src[at], dv[e]), dst[_runs((np.cumsum(dv) - dv)[e], dv[e])]
     first, second = np.divmod(codes, nh)
     verts = tuple(zip(map(g.vertices.__getitem__, first.tolist()), map(h.vertices.__getitem__, second.tolist())))
-    return ZigZagGraph._from_ranks(Graph._from_ranks(verts, src[order], dst[order]), a, codes)
+    return ZigZagGraph._from_ranks(Graph._from_ranks(verts, src, dst), a, codes)
 
 
 def product_valency_check(z: ZigZagGraph) -> bool:
@@ -184,7 +185,7 @@ def product_edge_count_check(z: ZigZagGraph) -> bool:
     """Product edge count must equal the sum over base edges of the product
     of the two dart-label valencies."""
     deg, lab = z.labels._degrees, z.labeling._label_ranks
-    return len(z.product.edges) == int((deg[lab[:, 0]] * deg[lab[:, 1]]).sum())
+    return len(z.product._edge_ranks) == int((deg[lab[:, 0]] * deg[lab[:, 1]]).sum())
 
 
 def section_subgraphs(z: ZigZagGraph):
@@ -220,14 +221,16 @@ def projection(z: ZigZagGraph) -> VertexMap:
     The image subgraph carries exactly the base vertices and edges that some
     product vertex or edge lies above; with no degenerate labels this is the
     whole base graph.  The edges hit are those whose two dart labels both
-    have neighbours in the label graph.
+    have neighbours in the label graph.  The map is made from the base
+    ranks of the product vertices; `mapping` is decoded when first read.
     """
-    base, image, keep = z.base, z.base, _distinct(z._base_ranks)
+    base, image, over, keep = z.base, z.base, z._base_ranks, _distinct(z._base_ranks)
     hit = z.labels._degrees[z.labeling._label_ranks].all(axis=1)
     if keep.size < len(base.vertices) or not hit.all():
         src, dst = np.searchsorted(keep, base._edge_ranks[hit]).T
         image = Graph._from_ranks(tuple(map(base.vertices.__getitem__, keep.tolist())), src, dst)
-    pi = VertexMap(z.product, image, {p: p[0] for p in z.product.vertices})
+        over = np.searchsorted(keep, over)
+    pi = VertexMap._from_ranks(z.product, image, over)
     if not is_graph_morphism(pi):
         raise RuntimeError("projection failed to be a graph morphism")
     return pi
@@ -389,7 +392,7 @@ def lift_combinatorial_cover(p: VertexMap, z: ZigZagGraph) -> CombinatorialLift:
     res = check_combinatorial_cover(phat)
     if not res:
         raise RuntimeError(f"lifted map failed the cover check ({res.violation} at {res.witness})")
-    if z.product.edges and res.index != base_check.index:
+    if len(z.product._edge_ranks) and res.index != base_check.index:
         raise RuntimeError(f"lifted index {res.index} differs from base index {base_check.index}")
     return CombinatorialLift(beta, lifted, phat, res.index)
 

@@ -208,11 +208,14 @@ def radius_comparison_check(g: Graph, h: Graph, a: HLabeling) -> bool:
         raise ValueError("label graph must be regular with positive degree")
     if len(h.vertices) != m:
         raise ValueError(f"label graph must have {m} vertices, the base degree; has {len(h.vertices)}")
-    for u in g.vertices:
-        seen = [a.label(u, e) for e in g.incident_edges(u)]
-        if len(set(seen)) != len(seen) or set(seen) != set(h.vertices):
-            raise ValueError(f"dart labels at {u} are not a bijection onto the label vertices")
-
+    if a.base != g:
+        raise ValueError("labeling does not belong to the given base graph")
+    # The m darts at a vertex are consecutive in dart order; their labels, as ranks in h (-1 if not in h),
+    # are a bijection onto h's vertices when sorted they read 0..m-1.
+    in_h = np.array([h._rank.get(x, -1) for x in a.labels.vertices], np.intp)
+    bad = np.flatnonzero((np.sort(in_h[a._dart_ranks()].reshape(-1, m), axis=1) != np.arange(m)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"dart labels at {g.vertices[bad[0]]} are not a bijection onto the label vertices")
     z = zigzag_product(g, h, a)
     reg = z.product.is_regular()
     if reg != d * d:

@@ -73,10 +73,10 @@ class TowerBuild:
 def _level_spectra(g: Graph, cap: int):
     if len(g.vertices) > cap or not g.vertices:
         return None, None
-    spec = adjacency_spectrum(g)
-    if not g._degrees.all():
-        return spec, None
-    return spec, normalized_laplacian_spectrum(g)
+    spec, deg = adjacency_spectrum(g), g._degrees
+    if deg.min() == deg.max() > 0:  # d-regular: the normalized Laplacian is I - A/d, so one eigensolve serves
+        return spec, SpectrumReport.from_values([1 - x / deg[0] for x in spec.eigenvalues], "normalized_laplacian")
+    return spec, normalized_laplacian_spectrum(g) if deg.all() else None
 
 
 def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfig = TowerConfig()) -> TowerBuild:
@@ -169,7 +169,7 @@ def _level_report(build: TowerBuild, pairs: tuple = ()) -> TowerReport:
         LevelSummary(
             lv.index,
             len(lv.graph.vertices),
-            len(lv.graph.edges),
+            len(lv.graph._edge_ranks),
             lv.spectrum.rho if lv.spectrum else None,
             lv.spectrum.lambda2 if lv.spectrum else None,
             lv.spectrum.gap if lv.spectrum else None,

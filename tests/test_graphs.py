@@ -379,6 +379,43 @@ class TestRankOrder:
             Graph(((1, 1), 2), (((1, True), 2),))
 
 
+class TestDecodedIds:
+    """A graph's edge tuple and a map's dict are decoded from the rank arrays
+    when first read; equality and hashing compare the arrays."""
+
+    @given(mixed_graphs())
+    def test_validated_and_rank_built_graphs_agree(self, g):
+        vs, es = g.vertices, g.edges
+        made = Graph._from_ranks(vs, *g._edge_ranks.T)
+        checked = Graph(vs, es)
+        assert "edges" not in vars(made) and "edges" not in vars(checked)
+        assert made == checked == g and hash(made) == hash(checked) == hash(g)
+        assert made.edges == checked.edges == es and made.edges is made.edges
+        assert "edges" in vars(made)
+        if es:
+            assert Graph(vs, es[1:]) != g
+        assert Graph(vs[::-1], es) == g and g != (vs, es)
+
+    @given(vertex_maps())
+    def test_rank_built_maps_agree(self, m):
+        made = VertexMap._from_ranks(m.domain, m.codomain, m._image_ranks)
+        assert "mapping" not in vars(made) and "mapping" not in vars(m)
+        assert made == m and hash(made) == hash(m)
+        assert list(made.mapping.items()) == list(m.mapping.items()) and made.mapping is made.mapping
+        assert [made(v) for v in m.domain.vertices] == [m(v) for v in m.domain.vertices]
+
+    def test_same_arrays_over_other_ids_differ(self):
+        assert Graph((0, 1), ((0, 1),)) != Graph(("a", "b"), (("a", "b"),))
+        assert VertexMap(K2, K2, {0: 0, 1: 1}) != VertexMap(K2, K2, {0: 1, 1: 0})
+        assert VertexMap(K2, K2, {0: 0, 1: 1}) != VertexMap(K2, Graph((0, 1, 2), ((0, 1),)), {0: 0, 1: 1})
+
+    def test_unknown_attributes_still_raise(self):
+        with pytest.raises(AttributeError, match="no attribute 'edge'"):
+            C4.edge
+        with pytest.raises(AttributeError, match="no attribute 'maping'"):
+            identity_map(C4).maping
+
+
 class TestEdgeArrayMatrices:
     @given(mixed_graphs())
     def test_matrices_equal_the_dict_loop_fills(self, g):

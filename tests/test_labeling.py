@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 import oracle
 from conftest import constant_valency_instances, labeled_instances, labeled_instances_of_both_forms, vertex_maps_into
 from helpers import C3, C4, C6, K2, P3, random_dart_labeling
+from zigzag import io
+from zigzag.generators import cycle, path
 from zigzag.graphs import Dart, Graph, VertexMap, darts, disjoint_union, identity_map, make_edge
 from zigzag.labeling import (
     HLabeling,
@@ -25,6 +29,7 @@ from zigzag.labeling import (
     vertex_labeling,
     vertex_labels,
 )
+from zigzag.product import product_edge_count_check, product_valency_check, zigzag_product
 
 import random
 
@@ -469,6 +474,43 @@ class TestNeighborReflecting:
                 identity_map(g), pushforward_labeling(a, psi), pushforward_labeling(a, psi)
             )
             assert is_weak_morphism(pushed)
+
+
+class TestStoredRankDtype:
+    """Label ranks are stored in the smallest unsigned dtype that holds every
+    rank of the label graph; products read them as before."""
+
+    # SHA-256 of the product documents of C6 labeled dart by dart, as the writer
+    # of the intp-rank labelings rendered them.
+    DIGESTS = {
+        3: "4668b7bbceb351e765a98fe7247e59c104873f0b5d1cbc9f45dc2fe074b5ed95",
+        300: "2fa4408947fac7bf32ddfba3967aefaf65d5486aa2ec0c96b66903ebc5dbfe76",
+    }
+
+    @pytest.mark.parametrize("h, dtype", [(P3, np.uint8), (cycle(300), np.uint16)])
+    def test_dtype_follows_the_label_count_and_products_are_unchanged(self, h, dtype):
+        labels = {d: h.vertices[(7 * k) % len(h.vertices)] for k, d in enumerate(darts(C6))}
+        a = HLabeling(C6, h, labels)
+        b = HLabeling._from_ranks(C6, h, a._label_ranks.astype(np.int64))
+        for x in (a, b, pullback_labeling(a, identity_map(C6)), constant_labeling(C6, h, h.vertices[-1])):
+            assert x._label_ranks.dtype == dtype and not x._label_ranks.flags.writeable
+        assert a == b and hash(a) == hash(b) and dict(a.mapping) == labels
+        z = zigzag_product(C6, h, a)
+        text = io.dumps_product(z)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == self.DIGESTS[len(h.vertices)]
+        verts, edges = oracle.brute_force_zigzag(C6, h, a)
+        assert set(z.product.vertices) == verts and set(z.product.edges) == edges
+        assert product_valency_check(z) and product_edge_count_check(z)
+        assert io.dumps_product(io.loads_product(text)) == text
+
+    def test_rank_arithmetic_does_not_wrap(self):
+        # 255 is the top uint8 rank: codes and tag ends computed from it must not wrap around.
+        h = path(256)
+        a = constant_labeling(K2, h, 254)
+        z = zigzag_product(K2, h, a)
+        assert a._label_ranks.dtype == np.uint8
+        assert z.product.vertices == ((0, 253), (0, 255), (1, 253), (1, 255))
+        assert {t.h_lo for t in z.edge_tags.values()} == {(253, 254), (254, 255)}
 
 
 class TestVertexLabeling:

@@ -20,10 +20,10 @@ from helpers import (
     random_constant_valency_instance,
     worked_fixtures,
 )
-from zigzag.generators import cycle, path
+from zigzag.generators import cycle, hypercube, path
 from zigzag.graphs import Graph, VertexMap, identity_map
 from test_graphs import mixed_graphs
-from zigzag.labeling import constant_labeling, image_valency, vertex_labeling
+from zigzag.labeling import HLabeling, constant_labeling, image_valency, vertex_labeling
 from zigzag.product import zigzag_product
 from zigzag.spectral import (
     MATCH_TOL,
@@ -309,6 +309,37 @@ class TestRadiusComparison:
         a = constant_labeling(C3, K2, 0)
         with pytest.raises(ValueError, match="bijection"):
             radius_comparison_check(C3, K2, a)
+
+    def test_bijection_read_from_the_rank_array(self):
+        q3 = hypercube(3)
+        a = bijective_labeling(q3, C3)
+        assert radius_comparison_check(q3, C3, a)
+        assert "mapping" not in vars(a)
+
+    def test_first_vertex_with_repeated_labels_named(self):
+        q3 = hypercube(3)
+        labels = dict(bijective_labeling(q3, C3).mapping)
+        d = next(d for d in labels if d.vertex == "011")
+        labels[d] = next(x for x in C3.vertices if x != labels[d])
+        with pytest.raises(ValueError, match="^dart labels at 011 are not a bijection onto the label vertices$"):
+            radius_comparison_check(q3, C3, HLabeling(q3, C3, labels))
+
+    def test_labeling_into_another_label_graph(self):
+        # Labels with other ids are no bijection onto the label vertices; labels with the same
+        # ids in a graph with other edges pass that test and are refused by the product.  A
+        # labeling of another base is refused first.
+        other_ids = Graph(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")))
+        with pytest.raises(ValueError, match="^dart labels at 0 are not a bijection onto the label vertices$"):
+            radius_comparison_check(K4, C3, bijective_labeling(K4, other_ids))
+        with pytest.raises(ValueError, match="^labeling does not map into the given label graph$"):
+            radius_comparison_check(K4, C3, bijective_labeling(K4, P3))
+        with pytest.raises(ValueError, match="^labeling does not belong to the given base graph$"):
+            radius_comparison_check(K4, C3, bijective_labeling(C4, K2))
+
+    def test_bijection_refused_before_the_product_is_built(self, monkeypatch):
+        monkeypatch.setattr("zigzag.spectral.zigzag_product", None)  # calling it would raise TypeError
+        with pytest.raises(ValueError, match="bijection"):
+            radius_comparison_check(C3, K2, constant_labeling(C3, K2, 0))
 
     def test_vertex_count_hypothesis_named(self):
         # C4 is 2-regular but the label triangle has 3 vertices, not 2.

@@ -3,10 +3,17 @@ from fractions import Fraction
 import pytest
 
 from helpers import C3, C4, K2, P3, random_dart_labeling
-from zigzag.generators import cycle
+from zigzag.generators import cycle, hypercube, path
 from zigzag.graphs import compose, identity_map, is_graph_morphism
 from zigzag.labeling import constant_labeling, image_valency, is_locally_constant
-from zigzag.spectral import RESIDUAL_TOL, adjacency_eigenpairs, lift_eigenvector
+from zigzag.spectral import (
+    MATCH_TOL,
+    RESIDUAL_TOL,
+    adjacency_eigenpairs,
+    lift_eigenvector,
+    multisets_match,
+    normalized_laplacian_spectrum,
+)
 from zigzag.product import zigzag_product
 from zigzag import tower
 from zigzag.tower import (
@@ -141,6 +148,36 @@ class TestTowerSpectrumCheck:
                 z = zigzag_product(lv.graph, P3, lv.labeling)
                 carried = lift_eigenvector(carried, z)
             assert carried.value == pytest.approx(8 * ep.value, abs=RESIDUAL_TOL)
+
+
+class TestArrayNativeLevels:
+    """A tower level's ids are decoded only when read, and a regular level's
+    Laplacian spectrum is derived from its one adjacency eigensolve."""
+
+    def test_no_ids_are_decoded_on_the_tower_path(self):
+        build = c4_tower(6)
+        assert tower._tower_report(build).all_ok
+        for lv in build.levels[1:]:
+            assert "edges" not in vars(lv.graph)
+            assert "mapping" not in vars(lv.pi)
+
+    @pytest.mark.parametrize("g", [C4, cycle(5), hypercube(3)])
+    def test_derived_laplacian_matches_the_dense_route(self, g):
+        build = build_tower(g, P3, constant_labeling(g, P3, 1), 6)
+        for lv in build.levels:
+            assert lv.graph.is_regular()
+            dense = normalized_laplacian_spectrum(lv.graph)
+            assert multisets_match(lv.laplacian.eigenvalues, dense.eigenvalues, MATCH_TOL)
+            assert lv.laplacian.operator == dense.operator
+
+    def test_non_regular_levels_take_the_dense_route(self):
+        g = path(5)
+        build = build_tower(g, P3, constant_labeling(g, P3, 1), 6)
+        for lv in build.levels:
+            assert lv.graph.is_regular() is None
+            assert lv.laplacian == normalized_laplacian_spectrum(lv.graph)
+        report = tower_spectrum_check(build)
+        assert [(p.scaling, p.containment, p.gap) for p in report.pairs] == [("pass", "pass", "pass")] * 5
 
 
 class TestFolner:
