@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import io
@@ -73,31 +74,37 @@ def _load_graph(spec: str) -> Graph:
     return _read_input(spec, "graph", lambda text, _: io.read_graph_text(text))
 
 
-def _load_labeling(args, g: Graph, h: Graph) -> HLabeling:
-    if getattr(args, "constant", None) is not None:
+def _load_labeled(args) -> tuple[Graph, Graph, HLabeling]:
+    """The -g graph, the -H graph and the labeling (-l or --constant) of a labeled-input command."""
+    g, h = _load_graph(args.graph), _load_graph(args.labels)
+    if args.constant is not None:
         try:
-            return constant_labeling(g, h, io._parse_token(args.constant))
+            return g, h, constant_labeling(g, h, io._parse_token(args.constant))
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-    if getattr(args, "labeling", None) is None:
+    if args.labeling is None:
         raise InputError("a labeling is required: pass -l FILE or --constant LABEL")
     a = _read_input(args.labeling, "labeling", io.loads_labeling)
     if a.base != g:
         raise InputError("labeling base graph differs from the -g graph")
     if a.labels != h:
         raise InputError("labeling label graph differs from the -H graph")
-    return a
+    return g, h, a
 
 
 def _fmt(x) -> str:
     if x is None:
         return "-"
+    if isinstance(x, bool):
+        return "yes" if x else "NO"
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
 
 
-def _print_table(rows: list[list[str]]) -> None:
+def _print_table(header: tuple, records: list, keys: tuple) -> None:
+    """One row per report record: the values under keys, below the header."""
+    rows = [header, *([_fmt(r[k]) for k in keys] for r in records)]
     widths = [max(len(r[c]) for r in rows) for c in range(len(rows[0]))]
     for r in rows:
         print("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
@@ -113,10 +120,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_product(args) -> int:
-    g = _load_graph(args.graph)
-    h = _load_graph(args.labels)
-    a = _load_labeling(args, g, h)
-    z = zigzag_product(g, h, a)
+    z = zigzag_product(*_load_labeled(args))
     _write_text(args.output, io.dumps_product(z))
     return OK
 
@@ -124,16 +128,15 @@ def cmd_product(args) -> int:
 def cmd_spectrum(args) -> int:
     g = _load_graph(args.graph)
     try:
-        report = normalized_laplacian_spectrum(g) if args.normalized else adjacency_spectrum(g)
+        obj = io.spectrum_to_obj(normalized_laplacian_spectrum(g) if args.normalized else adjacency_spectrum(g))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     if args.json:
-        _write_text(None, io.dumps_spectrum(report))
+        _write_text(None, io.canonical_dumps(obj))
     else:
-        print("eigenvalues:", " ".join(_fmt(x) for x in report.eigenvalues))
-        print("rho:", _fmt(report.rho))
-        print("lambda2:", _fmt(report.lambda2))
-        print("gap:", _fmt(report.gap))
+        print("eigenvalues:", " ".join(map(_fmt, obj["eigenvalues"])))
+        for key in ("rho", "lambda2", "gap"):
+            print(f"{key}:", _fmt(obj.get(key)))
     return OK
 
 
@@ -194,66 +197,48 @@ def cmd_lift_cover(args) -> int:
 
 
 def cmd_tower(args) -> int:
-    g = _load_graph(args.graph)
-    h = _load_graph(args.labels)
-    a = _load_labeling(args, g, h)
+    g, h, a = _load_labeled(args)
     try:
         build = build_tower(g, h, a, args.depth, TowerConfig(budget=args.budget))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    report = _tower_report(build)
-    text = io.canonical_dumps(io.tower_report_to_obj(report))
+    obj = io.tower_report_to_obj(_tower_report(build))
+    text = io.canonical_dumps(obj)
     note = f"truncated: vertex budget {args.budget} reached before depth {args.depth}"
     if args.json:
         _write_text(None, text)
         if build.truncated:
             print(note, file=sys.stderr)
     else:
-        rows = [["level", "|V|", "|E|", "rho", "lambda2", "gap", "cover-index"]]
-        for lv in report.levels:
-            rows.append([_fmt(x) for x in (lv.index, lv.vertices, lv.edges, lv.rho, lv.lambda2, lv.gap, lv.cover_index)])
-        _print_table(rows)
+        keys = ("level", "vertices", "edges", "rho", "lambda2", "gap", "cover_index")
+        _print_table(("level", "|V|", "|E|", "rho", "lambda2", "gap", "cover-index"), obj["levels"], keys)
         if build.truncated:
             print(note)
-        for p in report.pairs:
-            print(f"levels {p.lower}->{p.upper}: scaling {p.scaling}, containment {p.containment}, gap {p.gap}")
+        for p in obj["pairs"]:
+            print("levels {lower}->{upper}: scaling {scaling}, containment {containment}, gap {gap}".format(**p))
     if args.report:
         _write_text(args.report, text)
-    if not report.all_ok:
+    if not obj["all_ok"]:
         raise CheckFailed("a tower spectral verdict failed")
     return OK
 
 
 def cmd_folner(args) -> int:
-    g = _load_graph(args.graph)
-    h = _load_graph(args.labels)
-    a = _load_labeling(args, g, h)
+    g, h, a = _load_labeled(args)
     chain = _read_input(
         args.chain, "chain", lambda text, _: [[io.vertex_from_obj(v) for v in f] for f in json.loads(text)]
     )
     try:
-        report = folner_product_check(g, h, a, chain)
+        obj = io.folner_report_to_obj(folner_product_check(g, h, a, chain))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
     if args.json:
-        _write_text(None, io.canonical_dumps(io.folner_report_to_obj(report)))
+        _write_text(None, io.canonical_dumps(obj))
     else:
-        rows = [["|F|", "|bd F|", "ratio", "|FxH|", "|bd FxH|", "bound", "ok"]]
-        for s in report.steps:
-            rows.append(
-                [
-                    str(s.size),
-                    str(s.boundary_size),
-                    str(s.ratio),
-                    str(s.product_size),
-                    str(s.product_boundary_size),
-                    str(s.bound),
-                    "yes" if s.bound_ok else "NO",
-                ]
-            )
-        _print_table(rows)
-    if not report.all_ok:
+        keys = ("size", "boundary", "ratio", "product_size", "product_boundary", "bound", "bound_ok")
+        _print_table(("|F|", "|bd F|", "ratio", "|FxH|", "|bd FxH|", "bound", "ok"), obj["steps"], keys)
+    if not obj["all_ok"]:
         raise CheckFailed("boundary bound violated for some subset")
     return OK
 
@@ -266,9 +251,16 @@ def cmd_export(args) -> int:
     return OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI grammar, built on first use and then shared by every `run` in the process."""
     ap = argparse.ArgumentParser(prog="zigzag", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    labeled = argparse.ArgumentParser(add_help=False)  # the inputs of product, tower and folner
+    labeled.add_argument("-g", "--graph", required=True, action=_Input)
+    labeled.add_argument("-H", "--labels", required=True, action=_Input)
+    labeled.add_argument("-l", "--labeling", action=_Input)
+    labeled.add_argument("--constant", help="use the constant labeling with this label")
 
     p = sub.add_parser("gen", help="generate a named graph")
     p.add_argument("kind", choices=KINDS)
@@ -276,11 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("product", help="build a zig-zag product")
-    p.add_argument("-g", "--graph", required=True, action=_Input)
-    p.add_argument("-H", "--labels", required=True, action=_Input)
-    p.add_argument("-l", "--labeling", action=_Input)
-    p.add_argument("--constant", help="use the constant labeling with this label")
+    p = sub.add_parser("product", parents=[labeled], help="build a zig-zag product")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_product)
 
@@ -306,22 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("-o", "--output", help="directory for the lifted artifacts")
     q.set_defaults(func=cmd_lift_cover)
 
-    p = sub.add_parser("tower", help="build an iterated product tower")
-    p.add_argument("-g", "--graph", required=True, action=_Input)
-    p.add_argument("-H", "--labels", required=True, action=_Input)
-    p.add_argument("-l", "--labeling", action=_Input)
-    p.add_argument("--constant")
+    p = sub.add_parser("tower", parents=[labeled], help="build an iterated product tower")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--budget", type=int, default=100_000)
     p.add_argument("--report", help="write the JSON report here")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tower)
 
-    p = sub.add_parser("folner", help="boundary ratios of a nested chain in the product")
-    p.add_argument("-g", "--graph", required=True, action=_Input)
-    p.add_argument("-H", "--labels", required=True, action=_Input)
-    p.add_argument("-l", "--labeling", action=_Input)
-    p.add_argument("--constant")
+    p = sub.add_parser("folner", parents=[labeled], help="boundary ratios of a nested chain in the product")
     p.add_argument("--chain", required=True, action=_Input, help="JSON array of vertex-id arrays")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_folner)

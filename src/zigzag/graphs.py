@@ -157,6 +157,12 @@ class Graph:
         self.__dict__.update(vertices=vertices, _rank=rank, _edge_ranks=ranks)
         return self
 
+    def _on_ranks(self, keep: np.ndarray, edges: np.ndarray) -> "Graph":
+        """The graph on the vertices of the increasing ranks keep and the edges
+        among them given as rows of `_edge_ranks`, renumbered in rank order."""
+        src, dst = np.searchsorted(keep, edges).T
+        return Graph._from_ranks(tuple(map(self.vertices.__getitem__, keep.tolist())), src, dst)
+
     def _edge_ids(self) -> tuple:
         end, (src, dst) = self.vertices.__getitem__, self._edge_ranks.T.tolist()
         return tuple(zip(map(end, src), map(end, dst)))
@@ -230,19 +236,23 @@ class Graph:
 
     def induced_subgraph(self, subset: Iterable[VertexId]) -> "Graph":
         sub = set(subset)
-        missing = sub - set(self.vertices)
+        missing = sub - self._rank.keys()
         if missing:
             raise ValueError(f"vertices not in graph: {sorted(missing, key=vertex_key)}")
-        kept = tuple(e for e in self.edges if e[0] in sub and e[1] in sub)
-        return Graph(tuple(sub), kept)
+        invalid = [v for v in sub if not is_vertex_id(v)]  # True == 1 but is no id
+        if invalid:
+            raise ValueError(f"invalid vertex id: {invalid[0]!r}")
+        kept = np.zeros(len(self.vertices), bool)
+        kept[list(map(self._rank.__getitem__, sub))] = True
+        return self._on_ranks(np.flatnonzero(kept), self._edge_ranks[kept[self._edge_ranks].all(axis=1)])
 
     def is_regular(self) -> int | None:
         """Common degree if the graph is regular, else None."""
-        degrees = {len(ns) for ns in self.adjacency.values()}
-        return degrees.pop() if len(degrees) == 1 else None
+        degrees = _distinct(self._degrees)
+        return int(degrees[0]) if degrees.size == 1 else None
 
     def max_degree(self) -> int:
-        return max((len(ns) for ns in self.adjacency.values()), default=0)
+        return int(self._degrees.max(initial=0))
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:

@@ -227,8 +227,7 @@ def projection(z: ZigZagGraph) -> VertexMap:
     base, image, over, keep = z.base, z.base, z._base_ranks, _distinct(z._base_ranks)
     hit = z.labels._degrees[z.labeling._label_ranks].all(axis=1)
     if keep.size < len(base.vertices) or not hit.all():
-        src, dst = np.searchsorted(keep, base._edge_ranks[hit]).T
-        image = Graph._from_ranks(tuple(map(base.vertices.__getitem__, keep.tolist())), src, dst)
+        image = base._on_ranks(keep, base._edge_ranks[hit])
         over = np.searchsorted(keep, over)
     pi = VertexMap._from_ranks(z.product, image, over)
     if not is_graph_morphism(pi):

@@ -251,7 +251,7 @@ def laplacian_containment_check(p: VertexMap, z: ZigZagGraph) -> bool:
         (z.product, "base product"),
         (lift.lifted.product, "lifted product"),
     ):
-        if any(graph.degree(v) == 0 for v in graph.vertices):
+        if not graph._degrees.all():
             raise ValueError(f"{name} has isolated vertices; Laplacian spectra undefined")
     small = normalized_laplacian_spectrum(z.product)
     big = normalized_laplacian_spectrum(lift.lifted.product)

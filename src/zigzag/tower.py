@@ -18,7 +18,6 @@ from .labeling import (
     is_locally_constant,
     pullback_labeling,
     restrict_labeling,
-    vertex_labels,
 )
 from .product import projection, zigzag_product
 from .spectral import (
@@ -103,7 +102,8 @@ def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfi
     while len(levels) < depth:
         current = levels[-1]
         # One product vertex (u, i) per neighbour i of the label of each non-isolated u.
-        size = sum(len(h.adjacency[x]) for x in vertex_labels(current.labeling).values())
+        ranks = current.labeling._vertex_ranks
+        size = int(h._degrees[ranks[ranks >= 0]].sum())
         if size > config.budget:
             truncated = True
             break

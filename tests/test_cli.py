@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from helpers import C3, C4, C6, P3
+from helpers import C3, C4, C6, K4, P3
 from zigzag import io
-from zigzag.cli import run
+from zigzag.cli import _fmt, build_parser, run
+from zigzag.generators import cycle, hypercube
 from zigzag.graphs import VertexMap
 from zigzag.labeling import constant_labeling
 from zigzag.product import zigzag_product
@@ -458,3 +459,79 @@ class TestInputRules:
         else:
             assert code == 2 and err.rstrip().endswith(f"got {flags}")
             assert out == ""
+
+
+class TestOnePath:
+    """The table and --json print one report object; the grammar is built once
+    per process and a usage error leaves it usable."""
+
+    def _files(self, tmp_path, **graphs):
+        for name, g in graphs.items():
+            (tmp_path / f"{name}.json").write_text(io.dumps_graph(g), encoding="utf-8")
+        return [str(tmp_path / f"{name}.json") for name in graphs]
+
+    def _both(self, capsys, argv):
+        """The table and the --json document of one command."""
+        code, table, err = invoke(argv, capsys)
+        assert code == 0, err
+        code, text, err = invoke([*argv, "--json"], capsys)
+        assert code == 0, err
+        return table.splitlines(), json.loads(text)
+
+    @pytest.mark.parametrize("g", [C4, hypercube(5)], ids=["C4", "Q5"])
+    @pytest.mark.parametrize("normalized", [[], ["--normalized"]])
+    def test_spectrum_table_cells_are_the_json_values(self, capsys, tmp_path, g, normalized):
+        (path,) = self._files(tmp_path, g=g)
+        lines, obj = self._both(capsys, ["spectrum", "-g", path, *normalized])
+        assert lines[0].split()[1:] == [_fmt(x) for x in obj["eigenvalues"]]
+        assert lines[1:] == [f"{key}: {_fmt(obj.get(key))}" for key in ("rho", "lambda2", "gap")]
+
+    @pytest.mark.parametrize("budget", ["100000", "20"])
+    def test_tower_table_cells_are_the_json_values(self, capsys, tmp_path, budget):
+        g, h = self._files(tmp_path, c4=C4, p3=P3)
+        argv = ["tower", "-g", g, "-H", h, "--constant", "1", "--depth", "4", "--budget", budget]
+        lines, obj = self._both(capsys, argv)
+        levels, pairs = obj["levels"], obj["pairs"]
+        keys = ("level", "vertices", "edges", "rho", "lambda2", "gap", "cover_index")
+        assert lines[0].split() == ["level", "|V|", "|E|", "rho", "lambda2", "gap", "cover-index"]
+        assert [row.split() for row in lines[1 : 1 + len(levels)]] == [[_fmt(lv[k]) for k in keys] for lv in levels]
+        rest = lines[1 + len(levels) :]
+        if budget == "20":
+            assert len(levels) == 3 and rest.pop(0) == "truncated: vertex budget 20 reached before depth 4"
+        assert rest == [
+            f"levels {p['lower']}->{p['upper']}: scaling {p['scaling']}, containment {p['containment']}, gap {p['gap']}"
+            for p in pairs
+        ]
+
+    def test_folner_table_cells_are_the_json_values(self, capsys, tmp_path):
+        g, h = self._files(tmp_path, c24=cycle(24), k4=K4)
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps([[0, 1], [0, 1, 2, 3], list(range(8))]), encoding="utf-8")
+        lines, obj = self._both(capsys, ["folner", "-g", g, "-H", h, "--constant", "0", "--chain", str(chain)])
+        keys = ("size", "boundary", "ratio", "product_size", "product_boundary", "bound", "bound_ok")
+        assert [row.split() for row in lines[1:]] == [[_fmt(s[k]) for k in keys] for s in obj["steps"]]
+        assert len(lines) == 4 and lines[1].split()[-1] == "yes"
+
+    def test_usage_errors_leave_the_grammar_usable(self, capsys, tmp_path):
+        (path,) = self._files(tmp_path, c4=C4)
+        before = invoke(["spectrum", "-g", path], capsys)
+        assert invoke(["check", "pi"], capsys)[0] == 2
+        code, out, err = invoke(["frobnicate"], capsys)
+        assert code == 2 and not out and "invalid choice: 'frobnicate'" in err
+        assert invoke(["spectrum", "-g", path], capsys) == before and before[0] == 0
+        assert build_parser() is build_parser()
+
+    def test_two_tower_runs_print_the_same_bytes(self, capsys, tmp_path):
+        g, h = self._files(tmp_path, c4=C4, p3=P3)
+        argv = ["tower", "-g", g, "-H", h, "--constant", "1", "--depth", "4"]
+        first = invoke(argv, capsys)
+        assert first[0] == 0 and invoke(argv, capsys) == first
+
+    @pytest.mark.parametrize(
+        "command", [[], ["gen"], ["product"], ["spectrum"], ["check"], ["lift"], ["lift", "cover"],
+                    ["tower"], ["folner"], ["export"]],
+    )
+    def test_help_exits_0(self, capsys, command):
+        code, out, err = invoke([*command, "--help"], capsys)
+        assert code == 0 and not err
+        assert out.startswith(" ".join(["usage: zigzag", *command]))

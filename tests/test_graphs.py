@@ -416,6 +416,49 @@ class TestDecodedIds:
             identity_map(C4).maping
 
 
+class TestRankBuiltSubgraphs:
+    """Induced subgraphs are renumbered from the graph's own rank arrays, and
+    degree reads use the degree array, never the adjacency dict."""
+
+    MIXED = Graph(
+        (0, "a", 1, (0, "a"), ((1, 2), "b")),
+        ((0, "a"), (1, "a"), ("a", (0, "a")), (0, ((1, 2), "b")), ((0, "a"), ((1, 2), "b"))),
+    )
+
+    def _agrees(self, g, subset):
+        sub = g.induced_subgraph(subset)
+        want = Graph(tuple(subset), tuple(e for e in g.edges if e[0] in subset and e[1] in subset))
+        assert sub == want and hash(sub) == hash(want)
+        assert sub.vertices == want.vertices and sub.edges == want.edges
+
+    @given(mixed_graphs(), st.data())
+    def test_induced_subgraph_equals_the_validated_one(self, g, data):
+        self._agrees(g, data.draw(st.lists(st.sampled_from(g.vertices), unique=True)) if g.vertices else [])
+
+    @pytest.mark.parametrize(
+        "subset", [[], [0, "a"], ["a", (0, "a"), ((1, 2), "b")], [((1, 2), "b"), 1, 0], list(MIXED.vertices)]
+    )
+    def test_induced_subgraph_of_mixed_and_nested_ids(self, subset):
+        self._agrees(self.MIXED, subset)
+
+    def test_induced_subgraph_refuses_missing_and_invalid_ids(self):
+        with pytest.raises(ValueError, match=r"^vertices not in graph: \[7, 'z', \(0, 'b'\)\]$"):
+            self.MIXED.induced_subgraph({"z", 0, 7, (0, "b")})
+        with pytest.raises(ValueError, match=r"^invalid vertex id: True$"):
+            self.MIXED.induced_subgraph({True, "a"})
+        with pytest.raises(ValueError, match=r"^invalid vertex id: \(0\.0, 'a'\)$"):
+            self.MIXED.induced_subgraph([(0.0, "a")])
+
+    @given(mixed_graphs())
+    def test_degree_reads_agree_with_the_adjacency_lists(self, g):
+        regular, top = g.is_regular(), g.max_degree()
+        assert "adjacency" not in vars(g)
+        degrees = [len(ns) for ns in g.adjacency.values()]
+        assert regular == (degrees[0] if len(set(degrees)) == 1 else None)
+        assert top == max(degrees, default=0) and type(top) is int
+        assert regular is None or type(regular) is int
+
+
 class TestEdgeArrayMatrices:
     @given(mixed_graphs())
     def test_matrices_equal_the_dict_loop_fills(self, g):

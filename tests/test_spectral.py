@@ -316,6 +316,19 @@ class TestRadiusComparison:
         assert radius_comparison_check(q3, C3, a)
         assert "mapping" not in vars(a)
 
+    def test_degree_reads_build_no_adjacency(self, monkeypatch):
+        products = []
+
+        def product(*args):
+            products.append(zigzag_product(*args))
+            return products[-1]
+
+        monkeypatch.setattr("zigzag.spectral.zigzag_product", product)
+        a, q3 = bijective_labeling(hypercube(3), C3), hypercube(3)  # the helper reads its graph's adjacency
+        assert radius_comparison_check(q3, C3, a)
+        assert len(products) == 1
+        assert "adjacency" not in vars(products[0].product) and "adjacency" not in vars(q3)
+
     def test_first_vertex_with_repeated_labels_named(self):
         q3 = hypercube(3)
         labels = dict(bijective_labeling(q3, C3).mapping)
