@@ -43,13 +43,8 @@ def hypercube(d: int) -> Graph:
         raise ValueError(f"hypercube needs dimension at least 1, got {d}")
     _check_size("hypercube", (d,), (d + 2) << (min(d, 64) - 1))  # 2^d + d·2^(d-1); past d = 64, any value over
     verts = [format(i, f"0{d}b") for i in range(2**d)]
-    edges = []
-    for i in range(2**d):
-        for bit in range(d):
-            j = i ^ (1 << bit)
-            if i < j:
-                edges.append((format(i, f"0{d}b"), format(j, f"0{d}b")))
-    return Graph(tuple(verts), tuple(edges))
+    edges = tuple((verts[i], verts[i | (1 << bit)]) for i in range(2**d) for bit in range(d) if not i & (1 << bit))
+    return Graph(tuple(verts), edges)
 
 
 def cayley_cyclic(n: int, generators: Iterable[int]) -> Graph:
@@ -77,18 +72,10 @@ KINDS = ("cycle", "path", "complete", "hypercube", "cayley_cyclic")
 def generate(kind: str, params: Sequence[int]) -> Graph:
     """Dispatch by kind name; params are the integer arguments in order."""
     params = [int(p) for p in params]
-    if kind == "cycle":
+    one_param = {"cycle": cycle, "path": path, "complete": complete, "hypercube": hypercube}
+    if kind in one_param:
         (n,) = params
-        return cycle(n)
-    if kind == "path":
-        (n,) = params
-        return path(n)
-    if kind == "complete":
-        (n,) = params
-        return complete(n)
-    if kind == "hypercube":
-        (d,) = params
-        return hypercube(d)
+        return one_param[kind](n)
     if kind == "cayley_cyclic":
         n, *gens = params
         return cayley_cyclic(n, gens)

@@ -106,6 +106,11 @@ class HLabeling:
         per_vertex[ends] = lab
         return per_vertex if np.array_equal(per_vertex[ends], lab) else None
 
+    @cached_property
+    def _image_valencies(self) -> tuple:
+        """The distinct label-graph valencies of the labels in use, increasing."""
+        return tuple(_distinct(self.labels._degrees[_distinct(self._label_ranks.ravel())]).tolist())
+
     def __eq__(self, other):
         if not isinstance(other, HLabeling):
             return NotImplemented
@@ -152,13 +157,13 @@ class ImageValencyError(ValueError):
 def image_valency(a: HLabeling) -> int:
     """The common label-graph valency of every label in use.
 
-    Fails when the base has no darts, when distinct valencies occur, or when
-    an isolated label vertex (valency 0) is used; the spectral descent step
-    divides by this number, so zero is never a legal answer.
+    Read from the valencies the labeling keeps.  Fails when the base has no darts, when distinct
+    valencies occur, or when an isolated label vertex (valency 0) is used; the spectral descent
+    step divides by this number, so zero is never a legal answer.
     """
     if not len(a.base._edge_ranks):
         raise ImageValencyError("labeling has empty image: base graph has no darts")
-    valencies = tuple(sorted({a.labels.degree(h) for h in a.image}))
+    valencies = a._image_valencies
     if valencies == (0,):
         raise ImageValencyError("labels in use are isolated in the label graph", valencies)
     if 0 in valencies or len(valencies) != 1:

@@ -120,6 +120,11 @@ class ZigZagGraph:
         """The base rank of every product vertex (u, i): nondecreasing."""
         return self._vertex_codes // len(self.labels.vertices)
 
+    @cached_property
+    def _fiber_starts(self) -> np.ndarray:
+        """The first product rank above each base vertex with a fiber, increasing."""
+        return np.flatnonzero(np.diff(self._base_ranks, prepend=-1))
+
     def __eq__(self, other):
         if not isinstance(other, ZigZagGraph):
             return NotImplemented

@@ -32,6 +32,11 @@ def _residual(g: Graph, value: float, vec: np.ndarray) -> float:
     return np.max(np.abs(np.bincount(u, vec[v], n) + np.bincount(v, vec[u], n) - value * vec))
 
 
+def _residuals(mat: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """max |mat·x - value·x| of every row x of rows, with its value, by one matrix product (mat symmetric)."""
+    return np.abs(rows @ mat - values[:, None] * rows).max(axis=1)
+
+
 def normalized_laplacian_matrix(g: Graph) -> np.ndarray:
     n, deg = len(g.vertices), g._degrees
     isolated = [g.vertices[k] for k in np.flatnonzero(deg == 0)]
@@ -63,15 +68,15 @@ class SpectrumReport:
 
     @classmethod
     def from_values(cls, values: np.ndarray, operator: str) -> "SpectrumReport":
-        ordered = [float(x) for x in sorted(values, reverse=True)]
+        ordered = np.sort(np.asarray(values, dtype=float))[::-1]
         # Snap numerical zeros to +0.0, so float noise is never reported as data.
-        tol = RESIDUAL_TOL * max(1.0, max(abs(x) for x in ordered))
-        ordered = tuple(0.0 if abs(x) <= tol else x for x in ordered)
-        rho = max(abs(x) for x in ordered)
-        below = [abs(x) for x in ordered if abs(x) < rho - MATCH_TOL]
-        lambda2 = max(below) if below else None
+        ordered[np.abs(ordered) <= RESIDUAL_TOL * max(1.0, np.abs(ordered).max())] = 0.0
+        size = np.abs(ordered)
+        rho = float(size.max())
+        below = size[size < rho - MATCH_TOL]
+        lambda2 = float(below.max()) if below.size else None
         gap = rho - lambda2 if lambda2 is not None else None
-        return cls(operator, ordered, rho, lambda2, gap)
+        return cls(operator, tuple(ordered.tolist()), rho, lambda2, gap)
 
 
 def adjacency_spectrum(g: Graph) -> SpectrumReport:
@@ -97,7 +102,8 @@ def _canonical_sign(vec: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """A verified adjacency eigenpair, unit norm, sign-fixed."""
+    """A verified adjacency eigenpair, unit norm, sign-fixed, read-only: the constructor checks
+    one pair in O(E); `adjacency_eigenpairs` checks a whole decomposition and uses `_from_verified`."""
 
     graph: Graph
     value: float
@@ -117,17 +123,40 @@ class EigenPair:
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)
 
+    @classmethod
+    def _from_verified(cls, graph: Graph, value: float, vector: np.ndarray) -> "EigenPair":
+        """The pair of a decomposition `adjacency_eigenpairs` has verified: nothing re-checked."""
+        ep = object.__new__(cls)
+        ep.__dict__.update(graph=graph, value=value, vector=vector)
+        return ep
+
     def component(self, v) -> float:
         return float(self.vector[self.graph.vertices.index(v)])
 
 
 def adjacency_eigenpairs(g: Graph) -> list[EigenPair]:
-    """Full verified eigendecomposition, eigenvalues descending."""
+    """Full verified eigendecomposition, eigenvalues descending, in one pass: the matrix given to
+    `eigh` is first certified to be the adjacency of the edge array (2E nonzeros, a 1 at both ends
+    of each edge), then every vector is normalized, sign-fixed and its residual checked at once.
+    The vectors are the read-only rows of one C-contiguous matrix."""
     if not g.vertices:
         raise ValueError("spectrum of the empty graph is undefined")
-    values, vectors = np.linalg.eigh(adjacency_matrix(g))
-    pairs = [EigenPair(g, float(values[k]), vectors[:, k]) for k in range(len(values))]
-    return list(reversed(pairs))
+    mat, (u, v) = adjacency_matrix(g), g._edge_ranks.T
+    if np.count_nonzero(mat) != 2 * len(u) or not ((mat[u, v] == 1) & (mat[v, u] == 1)).all():
+        raise RuntimeError("dense matrix is not the adjacency of the graph's edges")
+    values, rows = np.linalg.eigh(mat)
+    values, rows = values[::-1], rows.T[::-1]  # one eigenvector per row, values descending
+    norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    if (norms <= RESIDUAL_TOL).any():
+        raise ValueError("eigenvector is numerically zero")
+    rows = np.divide(rows, norms, order="C")
+    lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-12).argmax(axis=1)]  # as in _canonical_sign
+    rows *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]  # a row without such an entry stays as it is
+    residual = _residuals(mat, values, rows).max()
+    if not residual <= RESIDUAL_TOL:  # a NaN is refused too
+        raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
+    rows.flags.writeable = False
+    return [EigenPair._from_verified(g, x, vec) for x, vec in zip(values.tolist(), rows)]
 
 
 @dataclass(frozen=True)
@@ -162,7 +191,7 @@ def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
     Such an eigenvector is constant on every fiber (checked within the
     residual tolerance); its common fiber values form a base eigenvector
     with eigenvalue scaled down by the image valency.  Eigenvalues at zero
-    yield a ZeroCertificate instead.
+    yield a ZeroCertificate instead.  The fibers are the runs the product keeps in `_fiber_starts`.
     """
     if ep.graph != z.product:
         raise ValueError("eigenpair does not belong to the product graph")
@@ -173,8 +202,7 @@ def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
         return ZeroCertificate(ep.value)
 
     # The product vertices are in base-rank order, so every fiber is one run of them.
-    over, vec = z._base_ranks, ep.vector
-    starts = np.flatnonzero(np.diff(over, prepend=-1))
+    over, starts, vec = z._base_ranks, z._fiber_starts, ep.vector
     bad = np.flatnonzero(np.maximum.reduceat(vec, starts) - np.minimum.reduceat(vec, starts) > RESIDUAL_TOL)
     if bad.size:
         u = z.base.vertices[over[starts[bad[0]]]]
@@ -264,5 +292,4 @@ def nonzero_eigenvalues(report: SpectrumReport, tol: float = MATCH_TOL) -> tuple
 
 def multisets_match(xs, ys, tol: float = MATCH_TOL) -> bool:
     """Sorted elementwise comparison of two real multisets."""
-    xs, ys = sorted(xs), sorted(ys)
-    return len(xs) == len(ys) and all(abs(x - y) <= tol for x, y in zip(xs, ys))
+    return len(xs) == len(ys) and bool((np.abs(np.sort(xs) - np.sort(ys)) <= tol).all())

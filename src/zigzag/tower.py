@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .graphs import Graph, VertexMap, boundary, check_combinatorial_cover, vertex_key
 from .labeling import (
     HLabeling,
@@ -74,7 +76,7 @@ def _level_spectra(g: Graph, cap: int):
         return None, None
     spec, deg = adjacency_spectrum(g), g._degrees
     if deg.min() == deg.max() > 0:  # d-regular: the normalized Laplacian is I - A/d, so one eigensolve serves
-        return spec, SpectrumReport.from_values([1 - x / deg[0] for x in spec.eigenvalues], "normalized_laplacian")
+        return spec, SpectrumReport.from_values(1 - np.array(spec.eigenvalues) / deg[0], "normalized_laplacian")
     return spec, normalized_laplacian_spectrum(g) if deg.all() else None
 
 
@@ -122,6 +124,9 @@ def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfi
         nxt = pullback_labeling(source, pi)
         if not is_locally_constant(nxt) or image_valency(nxt) != m:
             raise RuntimeError("pullback lost local constancy or changed the image valency")
+        # Spent: nothing reads this level's edge images or the lower level's edge codes again.
+        for obj, spent in ((pi, "_edge_images"), (pi.codomain, "_edge_codes"), (current.graph, "_edge_codes")):
+            obj.__dict__.pop(spent, None)
         spec, lap = _level_spectra(z.product, config.spectral_cap)
         levels.append(TowerLevel(len(levels) + 1, z.product, nxt, pi, cov.index, spec, lap))
     return TowerBuild(tuple(levels), m, depth, truncated)
@@ -165,20 +170,12 @@ class LevelSummary:
 
 def _level_report(build: TowerBuild, pairs: tuple = ()) -> TowerReport:
     """A report of the build's level summaries and the given pair verdicts."""
-    summaries = tuple(
-        LevelSummary(
-            lv.index,
-            len(lv.graph.vertices),
-            len(lv.graph._edge_ranks),
-            lv.spectrum.rho if lv.spectrum else None,
-            lv.spectrum.lambda2 if lv.spectrum else None,
-            lv.spectrum.gap if lv.spectrum else None,
-            lv.cover_index,
-            lv.spectrum is None,
-        )
-        for lv in build.levels
-    )
-    return TowerReport(build.valency, summaries, tuple(pairs))
+    summaries = []
+    for lv in build.levels:
+        g, s = lv.graph, lv.spectrum
+        radii = (s.rho, s.lambda2, s.gap) if s else (None, None, None)
+        summaries.append(LevelSummary(lv.index, len(g.vertices), len(g._edge_ranks), *radii, lv.cover_index, s is None))
+    return TowerReport(build.valency, tuple(summaries), tuple(pairs))
 
 
 def _tower_report(build: TowerBuild) -> TowerReport:

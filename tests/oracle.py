@@ -18,8 +18,9 @@ rank-array paths have loop references too: the morphism verdict asks
 `has_edge` once per domain edge, the covering check compares neighbour
 sets vertex by vertex, the valency check counts expected degrees per dart
 in a Counter, spectrum containment takes a minimum over the whole bigger
-spectrum per eigenvalue, and eigenvector lift and descent walk the product
-vertices one at a time.
+spectrum per eigenvalue, eigenvector lift and descent walk the product
+vertices one at a time, and the image valency is a set of `degree` reads
+over the labels in use.
 """
 
 import math
@@ -39,7 +40,7 @@ from zigzag.graphs import (
     make_edge,
     vertex_key,
 )
-from zigzag.labeling import HLabeling, image_valency
+from zigzag.labeling import HLabeling, ImageValencyError, image_valency
 from zigzag.product import EdgeTag
 from zigzag.spectral import RESIDUAL_TOL, EigenPair, ZeroCertificate
 
@@ -235,6 +236,18 @@ def descend_eigenvector(ep, z):
             raise RuntimeError(f"eigenvector with eigenvalue {ep.value:.6g} is not fiber-constant above {u}")
     f = np.array([fibers[u][0] if u in fibers else 0.0 for u in z.base.vertices])
     return EigenPair(z.base, ep.value / n, f)
+
+
+def image_valency_by_degrees(a):
+    """The common valency of the labels in use, from one `degree` call per label in the image."""
+    if not len(a.base.edges):
+        raise ImageValencyError("labeling has empty image: base graph has no darts")
+    valencies = tuple(sorted({a.labels.degree(h) for h in a.image}))
+    if valencies == (0,):
+        raise ImageValencyError("labels in use are isolated in the label graph", valencies)
+    if 0 in valencies or len(valencies) != 1:
+        raise ImageValencyError(f"labels in use have valencies {valencies}, expected one positive value", valencies)
+    return valencies[0]
 
 
 def _id(v):

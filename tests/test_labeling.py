@@ -103,6 +103,46 @@ class TestImageValency:
             image_valency(a)
 
 
+def valency_outcome(f, a):
+    try:
+        return f(a)
+    except ImageValencyError as exc:
+        return type(exc), str(exc), exc.valencies
+
+
+class TestImageValencyMatchesTheDegreeReads:
+    """The valencies read once per labeling from the label ranks give the
+    per-label `degree` rule's answer, error class, message and valencies."""
+
+    @given(st.one_of(labeled_instances(), constant_valency_instances()))
+    def test_drawn_labelings(self, inst):
+        a = inst[2]
+        want = valency_outcome(oracle.image_valency_by_degrees, a)
+        assert valency_outcome(image_valency, a) == want
+        assert valency_outcome(image_valency, a) == want  # again, from the kept valencies
+
+    @pytest.mark.parametrize(
+        "labels, want",
+        [
+            ({0: 0, 1: 2}, 1),
+            ({0: 1, 1: 1}, 2),
+            (
+                {0: 0, 1: 1},
+                (ImageValencyError, "labels in use have valencies (1, 2), expected one positive value", (1, 2)),
+            ),
+            ({0: 3, 1: 3}, (ImageValencyError, "labels in use are isolated in the label graph", (0,))),
+            (
+                {0: 3, 1: 1},
+                (ImageValencyError, "labels in use have valencies (0, 2), expected one positive value", (0, 2)),
+            ),
+        ],
+    )
+    def test_mixed_and_isolated_labels(self, labels, want):
+        h = Graph((0, 1, 2, 3), ((0, 1), (1, 2)))  # P3 and an isolated label 3
+        a = vertex_labeling(K2, h, labels)
+        assert valency_outcome(image_valency, a) == valency_outcome(oracle.image_valency_by_degrees, a) == want
+
+
 class TestPullback:
     def test_identity_is_noop(self):
         a = constant_labeling(C4, P3, 1)

@@ -31,6 +31,7 @@ from zigzag.spectral import (
     EigenPair,
     SpectrumReport,
     ZeroCertificate,
+    _residuals,
     adjacency_eigenpairs,
     adjacency_matrix,
     adjacency_spectrum,
@@ -136,6 +137,75 @@ class TestEigenPairs:
         for p in adjacency_eigenpairs(K4):
             lead = next(x for x in p.vector if abs(x) > 1e-12)
             assert lead > 0
+
+
+def leading_entry(vec):
+    return next(x for x in vec if abs(x) > 1e-12)
+
+
+class TestBatchedEigenpairs:
+    """adjacency_eigenpairs verifies the whole decomposition in one pass and
+    gives the pairs the per-pair constructor gives, column by column."""
+
+    @given(small_graphs(min_vertices=1))
+    @example(Graph((0,), ()))
+    @example(Graph((0, 1, 2, 3), ()))
+    @example(Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3))))
+    @example(Graph((0, 1, 2, 3), ((0, 1), (1, 2))))
+    def test_batched_pairs_equal_per_pair_pairs(self, g):
+        mat = adjacency_matrix(g)
+        values, vectors = np.linalg.eigh(mat)
+        single = [EigenPair(g, float(values[k]), vectors[:, k]) for k in reversed(range(len(values)))]
+        batch = adjacency_eigenpairs(g)
+        assert [p.value for p in batch] == [p.value for p in single]
+        for p, q in zip(batch, single):
+            assert np.abs(p.vector - q.vector).max() <= 1e-15
+            assert leading_entry(p.vector) > 0 and leading_entry(q.vector) > 0
+            assert not p.vector.flags.writeable
+        rows = np.array([p.vector for p in batch])
+        for r, p in zip(_residuals(mat, values[::-1], rows), batch):
+            assert abs(r - oracle.dense_residual(g, p.value, p.vector)) <= 1e-12
+
+    def test_vectors_are_rows_of_one_matrix(self):
+        batch = adjacency_eigenpairs(hypercube(3))
+        whole = batch[0].vector.base
+        assert whole.flags.c_contiguous and not whole.flags.writeable and whole.shape == (8, 8)
+        assert all(p.vector.base is whole and np.shares_memory(p.vector, whole[k]) for k, p in enumerate(batch))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (
+                lambda x: x + np.random.default_rng(0).normal(scale=1e-6, size=x.size),
+                "^residual .* exceeds tolerance; not an eigenpair$",
+            ),
+            (lambda x: 0.0 * x, "^eigenvector is numerically zero$"),
+        ],
+        ids=["noise", "zero"],
+    )
+    def test_corrupted_column_refused(self, monkeypatch, corrupt, message):
+        eigh = np.linalg.eigh
+
+        def corrupted(mat):
+            values, vectors = eigh(mat)
+            vectors[:, 3] = corrupt(vectors[:, 3])
+            return values, vectors
+
+        monkeypatch.setattr("zigzag.spectral.np.linalg.eigh", corrupted)
+        with pytest.raises(ValueError, match=message):
+            adjacency_eigenpairs(hypercube(3))
+
+    @pytest.mark.parametrize("change", ["edge dropped", "non-edge added"])
+    def test_matrix_other_than_the_adjacency_refused(self, monkeypatch, change):
+        def altered(g):
+            mat = adjacency_matrix(g)
+            u, v = (0, 1) if change == "edge dropped" else (0, 7)  # 000-001 is an edge of Q3, 000-111 is not
+            mat[u, v] = mat[v, u] = 1.0 - mat[u, v]
+            return mat
+
+        monkeypatch.setattr("zigzag.spectral.adjacency_matrix", altered)
+        with pytest.raises(RuntimeError, match="^dense matrix is not the adjacency of the graph's edges$"):
+            adjacency_eigenpairs(hypercube(3))
 
 
 class TestLiftEigenvector:

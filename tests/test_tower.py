@@ -161,6 +161,12 @@ class TestArrayNativeLevels:
             assert "edges" not in vars(lv.graph)
             assert "mapping" not in vars(lv.pi)
 
+    def test_spent_caches_are_dropped(self):
+        build = c4_tower(6)
+        assert all("_edge_codes" not in vars(lv.graph) for lv in build.levels[:-1])
+        assert all("_edge_images" not in vars(lv.pi) for lv in build.levels[1:])
+        assert all(is_graph_morphism(lv.pi) for lv in build.levels[1:])  # rebuilt when read again
+
     @pytest.mark.parametrize("g", [C4, cycle(5), hypercube(3)])
     def test_derived_laplacian_matches_the_dense_route(self, g):
         build = build_tower(g, P3, constant_labeling(g, P3, 1), 6)
