@@ -3,19 +3,25 @@
 All writers emit canonical output (vertices and edges in canonical order,
 fixed key order, trailing newline) so that serialization round-trips are
 byte-exact.  The graph, labeling, vertex-map and product documents are
-written straight from the objects, in the layout `canonical_dumps` gives
-their JSON trees.  The product loader checks a document in that layout by
-rendering the product it re-derives and comparing the texts; any other
-document is decoded and compared structurally.
+written from the objects' rank arrays, in the layout `canonical_dumps`
+gives their JSON trees: each id is rendered once per depth into an object
+array indexed by rank, and one row writer (`_rows`) gathers those texts
+into columns and joins them with the constant text between them.  The
+product loader checks a document in that layout by rendering the product
+it re-derives and comparing the texts; any other document is decoded and
+compared structurally.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import asdict
 from functools import cached_property
 from json.encoder import encode_basestring
 from pathlib import Path
+
+import numpy as np
 
 from .graphs import Dart, Graph, VertexId, VertexMap, format_vertex, make_edge
 from .labeling import HLabeling, _per_edge, _ranks
@@ -24,68 +30,76 @@ from .spectral import SpectrumReport
 from .tower import FolnerReport, TowerReport
 
 _INT_TOKEN = re.compile(r"-?\d+")
+_HOLE = "\0"  # a row template's place for a column's text: encode_basestring escapes it, so no JSON text has it
 
 
 def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _atom(v) -> str:
-    """The JSON text of an atom id (an int or a str), as json.dumps writes it."""
-    return encode_basestring(v) if isinstance(v, str) else int.__repr__(v)
+def _pair(depth: int, a, b):
+    """The text of the list [a, b] at this depth from the texts of a and b one deeper (strs or object arrays)."""
+    inner = "\n" + "  " * (depth + 1)
+    return "[" + inner + a + ("," + inner) + b + ("\n" + "  " * depth + "]")
 
 
-def _list(items, depth: int, brackets: str = "[]") -> list:
-    """The pieces of a JSON list (or object) of the items that opens at this
-    depth; an item is a text or a list of pieces, and "".join gives the text."""
-    sep, out = ",\n" + "  " * (depth + 1), []
-    for item in items:
-        out += (sep, item) if isinstance(item, str) else (sep, *item)
-    out.append("\n" + "  " * depth + brackets[1])
-    out[0] = brackets[0] + sep[1:] if len(out) > 1 else brackets
-    return out
+def _rows(depth: int, template: str, *columns: np.ndarray, brackets="[]") -> str:
+    """The JSON list (or object) at this depth of one item per row of the columns, equally long object
+    arrays of texts: the template, an item's text, with its holes filled by the row's texts.  The
+    constants, separators folded in, and the columns are interleaved in one object array for one join."""
+    if not len(columns[0]):
+        return brackets[0] + brackets[1]
+    indent, consts = "\n" + "  " * (depth + 1), template.split(_HOLE)
+    rows = np.empty((len(columns[0]), 2 * len(columns) + 1), object)
+    rows[:, 0], rows[0, 0] = "," + indent + consts[0], brackets[0] + indent + consts[0]
+    for k, column in enumerate(columns):  # column by column: faster than one strided copy of them all
+        rows[:, 2 * k + 1], rows[:, 2 * k + 2] = column, consts[k + 1]
+    rows[-1, -1] += "\n" + "  " * depth + brackets[1]
+    return "".join(rows.ravel().tolist())
 
 
-def _object(depth: int, **fields) -> list:
-    return _list(([f'"{k}": ', *v] if isinstance(v, list) else f'"{k}": {v}' for k, v in fields.items()), depth, "{}")
-
-
-def _text(pieces: list) -> str:
-    """The document of the pieces, with its final newline: one join."""
-    pieces.append("\n")
-    return "".join(pieces)
+def _object(depth: int, **fields: str) -> str:
+    """The JSON object at this depth of the fields' texts; at depth 0, a document, with its final newline."""
+    keys, values = np.array(list(fields), object), np.array(list(fields.values()), object)
+    return _rows(depth, f'"{_HOLE}": {_HOLE}', keys, values, brackets="{}" if depth else ("{", "}\n"))
 
 
 class _Texts(dict):
-    """Texts of vertex ids, and of edges laid out as pairs, at one depth; each rendered once."""
+    """Texts of vertex ids at one depth, each rendered once; a pair from the texts of its parts one deeper."""
 
     def __init__(self, depth: int):  # starts empty, as dict.__new__ leaves it
-        self.depth, self._pair = depth, "".join(_list(("%s", "%s"), depth))
+        self.depth = depth
 
     @cached_property
     def deeper(self) -> _Texts:
         return _Texts(self.depth + 1)
 
     def __missing__(self, v) -> str:
-        self[v] = text = self.pair(v) if isinstance(v, tuple) else _atom(v)
+        if isinstance(v, tuple):
+            self[v] = text = _pair(self.depth, self.deeper[v[0]], self.deeper[v[1]])
+        else:  # an atom, as json.dumps writes it
+            self[v] = text = encode_basestring(v) if isinstance(v, str) else int.__repr__(v)
         return text
 
-    def pair(self, v) -> str:  # not kept: a product vertex or edge is written once per depth
-        return self._pair % (self.deeper[v[0]], self.deeper[v[1]])
+    def of(self, g: Graph) -> np.ndarray:  # the texts of g's vertices, indexed by rank
+        return np.array([self[v] for v in g.vertices], object)
 
 
-def _graph_text(g: Graph, texts: _Texts) -> list:
-    """The pieces of the graph as an object two levels above the depth of texts."""
-    d = texts.depth - 2
-    vertices, edges = _list([texts[v] for v in g.vertices], d + 1), _list([texts[e] for e in g.edges], d + 1)
-    return _object(d, vertices=vertices, edges=edges)
+def _graph_text(g: Graph, texts: _Texts) -> str:
+    """The graph as an object two levels above the depth of texts."""
+    d, ends, (src, dst) = texts.depth - 2, texts.deeper.of(g), g._edge_ranks.T
+    edges = _rows(d + 1, _pair(d + 2, _HOLE, _HOLE), ends[src], ends[dst])
+    return _object(d, vertices=_rows(d + 1, _HOLE, texts.of(g)), edges=edges)
 
 
-def _dart_entries(a: HLabeling, texts: _Texts) -> list:
-    """The labeling's (vertex, edge, label) entries as a list at depth 1; texts at depth 3."""
-    entry, labels = "".join(_object(2, vertex="%s", edge="%s", label="%s")), [texts[h] for h in a.labels.vertices]
-    at_darts = zip(a.base._darts, a._dart_ranks().tolist())
-    return _list([entry % (texts[v], texts[e], labels[h]) for (v, e), h in at_darts], 1)
+def _labeling_fields(a: HLabeling, key: str) -> tuple:
+    """The fields of a labeling's document, with its (vertex, edge, label) entries under key, and the
+    texts of ids at depth 3 (and deeper), which the rest of a product document reads too."""
+    texts, order, ends = _Texts(3), a.base._dart_order(), a.base._edge_ranks
+    base3, base4, (u, v) = texts.of(a.base), texts.deeper.of(a.base), np.take(ends, order // 2, axis=0).T
+    entry = _object(2, vertex=_HOLE, edge=_pair(3, _HOLE, _HOLE), label=_HOLE)
+    entries = _rows(1, entry, base3[ends.ravel()[order]], base4[u], base4[v], texts.of(a.labels)[a._dart_ranks()])
+    return {"base": _graph_text(a.base, texts), "labels": _graph_text(a.labels, texts), key: entries}, texts
 
 
 def _fields(obj, kind: str, *keys: str, optional: bool = False) -> list:
@@ -163,7 +177,7 @@ def graph_from_obj(obj) -> Graph:
 
 
 def dumps_graph(g: Graph) -> str:
-    return _text(_graph_text(g, _Texts(2)))
+    return _graph_text(g, _Texts(2))
 
 
 def loads_graph(text: str) -> Graph:
@@ -286,9 +300,7 @@ def labeling_from_obj(obj, base_dir=None) -> HLabeling:
 
 
 def dumps_labeling(a: HLabeling) -> str:
-    texts = _Texts(3)
-    base, labels = _graph_text(a.base, texts), _graph_text(a.labels, texts)
-    return _text(_object(0, base=base, labels=labels, map=_dart_entries(a, texts)))
+    return _object(0, **_labeling_fields(a, "map")[0])
 
 
 def loads_labeling(text: str, base_dir=None) -> HLabeling:
@@ -330,8 +342,8 @@ def vertex_map_from_obj(obj, base_dir=None, domain: Graph | None = None, codomai
 
 def dumps_vertex_map(m: VertexMap) -> str:
     texts = _Texts(3)
-    pairs = _list([_list((texts[v], texts[w]), 2) for v, w in m.mapping.items()], 1)
-    return _text(_object(0, domain=_graph_text(m.domain, texts), codomain=_graph_text(m.codomain, texts), map=pairs))
+    pairs = _rows(1, _pair(2, _HOLE, _HOLE), texts.of(m.domain), texts.of(m.codomain)[m._image_ranks])
+    return _object(0, domain=_graph_text(m.domain, texts), codomain=_graph_text(m.codomain, texts), map=pairs)
 
 
 def load_vertex_map_file(path, domain: Graph | None = None, codomain: Graph | None = None) -> VertexMap:
@@ -371,23 +383,19 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
 
 
 def dumps_product(z: ZigZagGraph) -> str:
-    texts = _Texts(2)
-    inner = texts.deeper  # ids of the base, the label graph and the labeling
-    base, labels, entries = _graph_text(z.base, inner), _graph_text(z.labels, inner), _dart_entries(z.labeling, inner)
-    # A product vertex is written at depth 2 (vertices), 3 (edges) and 4 (tag edges), rendered once at each;
-    # edges and tags are laid out from the rank arrays.
-    vs, (src, dst) = z.product.vertices, z.product._edge_ranks.T.tolist()
-    at3, at4 = list(map(inner.pair, vs)), list(map(inner.deeper.pair, vs))
-    edges = map(texts._pair.__mod__, zip(map(at3.__getitem__, src), map(at3.__getitem__, dst)))
-    # A tag's base edge is one of the base's, and its label edges are written from the ranks of their ends.
-    base_edges, label_ids = [inner[e] for e in z.base.edges], [inner.deeper[x] for x in z.labels.vertices]
-    b, *ends = (x.tolist() for x in z._tag_ranks())
-    tag = "".join(_object(2, edge=inner._pair, base_edge="%s", h_lo=inner._pair, h_hi=inner._pair)).__mod__
-    tags = map(tag, zip(map(at4.__getitem__, src), map(at4.__getitem__, dst), map(base_edges.__getitem__, b),
-                        *(map(label_ids.__getitem__, x) for x in ends)))
-    vertices = _list(map(texts.pair, vs), 1)
-    return _text(_object(0, base=base, labels=labels, labeling=entries, vertices=vertices,
-                         edges=_list(edges, 1), edge_tags=_list(tags, 1)))
+    fields, texts = _labeling_fields(z.labeling, "labeling")
+    # A product vertex (u, i) is written at depth 2 (vertices), 3 (edges) and 4 (tag edges), each time from
+    # the texts of u and i one deeper, gathered by rank; the edges and tags gather those by rank in turn.
+    u, i = np.divmod(z._vertex_codes, len(z.labels.vertices))
+    at = [(t.of(z.base)[u], t.of(z.labels)[i]) for t in (texts, texts.deeper, texts.deeper.deeper)]
+    at3, at4, pair = _pair(3, *at[1]), _pair(4, *at[2]), _pair(2, _HOLE, _HOLE)
+    (src, dst), (b, *label_ends) = z.product._edge_ranks.T, z._tag_ranks()
+    # A tag's base edge and label edges are written from the ranks of their ends, as ids at depth 4.
+    ends = [texts.deeper.of(z.base)[x] for x in np.take(z.base._edge_ranks, b, axis=0).T]
+    ends += [texts.deeper.of(z.labels)[x] for x in label_ends]
+    tag = _object(2, **dict.fromkeys(("edge", "base_edge", "h_lo", "h_hi"), _pair(3, _HOLE, _HOLE)))
+    return _object(0, **fields, vertices=_rows(1, pair, *at[0]), edges=_rows(1, pair, at3[src], at3[dst]),
+                   edge_tags=_rows(1, tag, at4[src], at4[dst], *ends))
 
 
 # The keys a canonical product document opens with, each written before its value.
@@ -470,16 +478,7 @@ def tower_report_to_obj(r: TowerReport) -> dict:
             }
             for s in r.levels
         ],
-        "pairs": [
-            {
-                "lower": p.lower,
-                "upper": p.upper,
-                "scaling": p.scaling,
-                "containment": p.containment,
-                "gap": p.gap,
-            }
-            for p in r.pairs
-        ],
+        "pairs": [asdict(p) for p in r.pairs],
         "all_ok": r.all_ok,
     }
 

@@ -114,11 +114,11 @@ class EigenPair:
         if vec.shape != (len(self.graph.vertices),):
             raise ValueError("eigenvector length must match the vertex count")
         norm = np.linalg.norm(vec)
-        if norm <= RESIDUAL_TOL:
+        if not norm > RESIDUAL_TOL:  # a NaN is refused too
             raise ValueError("eigenvector is numerically zero")
         vec = _canonical_sign(vec / norm)
         residual = _residual(self.graph, self.value, vec)
-        if residual > RESIDUAL_TOL:
+        if not residual <= RESIDUAL_TOL:  # so are a NaN value and an infinite entry, whose residual is NaN
             raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
         vec.flags.writeable = False
         object.__setattr__(self, "vector", vec)

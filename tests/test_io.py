@@ -12,7 +12,7 @@ from conftest import labeled_instances, labeled_instances_of_both_forms, small_g
 from helpers import C3, C4, C6, K2, K4, P3, random_dart_labeling, worked_fixtures
 from test_graphs import mixed_graphs, vertex_maps
 from zigzag import io
-from zigzag.generators import complete, cycle, hypercube, path
+from zigzag.generators import cayley_cyclic, complete, cycle, hypercube, path
 from zigzag.graphs import Dart, Graph, VertexMap, darts, identity_map
 from zigzag.labeling import (
     HLabeling,
@@ -23,7 +23,7 @@ from zigzag.labeling import (
     vertex_labeling,
     vertex_labels,
 )
-from zigzag.product import zigzag_product
+from zigzag.product import lift_covering, projection, zigzag_product
 from zigzag.spectral import adjacency_spectrum
 from zigzag.tower import build_tower, folner_product_check, tower_spectrum_check
 
@@ -677,6 +677,60 @@ def test_pinned_product_renderings():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DIGESTS[name], name
         assert text == io.canonical_dumps(oracle.product_to_obj(z)), name
         assert io.loads_product(text) == z, name
+
+
+def _benchmark_scale_products():
+    # The sizes of the benchmark's two products, with seeded per-vertex labels.
+    rng, circulant, q8 = random.Random(14), cayley_cyclic(512, [1, -1, 5, -5]), hypercube(8)
+    k4, c6 = complete(4), cycle(6)
+    a = vertex_labeling(circulant, k4, {u: rng.randrange(4) for u in circulant.vertices})
+    b = vertex_labeling(q8, c6, {u: rng.randrange(6) for u in q8.vertices})
+    return {
+        "C(512; 1, 5) with K4 labels": zigzag_product(circulant, k4, a),
+        "Q8 with C6 labels": zigzag_product(q8, c6, b),
+    }
+
+
+# SHA-256 of each product document above (9 216 and 4 096 edges), as the
+# writer that rendered every product vertex with a % format wrote it.
+BENCHMARK_SCALE_DIGESTS = {
+    "C(512; 1, 5) with K4 labels": "ce6325b265f399d426270306008827b754ad9c5fc8c0b74a48747b83dd47de01",
+    "Q8 with C6 labels": "9b5c6c391abebbabb10674365e08ea64fd034c5d873f49e2145fa36e07ef86e2",
+}
+
+
+def test_pinned_renderings_at_benchmark_scale():
+    products = _benchmark_scale_products()
+    assert [len(z.product._edge_ranks) for z in products.values()] == [9216, 4096]
+    for name, z in products.items():
+        text = io.dumps_product(z)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BENCHMARK_SCALE_DIGESTS[name], name
+        assert io.loads_product(text) == z, name
+
+
+def _constructed():
+    """Products, labelings and maps that the construction makes from rank arrays, on fresh graphs."""
+    c4, c8, p3, k3, q3 = cycle(4), cycle(8), path(3), complete(3), hypercube(3)
+    z = zigzag_product(c4, p3, constant_labeling(c4, p3, 1))
+    level = build_tower(c4, p3, constant_labeling(c4, p3, 1), 2).levels[-1]
+    lift = lift_covering(VertexMap(c8, c4, {v: v % 4 for v in c8.vertices}), z)
+    per_vertex = zigzag_product(q3, k3, vertex_labeling(q3, k3, {v: v.count("1") % 3 for v in q3.vertices}))
+    return {"constant": z, "tower level": zigzag_product(level.graph, p3, level.labeling),
+            "pulled back": lift.lifted, "per vertex": per_vertex}
+
+
+@pytest.mark.parametrize("name", ["constant", "tower level", "pulled back", "per vertex"])
+def test_writers_read_ranks_not_ids(name):
+    z = _constructed()[name]
+    pi = projection(z)
+    texts = io.dumps_product(z), io.dumps_labeling(z.labeling), io.dumps_vertex_map(pi)
+    assert "edges" not in vars(z.product)
+    assert "edge_tags" not in vars(z)
+    assert "mapping" not in vars(z.labeling) and "mapping" not in vars(pi)
+    # The documents are still the trees of the objects.
+    assert texts[0] == io.canonical_dumps(oracle.product_to_obj(z))
+    assert texts[1] == io.canonical_dumps(oracle.labeling_to_obj(z.labeling))
+    assert texts[2] == io.canonical_dumps(oracle.vertex_map_to_obj(pi))
 
 
 def test_labelings_and_products_leave_no_reference_cycles():

@@ -125,6 +125,23 @@ class TestEigenPairs:
         with pytest.raises(ValueError, match="zero"):
             EigenPair(C4, 2.0, np.zeros(4))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize(
+        "value, vector, message",
+        [
+            (2.0, np.full(4, np.nan), "^eigenvector is numerically zero$"),
+            (2.0, np.array([1.0, 1.0, 1.0, np.nan]), "^eigenvector is numerically zero$"),
+            (float("nan"), np.ones(4), "^residual nan exceeds tolerance; not an eigenpair$"),
+            (float("inf"), np.ones(4), "^residual inf exceeds tolerance; not an eigenpair$"),
+            (2.0, np.full(4, np.inf), "^residual nan exceeds tolerance; not an eigenpair$"),
+            (2.0, np.array([1.0, 1.0, 1.0, np.inf]), "^residual nan exceeds tolerance; not an eigenpair$"),
+        ],
+    )
+    def test_non_finite_pair_rejected(self, value, vector, message):
+        # Every comparison with NaN is false, so each test must be one a NaN fails.
+        with pytest.raises(ValueError, match=message):
+            EigenPair(cycle(4), value, vector)
+
     def test_full_decomposition_verified(self):
         pairs = adjacency_eigenpairs(C6)
         assert len(pairs) == 6
