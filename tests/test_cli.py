@@ -5,7 +5,7 @@ import time
 import pytest
 
 from helpers import C3, C4, C6, K4, P3
-from zigzag import io
+from zigzag import io, tower
 from zigzag.cli import _fmt, build_parser, run
 from zigzag.generators import cycle, hypercube
 from zigzag.graphs import VertexMap
@@ -299,6 +299,12 @@ class TestTower:
         assert code == 0
         assert len(json.loads(out)["levels"]) == levels
         assert err == f"truncated: vertex budget {budget} reached before depth 5\n"
+
+    def test_edge_limit_exit_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(tower, "_MAX_EDGES", 100)  # C4/P3 level 4 has 256 edges
+        code, out, err = invoke(self._argv(tmp_path, "--depth", "5"), capsys)
+        assert code == 2 and out == ""
+        assert err == "error: tower level 4 would have 256 edges, over the limit of 100\n"
 
 
 class TestFolner:

@@ -2,20 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import C3, C4, K2, P3, random_dart_labeling
+import numpy as np
+
+from helpers import C3, C4, K2, K4, P3, random_dart_labeling
 from zigzag.generators import cycle, hypercube, path
-from zigzag.graphs import compose, identity_map, is_graph_morphism
+from zigzag.graphs import Graph, VertexMap, check_combinatorial_cover, compose, identity_map, is_graph_morphism
 from zigzag.labeling import constant_labeling, image_valency, is_locally_constant
 from zigzag.spectral import (
     MATCH_TOL,
     RESIDUAL_TOL,
     adjacency_eigenpairs,
+    adjacency_spectrum,
     lift_eigenvector,
     multisets_match,
     normalized_laplacian_spectrum,
 )
-from zigzag.product import zigzag_product
-from zigzag import tower
+from zigzag.product import ZigZagGraph, zigzag_product
+from zigzag import io, tower
 from zigzag.tower import (
     TowerConfig,
     build_tower,
@@ -184,6 +187,118 @@ class TestArrayNativeLevels:
             assert lv.laplacian == normalized_laplacian_spectrum(lv.graph)
         report = tower_spectrum_check(build)
         assert [(p.scaling, p.containment, p.gap) for p in report.pairs] == [("pass", "pass", "pass")] * 5
+
+
+def _printed(s):
+    """rho, lambda2 and gap as the tower report prints them."""
+    return [None if x is None else io._sig12(x) for x in (s.rho, s.lambda2, s.gap)]
+
+
+def _edited_product(edit):
+    """A stand-in for `zigzag_product` whose product edge ranks pass through edit first."""
+    def build(g, h, a):
+        z = zigzag_product(g, h, a)
+        src, dst = edit(z.product._edge_ranks).T
+        return ZigZagGraph._from_ranks(Graph._from_ranks(z.product.vertices, src, dst), a, z._vertex_codes)
+    return build
+
+
+class TestCertifiedSpectra:
+    """Above level 1 a level's spectra are inherited from the level below through the
+    certified projection; the dense eigensolve of every level is the independent check."""
+
+    # Every level up to 8 below the default cap: C5/K4 (m = 3) has 1 215 vertices at level 6
+    # and 3 645, above the cap, at level 7.
+    @pytest.mark.parametrize(
+        "g, h, label, depth",
+        [(C4, P3, 1, 8), (hypercube(3), P3, 1, 8), (cycle(5), K4, 0, 6), (path(5), P3, 1, 8)],
+    )
+    def test_certified_spectra_match_the_dense_route(self, g, h, label, depth):
+        build = build_tower(g, h, constant_labeling(g, h, label), depth)
+        assert len(build.levels) == depth
+        top = len(build.levels[-1].graph.vertices)
+        assert depth == 8 or build.valency * top > TowerConfig().spectral_cap  # no level up to 8 left out
+        for lv in build.levels:
+            dense = adjacency_spectrum(lv.graph)
+            assert multisets_match(lv.spectrum.eigenvalues, dense.eigenvalues, MATCH_TOL)
+            assert _printed(lv.spectrum) == _printed(dense)
+            laplacian = normalized_laplacian_spectrum(lv.graph)
+            assert multisets_match(lv.laplacian.eigenvalues, laplacian.eigenvalues, MATCH_TOL)
+            assert _printed(lv.laplacian) == _printed(laplacian)
+
+    def test_uneven_fibers_are_refused(self):
+        # K_{1,4} -> K2 is a combinatorial cover of index 4 = 2^2, but its fibers have 1 and 4 vertices.
+        star = Graph(tuple(range(5)), tuple((0, v) for v in range(1, 5)))
+        pi = VertexMap(star, K2, {0: 0, 1: 1, 2: 1, 3: 1, 4: 1})
+        assert check_combinatorial_cover(pi).index == 4
+        with pytest.raises(RuntimeError, match=r"cover index 4, fiber sizes \[1, 4\], 1 of the 1 edges"):
+            tower._certify(pi, K2, 2)
+
+    def test_an_image_missing_an_edge_below_is_refused(self):
+        pi = identity_map(K2)  # a cover of index 1 with fibers of 1 vertex, but P3 has a second edge
+        tower._certify(pi, K2, 1)
+        with pytest.raises(RuntimeError, match=r"fiber sizes \[1\], 1 of the 2 edges below carried"):
+            tower._certify(pi, P3, 1)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda ranks: ranks[1:],  # one edge of the first base edge's fiber dropped
+            lambda ranks: np.unique(np.vstack((ranks, [[0, 4]])), axis=0),  # (0, 0)-(2, 0) over the non-edge 0-2
+        ],
+        ids=["dropped", "added"],
+    )
+    def test_an_edited_product_is_refused(self, edit, monkeypatch):
+        monkeypatch.setattr(tower, "zigzag_product", _edited_product(edit))
+        with pytest.raises(RuntimeError, match="not certified|graph morphism"):
+            c4_tower(3)
+
+    def test_a_level_within_the_cap_over_one_above_it_is_eigensolved(self):
+        # The isolated vertices of level 1 are dropped, so level 2 (K2 again, m = 1) is the smaller one.
+        g = Graph(tuple(range(6)), ((0, 1),))
+        build = build_tower(g, K2, constant_labeling(g, K2, 0), 3, TowerConfig(spectral_cap=4))
+        assert [len(lv.graph.vertices) for lv in build.levels] == [6, 2, 2]
+        assert build.levels[0].spectrum is None
+        assert [lv.spectrum.eigenvalues for lv in build.levels[1:]] == [(1.0, -1.0)] * 2
+
+    @pytest.mark.parametrize("g, calls", [(C4, 1), (path(5), 7)])
+    def test_eigensolves_per_tower(self, g, calls, monkeypatch):
+        # A regular tower eigensolves level 1's adjacency only; P5/P3 adds a dense Laplacian per level.
+        sizes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: sizes.append(len(mat)) or eigvalsh(mat))
+        build = build_tower(g, P3, constant_labeling(g, P3, 1), 6)
+        assert all(lv.spectrum and lv.laplacian for lv in build.levels)
+        assert len(sizes) == calls
+
+
+class TestEdgeLimit:
+    """The next level's edge count is predicted from the labels and refused above `_MAX_EDGES`."""
+
+    @pytest.mark.parametrize("g, h, label", [(C4, P3, 1), (cycle(5), K4, 0), (path(5), P3, 1)])
+    def test_limit_refuses_exactly_the_levels_above_it(self, g, h, label, monkeypatch):
+        a = constant_labeling(g, h, label)
+        edges = [len(lv.graph._edge_ranks) for lv in build_tower(g, h, a, 4).levels]
+        built = []
+        monkeypatch.setattr(tower, "zigzag_product", lambda *args: built.append(args) or zigzag_product(*args))
+        for k in (2, 3, 4):
+            monkeypatch.setattr(tower, "_MAX_EDGES", edges[k - 1])
+            assert len(build_tower(g, h, a, k).levels) == k  # a level of exactly the limit is built
+            monkeypatch.setattr(tower, "_MAX_EDGES", edges[k - 1] - 1)
+            built.clear()
+            refusal = f"tower level {k} would have {edges[k - 1]} edges, over the limit of {edges[k - 1] - 1}"
+            with pytest.raises(ValueError, match=refusal):
+                build_tower(g, h, a, 4)
+            assert len(built) == k - 2  # the refused level is never built
+
+    def test_the_vertex_budget_still_truncates_first(self, monkeypatch):
+        monkeypatch.setattr(tower, "_MAX_EDGES", 64)
+        build = c4_tower(5, budget=20)  # level 4 has 32 vertices and 256 edges
+        assert build.truncated and len(build.levels) == 3
+
+    def test_level_12_of_c4_p3_is_at_the_limit(self):
+        # C4/P3 level k has 4^k edges, counted exactly (above), so level 12 is built and 13 refused.
+        assert [len(lv.graph._edge_ranks) for lv in c4_tower(4).levels] == [4**k for k in range(1, 5)]
+        assert tower._MAX_EDGES == 4**12
 
 
 class TestFolner:
