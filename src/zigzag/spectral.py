@@ -16,11 +16,15 @@ from .product import ZigZagGraph, lift_combinatorial_cover, lift_covering, zigza
 # spectra.
 RESIDUAL_TOL = 1e-9
 MATCH_TOL = 1e-6
+# Bytes a dense n×n float64 operator may take (n up to 11 585), checked before `adjacency_matrix` builds one.
+DENSE_BYTES = 2**30
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    u, v = g._edge_ranks.T
-    mat = np.zeros((len(g.vertices), len(g.vertices)))
+    n, (u, v) = len(g.vertices), g._edge_ranks.T
+    if 8 * n * n > DENSE_BYTES:
+        raise ValueError(f"a dense {n}x{n} matrix takes {8 * n * n} bytes, over the limit of {DENSE_BYTES}")
+    mat = np.zeros((n, n))
     mat[u, v] = mat[v, u] = 1.0
     return mat
 
@@ -38,17 +42,16 @@ def _residuals(mat: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndar
 
 
 def normalized_laplacian_matrix(g: Graph) -> np.ndarray:
-    n, deg = len(g.vertices), g._degrees
+    deg = g._degrees
     isolated = [g.vertices[k] for k in np.flatnonzero(deg == 0)]
     if isolated:
         raise ValueError(f"normalized Laplacian undefined with isolated vertices: {isolated[:3]}")
-    u, v = g._edge_ranks.T
-    mat = np.eye(n)
+    mat, (u, v) = adjacency_matrix(g), g._edge_ranks.T
+    walk = np.eye(len(mat)) - mat / deg[0] if deg.size and deg.min() == deg.max() else None
     mat[u, v] = mat[v, u] = -1.0 / np.sqrt(deg[u] * deg[v])
-    if n and deg.min() == deg.max():
-        walk = np.eye(n) - adjacency_matrix(g) / deg[0]
-        if not np.allclose(mat, walk, atol=RESIDUAL_TOL):
-            raise RuntimeError("regular-graph Laplacian identity I - A/d violated")
+    np.fill_diagonal(mat, 1.0)
+    if walk is not None and not np.allclose(mat, walk, atol=RESIDUAL_TOL):
+        raise RuntimeError("regular-graph Laplacian identity I - A/d violated")
     return mat
 
 
@@ -287,7 +290,8 @@ def laplacian_containment_check(p: VertexMap, z: ZigZagGraph) -> bool:
 
 
 def nonzero_eigenvalues(report: SpectrumReport, tol: float = MATCH_TOL) -> tuple:
-    return tuple(x for x in report.eigenvalues if abs(x) > tol)
+    """The eigenvalues above tol·max(1, rho) in modulus."""
+    return tuple(np.array(report.eigenvalues)[np.abs(report.eigenvalues) > tol * max(1.0, report.rho)].tolist())
 
 
 def multisets_match(xs, ys, tol: float = MATCH_TOL) -> bool:

@@ -1,9 +1,9 @@
 """Iterated zig-zag towers and Folner-style boundary checks.
 
 Each tower level is the product of the previous one with a fixed label
-graph, the labeling being pulled back along the projection.  The projection
-chain gives combinatorial covers of index m^2 and the adjacency spectrum is
-rescaled by m at every step, so only the first level is eigensolved.
+graph, the labeling being pulled back along the projection, a combinatorial
+cover of index m^2: the nonzero adjacency spectrum scales by m at each step
+and the normalized adjacency's stays, so only the first level is eigensolved.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ _MAX_EDGES = 2**24  # edges a tower level may have: level 12 of C4/P3 is built, 
 
 @dataclass(frozen=True)
 class TowerConfig:
-    """Growth limits: the vertex budget, and the size cap on levels reporting spectra (only level 1 is eigensolved)."""
+    """Growth limits: the vertex budget, and the size cap on level 1, the one level eigensolved (over it, none)."""
 
     budget: int = 100_000
     spectral_cap: int = 3000
@@ -51,9 +51,8 @@ class TowerConfig:
 class TowerLevel:
     """One level of the tower, with its verified construction data.
 
-    pi and cover_index are absent at the first level, the one whose spectra are eigensolved
-    (see `build_tower`).  Spectra are absent above the cap (and the Laplacian also when
-    isolated vertices make it undefined).
+    pi and cover_index are absent at the first level.  Spectra are absent at every level when
+    level 1 is over the cap, and the Laplacian at a level 1 with isolated vertices.
     """
 
     index: int
@@ -73,18 +72,24 @@ class TowerBuild:
     truncated: bool
 
 
-def _level_spectra(g: Graph, cap: int, below: SpectrumReport | None, m: int):
-    if len(g.vertices) > cap or not g.vertices:
+def _level_one_values(g: Graph):
+    """The tower's eigensolve: the nonzero spectra of level 1's adjacency A and of its normalized adjacency
+    N = D^{-1/2}·A·D^{-1/2} on the vertices with edges, that is A/d if d-regular, else I - their Laplacian."""
+    spec, deg = adjacency_spectrum(g), g._degrees
+    mu = (np.array(spec.eigenvalues) / deg[0] if deg.min() == deg.max() else
+          1 - np.array(normalized_laplacian_spectrum(g._on_ranks(np.flatnonzero(deg), g._edge_ranks)).eigenvalues))
+    return np.array(nonzero_eigenvalues(spec)), mu[np.abs(mu) > MATCH_TOL]
+
+
+def _level_spectra(g: Graph, scale: int, values):
+    """Level k's spectra, scale = m^(k-1): `_certify`'s A_k = S·A_{k-1}·Sᵀ and deg_k = m·deg_{k-1} give
+    N_k = S·N_{k-1}·Sᵀ/m, so A's nonzero spectrum scales by m and N's stays; then zeros of A, ones of I - N."""
+    if values is None:
         return None, None
-    if below is None:
-        spec = adjacency_spectrum(g)
-    else:  # g certified over the level below: m times its nonzero spectrum, and zeros
-        scaled = m * np.array(nonzero_eigenvalues(below))
-        spec = SpectrumReport.from_values(np.pad(scaled, (0, len(g.vertices) - scaled.size)), "adjacency")
-    deg = g._degrees
-    if deg.min() == deg.max() > 0:  # d-regular: the normalized Laplacian is I - A/d, so one eigensolve serves
-        return spec, SpectrumReport.from_values(1 - np.array(spec.eigenvalues) / deg[0], "normalized_laplacian")
-    return spec, normalized_laplacian_spectrum(g) if deg.all() else None
+    (adj, mu), n = values, len(g.vertices)
+    spec = SpectrumReport.from_values(np.concatenate((scale * adj, np.zeros(n - adj.size))), "adjacency")
+    lap = np.concatenate((1 - mu, np.ones(n - mu.size)))
+    return spec, SpectrumReport.from_values(lap, "normalized_laplacian") if g._degrees.all() else None
 
 
 def _certify(pi: VertexMap, below: Graph, m: int) -> None:
@@ -104,12 +109,11 @@ def _certify(pi: VertexMap, below: Graph, m: int) -> None:
 def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfig = TowerConfig()) -> TowerBuild:
     """Build levels 1..depth, verifying the invariants at every step.
 
-    Each new labeling is the pullback of the previous one along the
-    projection; it stays locally constant with the same image valency, and the
-    projection is certified (`_certify`), so a level inherits its spectra from
-    the one below when that has them.  Construction stops early, with the truncated
-    flag set, when the next level would exceed the vertex budget, and raises
-    ValueError above `_MAX_EDGES` edges; both are counted before it is built.
+    Each new labeling is the pullback of the previous one along the projection; it stays locally
+    constant with the same image valency, and the projection is certified (`_certify`).  So only
+    level 1 is eigensolved, and every level's spectra follow from level 1's (`_level_spectra`).
+    Construction stops early, with the truncated flag set, when the next level would exceed the
+    vertex budget, and raises ValueError above `_MAX_EDGES` edges; both are counted before it is built.
     """
     if depth < 1:
         raise ValueError("tower depth must be at least 1")
@@ -119,8 +123,8 @@ def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfi
         raise ValueError("tower construction needs a locally constant labeling")
     m = image_valency(a)
 
-    spec, lap = _level_spectra(g, config.spectral_cap, None, m)
-    levels = [TowerLevel(1, g, a, None, None, spec, lap)]
+    values = _level_one_values(g) if len(g.vertices) <= config.spectral_cap else None
+    levels = [TowerLevel(1, g, a, None, None, *_level_spectra(g, 1, values))]
     truncated = False
     while len(levels) < depth:
         current = levels[-1]
@@ -147,8 +151,8 @@ def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfi
         # Spent: nothing reads this level's edge images or the lower level's edge codes again.
         for obj, spent in ((pi, "_edge_images"), (pi.codomain, "_edge_codes"), (current.graph, "_edge_codes")):
             obj.__dict__.pop(spent, None)
-        spec, lap = _level_spectra(z.product, config.spectral_cap, current.spectrum, m)
-        levels.append(TowerLevel(len(levels) + 1, z.product, nxt, pi, m * m, spec, lap))
+        spectra = _level_spectra(z.product, m ** len(levels), values)
+        levels.append(TowerLevel(len(levels) + 1, z.product, nxt, pi, m * m, *spectra))
     return TowerBuild(tuple(levels), m, depth, truncated)
 
 
@@ -171,9 +175,7 @@ class TowerReport:
 
     @property
     def all_ok(self) -> bool:
-        return not any(
-            "fail" in (p.scaling, p.containment, p.gap) for p in self.pairs
-        )
+        return not any("fail" in (p.scaling, p.containment, p.gap) for p in self.pairs)
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,7 @@ def tower_spectrum_check(build: TowerBuild) -> TowerReport:
 
     Per pair: the nonzero adjacency spectrum scales by the valency m, the Laplacian spectrum of the
     lower level is contained in the upper one, and the spectral gap scales by m whenever both gaps
-    exist.  Above level 1 these restate `build_tower`'s certificate; the tests check it densely.
+    exist, within MATCH_TOL·max(1, rho).  These restate `build_tower`'s certificate; the tests check it densely.
     """
     if len(build.levels) < 2:
         raise ValueError("spectrum check needs at least two levels")
@@ -217,20 +219,14 @@ def tower_spectrum_check(build: TowerBuild) -> TowerReport:
 
     pairs = []
     for lo, hi in zip(build.levels, build.levels[1:]):
-        if lo.spectrum is None or hi.spectrum is None:
-            pairs.append(PairVerdicts(lo.index, hi.index, "skipped", "skipped", "skipped"))
-            continue
-        scaled = [m * x for x in nonzero_eigenvalues(lo.spectrum)]
-        scaling = "pass" if multisets_match(scaled, nonzero_eigenvalues(hi.spectrum)) else "fail"
-        if lo.laplacian is None or hi.laplacian is None:
-            containment = "skipped"
-        else:
-            containment = "pass" if spectrum_contained(lo.laplacian, hi.laplacian) else "fail"
-        if lo.spectrum.gap is None or hi.spectrum.gap is None:
-            gap = "skipped"
-        else:
-            gap = "pass" if abs(hi.spectrum.gap - m * lo.spectrum.gap) <= MATCH_TOL else "fail"
-        pairs.append(PairVerdicts(lo.index, hi.index, scaling, containment, gap))
+        a, b, checks = lo.spectrum, hi.spectrum, (None, None, None)  # None: skipped
+        if a and b:
+            tol = MATCH_TOL * max(1.0, b.rho)
+            checks = (multisets_match([m * x for x in nonzero_eigenvalues(a)], nonzero_eigenvalues(b), tol),
+                      lo.laplacian and hi.laplacian and spectrum_contained(lo.laplacian, hi.laplacian),
+                      None if a.gap is None or b.gap is None else abs(b.gap - m * a.gap) <= tol)
+        verdicts = ({True: "pass", False: "fail"}.get(ok, "skipped") for ok in checks)
+        pairs.append(PairVerdicts(lo.index, hi.index, *verdicts))
     return _level_report(build, pairs)
 
 

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from helpers import C3, C4, C6, K4, P3
-from zigzag import io, tower
+from zigzag import io, spectral, tower
 from zigzag.cli import _fmt, build_parser, run
 from zigzag.generators import cycle, hypercube
 from zigzag.graphs import VertexMap
@@ -90,6 +90,14 @@ class TestSpectrum:
         assert code == 0
         assert '"lambda2": 0.0,' in out
         assert json.loads(out)["eigenvalues"] == [2.0, 0.0, 0.0, -2.0]
+
+    @pytest.mark.parametrize("flags", [[], ["--normalized"]])
+    def test_dense_limit_exit_2(self, capsys, monkeypatch, flags):
+        monkeypatch.setattr(spectral, "DENSE_BYTES", 8 * 100 * 100)
+        text = invoke(["gen", "cycle", "101"], capsys)[1]
+        code, out, err = invoke(["spectrum", "-g", "-", *flags], capsys, stdin=text, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "error: a dense 101x101 matrix takes 81608 bytes, over the limit of 80000\n"
 
     def test_empty_graph_exit_2(self, capsys, monkeypatch):
         code, _, err = invoke(

@@ -1,3 +1,4 @@
+import math
 import random
 from types import SimpleNamespace
 
@@ -24,8 +25,10 @@ from zigzag.generators import cycle, hypercube, path
 from zigzag.graphs import Graph, VertexMap, identity_map
 from test_graphs import mixed_graphs
 from zigzag.labeling import HLabeling, constant_labeling, image_valency, vertex_labeling
+from zigzag import spectral
 from zigzag.product import zigzag_product
 from zigzag.spectral import (
+    DENSE_BYTES,
     MATCH_TOL,
     RESIDUAL_TOL,
     EigenPair,
@@ -41,6 +44,7 @@ from zigzag.spectral import (
     lift_eigenvector,
     multisets_match,
     nonzero_eigenvalues,
+    normalized_laplacian_matrix,
     normalized_laplacian_spectrum,
     normalized_radius,
     radius_comparison_check,
@@ -114,6 +118,27 @@ class TestNormalizedLaplacian:
         vals = normalized_laplacian_spectrum(g).eigenvalues
         assert all(-MATCH_TOL <= x <= 2 + MATCH_TOL for x in vals)
         assert min(vals) == pytest.approx(0, abs=MATCH_TOL)
+
+
+class TestDenseLimit:
+    """A dense n×n operator over DENSE_BYTES is refused with ValueError before anything is allocated."""
+
+    def test_cycle_just_over_the_limit_is_refused_unallocated(self, monkeypatch):
+        n = math.isqrt(DENSE_BYTES // 8) + 1
+        assert 8 * (n - 1) ** 2 <= DENSE_BYTES < 8 * n * n
+        g = cycle(n)
+        for name in ("zeros", "eye", "empty", "ones", "full"):
+            monkeypatch.setattr(np, name, lambda *args, **kw: pytest.fail(f"allocated {args}"))
+        for dense in (adjacency_matrix, normalized_laplacian_matrix, adjacency_spectrum,
+                      normalized_laplacian_spectrum, adjacency_eigenpairs):
+            with pytest.raises(ValueError, match=f"dense {n}x{n} matrix takes {8 * n * n} bytes, over the limit"):
+                dense(g)
+
+    def test_the_limit_itself_is_allowed(self, monkeypatch):
+        monkeypatch.setattr(spectral, "DENSE_BYTES", 8 * 5 * 5)
+        assert adjacency_spectrum(cycle(5)).rho == pytest.approx(2)
+        with pytest.raises(ValueError, match="dense 6x6 matrix takes 288 bytes, over the limit of 200"):
+            normalized_laplacian_spectrum(cycle(6))
 
 
 class TestEigenPairs:
@@ -491,6 +516,13 @@ class TestLaplacianContainment:
 
 
 class TestSpectrumScaling:
+    def test_nonzero_cut_scales_with_rho(self):
+        # The cut is MATCH_TOL·max(1, rho): 1e-4 is noise beside rho = 4 096 (C4/P3 level 12), not beside 1.
+        big = SpectrumReport.from_values(np.array([4096, 1e-4, 0, -4096]), "adjacency")
+        small = SpectrumReport.from_values(np.array([1, 1e-4, -1]), "adjacency")
+        assert nonzero_eigenvalues(big) == (4096.0, -4096.0)
+        assert nonzero_eigenvalues(small) == (1.0, 1e-4, -1.0)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_nonzero_spectrum_scales_by_valency(self, seed):
         rng = random.Random(1000 + seed)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from zigzag.labeling import constant_labeling, image_valency, is_locally_constan
 from zigzag.spectral import (
     MATCH_TOL,
     RESIDUAL_TOL,
+    SpectrumReport,
     adjacency_eigenpairs,
     adjacency_spectrum,
     lift_eigenvector,
@@ -85,10 +87,12 @@ class TestBuildTower:
             assert build.truncated == (kept < 5)
             assert len(built) == kept - 1  # the refused level is never built
 
-    def test_spectral_cap_skips_eigensolve(self):
-        build = c4_tower(3, spectral_cap=10)
-        assert build.levels[1].spectrum is not None
-        assert build.levels[2].spectrum is None
+    def test_spectral_cap_skips_eigensolve(self, monkeypatch):
+        # The cap bounds level 1's eigensolve only: levels 2 and 3 (8 and 16 vertices) inherit within it,
+        # and over it nothing is eigensolved and no level reports spectra.
+        assert all(lv.spectrum and lv.laplacian for lv in c4_tower(3, spectral_cap=4).levels)
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: pytest.fail("eigensolved over the cap"))
+        assert all(lv.spectrum is lv.laplacian is None for lv in c4_tower(3, spectral_cap=3).levels)
 
     def test_rejects_bad_labelings(self):
         rng = random.Random(5)
@@ -132,10 +136,11 @@ class TestTowerSpectrumCheck:
             assert pair.gap == "skipped"
 
     def test_skipped_verdicts_above_cap(self):
-        build = c4_tower(3, spectral_cap=10)
-        report = tower_spectrum_check(build)
-        assert report.pairs[-1].scaling == "skipped"
-        assert report.all_ok
+        # Level 1 over the cap: every pair reads skipped.  Within it, so does none, whatever the level sizes.
+        for cap, verdict in ((3, "skipped"), (4, "pass")):
+            report = tower_spectrum_check(c4_tower(3, spectral_cap=cap))
+            assert [(p.scaling, p.containment, p.gap) for p in report.pairs] == [(verdict,) * 3] * 2
+            assert report.all_ok and all(s.spectra_skipped == (verdict == "skipped") for s in report.levels)
 
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
@@ -154,8 +159,8 @@ class TestTowerSpectrumCheck:
 
 
 class TestArrayNativeLevels:
-    """A tower level's ids are decoded only when read, and a regular level's
-    Laplacian spectrum is derived from its one adjacency eigensolve."""
+    """A tower level's ids are decoded only when read, and its Laplacian spectrum
+    is derived from level 1's eigensolve: 1 - λ/d on a d-regular tower."""
 
     def test_no_ids_are_decoded_on_the_tower_path(self):
         build = c4_tower(6)
@@ -179,14 +184,17 @@ class TestArrayNativeLevels:
             assert multisets_match(lv.laplacian.eigenvalues, dense.eigenvalues, MATCH_TOL)
             assert lv.laplacian.operator == dense.operator
 
-    def test_non_regular_levels_take_the_dense_route(self):
-        g = path(5)
-        build = build_tower(g, P3, constant_labeling(g, P3, 1), 6)
+    @pytest.mark.parametrize("g, h, label", [(path(5), P3, 1), (path(4), K4, 0)])
+    def test_inherited_non_regular_laplacian_matches_the_dense_route(self, g, h, label):
+        # 1 - mu, mu the nonzero spectrum of level 1's normalized adjacency, padded with ones.
+        build = build_tower(g, h, constant_labeling(g, h, label), 5)
         for lv in build.levels:
             assert lv.graph.is_regular() is None
-            assert lv.laplacian == normalized_laplacian_spectrum(lv.graph)
+            dense = normalized_laplacian_spectrum(lv.graph)
+            assert multisets_match(lv.laplacian.eigenvalues, dense.eigenvalues, MATCH_TOL)
+            assert _printed(lv.laplacian) == _printed(dense)
         report = tower_spectrum_check(build)
-        assert [(p.scaling, p.containment, p.gap) for p in report.pairs] == [("pass", "pass", "pass")] * 5
+        assert [(p.scaling, p.containment, p.gap) for p in report.pairs] == [("pass", "pass", "pass")] * 4
 
 
 def _printed(s):
@@ -203,15 +211,20 @@ def _edited_product(edit):
     return build
 
 
-class TestCertifiedSpectra:
-    """Above level 1 a level's spectra are inherited from the level below through the
-    certified projection; the dense eigensolve of every level is the independent check."""
+# K4 minus an edge, with three isolated vertices: level 1's Laplacian is undefined, the ones above are not.
+K4_MINUS_EDGE_AND_3 = Graph(tuple(range(7)), ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3)))
 
-    # Every level up to 8 below the default cap: C5/K4 (m = 3) has 1 215 vertices at level 6
-    # and 3 645, above the cap, at level 7.
+
+class TestCertifiedSpectra:
+    """Above level 1 a level's spectra are inherited from level 1's through the certified
+    projections; the dense eigensolve of every level is the independent check."""
+
+    # Every level up to 8 within the cost of a dense check: C5/K4 (m = 3) has 1 215 vertices at
+    # level 6 and 3 645 at level 7.
     @pytest.mark.parametrize(
         "g, h, label, depth",
-        [(C4, P3, 1, 8), (hypercube(3), P3, 1, 8), (cycle(5), K4, 0, 6), (path(5), P3, 1, 8)],
+        [(C4, P3, 1, 8), (hypercube(3), P3, 1, 8), (cycle(5), K4, 0, 6), (path(5), P3, 1, 8),
+         (K4_MINUS_EDGE_AND_3, P3, 1, 8)],
     )
     def test_certified_spectra_match_the_dense_route(self, g, h, label, depth):
         build = build_tower(g, h, constant_labeling(g, h, label), depth)
@@ -222,6 +235,9 @@ class TestCertifiedSpectra:
             dense = adjacency_spectrum(lv.graph)
             assert multisets_match(lv.spectrum.eigenvalues, dense.eigenvalues, MATCH_TOL)
             assert _printed(lv.spectrum) == _printed(dense)
+            if not lv.graph._degrees.all():
+                assert lv.index == 1 and lv.laplacian is None
+                continue
             laplacian = normalized_laplacian_spectrum(lv.graph)
             assert multisets_match(lv.laplacian.eigenvalues, laplacian.eigenvalues, MATCH_TOL)
             assert _printed(lv.laplacian) == _printed(laplacian)
@@ -253,22 +269,43 @@ class TestCertifiedSpectra:
         with pytest.raises(RuntimeError, match="not certified|graph morphism"):
             c4_tower(3)
 
-    def test_a_level_within_the_cap_over_one_above_it_is_eigensolved(self):
-        # The isolated vertices of level 1 are dropped, so level 2 (K2 again, m = 1) is the smaller one.
+    def test_a_level_one_over_the_cap_leaves_every_level_without_spectra(self):
+        # The isolated vertices of level 1 are dropped, so levels 2 and 3 (K2 again, m = 1) are smaller,
+        # but only level 1 is eigensolved: over the cap no level reports spectra, within it they inherit.
         g = Graph(tuple(range(6)), ((0, 1),))
-        build = build_tower(g, K2, constant_labeling(g, K2, 0), 3, TowerConfig(spectral_cap=4))
+        a = constant_labeling(g, K2, 0)
+        build = build_tower(g, K2, a, 3, TowerConfig(spectral_cap=4))
         assert [len(lv.graph.vertices) for lv in build.levels] == [6, 2, 2]
-        assert build.levels[0].spectrum is None
-        assert [lv.spectrum.eigenvalues for lv in build.levels[1:]] == [(1.0, -1.0)] * 2
+        assert all(lv.spectrum is lv.laplacian is None for lv in build.levels)
+        build = build_tower(g, K2, a, 3, TowerConfig(spectral_cap=6))
+        assert [lv.spectrum.eigenvalues for lv in build.levels] == [(1.0, 0.0, 0.0, 0.0, 0.0, -1.0)] + [(1.0, -1.0)] * 2
+        assert [lv.laplacian and lv.laplacian.eigenvalues for lv in build.levels] == [None] + [(2.0, 0.0)] * 2
 
-    @pytest.mark.parametrize("g, calls", [(C4, 1), (path(5), 7)])
+    @pytest.mark.parametrize("g, calls", [(C4, 1), (path(5), 2)])
     def test_eigensolves_per_tower(self, g, calls, monkeypatch):
-        # A regular tower eigensolves level 1's adjacency only; P5/P3 adds a dense Laplacian per level.
+        # Level 1 only: its adjacency, and for a non-regular level 1 its normalized adjacency.
         sizes, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: sizes.append(len(mat)) or eigvalsh(mat))
-        build = build_tower(g, P3, constant_labeling(g, P3, 1), 6)
+        build = build_tower(g, P3, constant_labeling(g, P3, 1), 10)
         assert all(lv.spectrum and lv.laplacian for lv in build.levels)
-        assert len(sizes) == calls
+        assert sizes == [len(g.vertices)] * calls
+
+    def test_relative_tolerance_past_the_old_cap(self):
+        # C5/K4 (m = 3): level 7 has 3 645 vertices and rho = 2·3^6 = 1 458, so the pair checks
+        # allow 1e-6·rho; a shift of half that passes and one of twice that fails.
+        g = cycle(5)
+        build = build_tower(g, K4, constant_labeling(g, K4, 0), 7)
+        top = build.levels[-1]
+        assert len(top.graph.vertices) == 3645 > TowerConfig().spectral_cap
+        assert [(p.scaling, p.containment, p.gap) for p in tower_spectrum_check(build).pairs] == [("pass",) * 3] * 6
+        tol = MATCH_TOL * top.spectrum.rho
+        for at, verdicts in ((0, ("fail", "fail")), (1, ("fail", "pass"))):  # rho, then a value below lambda2
+            for shift, verdict in ((tol / 2, ("pass", "pass")), (2 * tol, verdicts)):
+                values = np.array(top.spectrum.eigenvalues)
+                values[at] += shift
+                shifted = replace(top, spectrum=SpectrumReport.from_values(values, "adjacency"))
+                pair = tower_spectrum_check(replace(build, levels=build.levels[:-1] + (shifted,))).pairs[-1]
+                assert (pair.scaling, pair.gap) == verdict
 
 
 class TestEdgeLimit:
