@@ -295,10 +295,11 @@ class VertexMap:
         self.__dict__.update(_image_ranks=np.fromiter(ranks, np.intp, len(dom)))
 
     @classmethod
-    def _from_ranks(cls, domain: Graph, codomain: Graph, image_ranks: np.ndarray) -> "VertexMap":
-        """The map sending domain rank r to codomain rank image_ranks[r] (np.intp): nothing re-checked."""
+    def _from_ranks(cls, domain: Graph, codomain: Graph, image_ranks: np.ndarray, *edge_images) -> "VertexMap":
+        """Domain rank r to codomain rank image_ranks[r] (np.intp), with `_edge_images` if known: nothing re-checked."""
         m = object.__new__(cls)
         m.__dict__.update(domain=domain, codomain=codomain, _image_ranks=image_ranks)
+        m.__dict__.update(zip(("_edge_images",), edge_images))
         return m
 
     def _image_ids(self) -> Mapping:

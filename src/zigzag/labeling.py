@@ -108,8 +108,10 @@ class HLabeling:
 
     @cached_property
     def _image_valencies(self) -> tuple:
-        """The distinct label-graph valencies of the labels in use, increasing."""
-        return tuple(_distinct(self.labels._degrees[_distinct(self._label_ranks.ravel())]).tolist())
+        """The distinct label-graph valencies of the labels in use (marked by one scatter, not sorted), increasing."""
+        used = np.zeros(len(self.labels.vertices), bool)
+        used[self._label_ranks] = True
+        return tuple(_distinct(self.labels._degrees[used]).tolist())
 
     def __eq__(self, other):
         if not isinstance(other, HLabeling):

@@ -87,18 +87,20 @@ class ZigZagGraph:
         stated = self.__dict__.pop("edge_tags")
         self.__dict__.update(_vertex_codes=np.fromiter((g[u] * len(h) + h[i] for u, i in vs), np.intp, len(vs)))
         u, v = self._base_ranks[self.product._edge_ranks.T]
-        try:  # every product edge lies over a base edge, and its tag is the one the labeling gives
-            same = np.isin(u * len(g) + v, self.base._edge_codes).all() and dict(stated) == self.edge_tags
+        same = np.array_equal(self.base._edge_codes[self._base_edges], u * len(g) + v)  # each edge over its base edge
+        try:  # and its tag is the one the labeling gives
+            same = same and dict(stated) == self.edge_tags
         except (TypeError, ValueError):
             same = False
         if not same:
             raise ValueError("edge tags must cover exactly the product edges, as the labeling gives them")
 
     @classmethod
-    def _from_ranks(cls, product: Graph, a: HLabeling, codes: np.ndarray) -> "ZigZagGraph":
-        """The product of a labeling with these vertex codes, made by `zigzag_product`: nothing re-checked."""
+    def _from_ranks(cls, product: Graph, a: HLabeling, codes: np.ndarray, *base_edges) -> "ZigZagGraph":
+        """A product made by `zigzag_product`, with these vertex codes (and `_base_edges`): nothing re-checked."""
         z = object.__new__(cls)
         z.__dict__.update(product=product, base=a.base, labels=a.labels, labeling=a, _vertex_codes=codes)
+        z.__dict__.update(zip(("_base_edges",), base_edges))
         return z
 
     def _tag_dict(self) -> Mapping:
@@ -110,10 +112,17 @@ class ZigZagGraph:
     def _tag_ranks(self) -> list:
         """For every product edge (u,i)(v,j), in order: the index of its base edge uv, and the label
         ranks of the ends of {i, a(u,uv)} and of {j, a(v,uv)}, each pair in rank order."""
-        (u, v), (i, j) = np.divmod(self._vertex_codes[self.product._edge_ranks.T], len(self.labels.vertices))
-        b = np.searchsorted(self.base._edge_codes, u * len(self.base.vertices) + v)  # u < v
+        i, j = self._vertex_codes[self.product._edge_ranks.T] % len(self.labels.vertices)
+        b = self._base_edges
         lab = np.take(self.labeling._label_ranks, b, axis=0)
         return [b] + [end(x, y) for x, y in ((i, lab[:, 0]), (j, lab[:, 1])) for end in (np.minimum, np.maximum)]
+
+    @cached_property
+    def _base_edges(self) -> np.ndarray:
+        """The index of every product edge's base edge, in order: kept by `zigzag_product`, else searched
+        by code (a product edge over no base edge gets the index of another, or |E(base)|)."""
+        u, v = self._base_ranks[self.product._edge_ranks.T]
+        return np.searchsorted(self.base._edge_codes, u * len(self.base.vertices) + v)
 
     @cached_property
     def _base_ranks(self) -> np.ndarray:
@@ -128,13 +137,8 @@ class ZigZagGraph:
     def __eq__(self, other):
         if not isinstance(other, ZigZagGraph):
             return NotImplemented
-        # The edge tags are derived from the product, label graph and labeling compared here.
-        return (
-            self.product == other.product
-            and self.base == other.base
-            and self.labels == other.labels
-            and self.labeling == other.labeling
-        )
+        # The labeling ties the base and label graphs, and the edge tags are derived from it and the product.
+        return self.product == other.product and self.labeling == other.labeling
 
 
 def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
@@ -164,10 +168,11 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
     # The edges {(u, i), (v, j)} in order: each (u, i) by rank, then by base edge (a stable sort), with every (v, j).
     at = np.argsort(src, kind="stable")
     e = np.repeat(np.arange(len(ends)), du)[at]
-    src, dst = np.repeat(src[at], dv[e]), dst[_runs((np.cumsum(dv) - dv)[e], dv[e])]
+    k = dv[e]
+    src, dst = np.repeat(src[at], k), dst[_runs((np.cumsum(dv) - dv)[e], k)]
     first, second = np.divmod(codes, nh)
     verts = tuple(zip(map(g.vertices.__getitem__, first.tolist()), map(h.vertices.__getitem__, second.tolist())))
-    return ZigZagGraph._from_ranks(Graph._from_ranks(verts, src, dst), a, codes)
+    return ZigZagGraph._from_ranks(Graph._from_ranks(verts, src, dst), a, codes, np.repeat(e, k))
 
 
 def product_valency_check(z: ZigZagGraph) -> bool:
@@ -227,17 +232,19 @@ def projection(z: ZigZagGraph) -> VertexMap:
     product vertex or edge lies above; with no degenerate labels this is the
     whole base graph.  The edges hit are those whose two dart labels both
     have neighbours in the label graph.  The map is made from the base
-    ranks of the product vertices; `mapping` is decoded when first read.
+    ranks of the product vertices and its edge images from the product's
+    base edges; `mapping` is decoded when first read.
     """
-    base, image, over, keep = z.base, z.base, z._base_ranks, _distinct(z._base_ranks)
-    hit = z.labels._degrees[z.labeling._label_ranks].all(axis=1)
-    if keep.size < len(base.vertices) or not hit.all():
-        image = base._on_ranks(keep, base._edge_ranks[hit])
-        over = np.searchsorted(keep, over)
-    pi = VertexMap._from_ranks(z.product, image, over)
-    if not is_graph_morphism(pi):
+    base, image, over, at, starts = z.base, z.base, z._base_ranks, z._base_edges, z._fiber_starts
+    # Every product edge's ends lie over its base edge's ends: one gather per column (clipped, as a search may miss).
+    if not all(np.array_equal(over[x], base._edge_ranks[:, k].take(at, mode="clip"))
+               for k, x in enumerate(z.product._edge_ranks.T)):
         raise RuntimeError("projection failed to be a graph morphism")
-    return pi
+    hit = z.labels._degrees[z.labeling._label_ranks].all(axis=1)
+    if starts.size < len(base.vertices) or not hit.all():  # renumbered through the kept vertices and edges
+        image = base._on_ranks(over[starts], base._edge_ranks[hit])
+        over, at = np.searchsorted(over[starts], over), (np.cumsum(hit) - 1)[at]
+    return VertexMap._from_ranks(z.product, image, over, at)
 
 
 def _admission(phi: VertexMap, psi: VertexMap, z1: ZigZagGraph, z2: ZigZagGraph) -> LabeledMorphism:

@@ -472,6 +472,13 @@ class TestEdgeArrayMatrices:
         else:
             assert np.array_equal(normalized_laplacian_matrix(g), want)
 
+    def test_a_broken_regular_identity_is_refused(self):
+        # A regular degree array that is not the edges' own (d = 2|E|/|V| = 2): the weights -1/3 are not -1/d.
+        g = cycle(5)
+        g.__dict__["_degrees"] = np.full(5, 3)
+        with pytest.raises(RuntimeError, match="^regular-graph Laplacian identity I - A/d violated$"):
+            normalized_laplacian_matrix(g)
+
     @given(mixed_graphs(max_vertices=7).filter(lambda g: g.vertices), st.data())
     def test_edge_residual_and_eigenpair_verdicts_match_the_dense_ones(self, g, data):
         n = len(g.vertices)

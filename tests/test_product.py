@@ -159,6 +159,21 @@ class TestRankArrayConstruction:
         else:
             assert_as_validated(pi.codomain)
 
+    @given(labeled_instances_of_both_forms())
+    @example((C4, ISOLATED_LABEL, vertex_labeling(C4, ISOLATED_LABEL, {0: 2, 1: 0, 2: 2, 3: 1})))
+    @example((C3, ISOLATED_LABEL, HLabeling(C3, ISOLATED_LABEL, {d: 2 if d == (0, (0, 1)) else 0 for d in darts(C3)})))
+    def test_base_edges_and_edge_images_equal_the_searched_ones(self, inst):
+        # The construction keeps every product edge's base edge; the projection's edge images are read from it,
+        # renumbered where isolated labels shrink the image.  Both must equal what a search of the codes finds.
+        g, h, a = inst
+        z = zigzag_product(g, h, a)
+        rebuilt = io.loads_product(io.dumps_product(z))
+        assert np.array_equal(z._base_edges, ZigZagGraph._base_edges.func(rebuilt))
+        assert np.array_equal(z._base_edges, ZigZagGraph(z.product, g, h, a, z.edge_tags)._base_edges)
+        pi = projection(z)
+        searched = VertexMap._from_ranks(z.product, pi.codomain, pi._image_ranks)._edge_images
+        assert searched is not None and np.array_equal(pi._edge_images, searched)
+
     def test_ids_are_shared_with_the_factors(self):
         z = c4p3()
         assert all(u is C4.vertices[C4._rank[u]] and i is P3.vertices[P3._rank[i]] for u, i in z.product.vertices)

@@ -19,7 +19,7 @@ from zigzag.spectral import (
     multisets_match,
     normalized_laplacian_spectrum,
 )
-from zigzag.product import ZigZagGraph, zigzag_product
+from zigzag.product import ZigZagGraph, projection, zigzag_product
 from zigzag import io, tower
 from zigzag.tower import (
     TowerConfig,
@@ -242,6 +242,17 @@ class TestCertifiedSpectra:
             assert multisets_match(lv.laplacian.eigenvalues, laplacian.eigenvalues, MATCH_TOL)
             assert _printed(lv.laplacian) == _printed(laplacian)
 
+    # The certificate beside the general cover check, on every level up to 8 (C5/K4: up to 6, 295 245 edges).
+    @pytest.mark.parametrize(
+        "g, h, label, depth", [(C4, P3, 1, 8), (hypercube(3), P3, 1, 8), (path(5), P3, 1, 8), (cycle(5), K4, 0, 6)]
+    )
+    def test_certificate_agrees_with_the_general_cover_check(self, g, h, label, depth):
+        build = build_tower(g, h, constant_labeling(g, h, label), depth)
+        m = build.valency
+        for lo, hi in zip(build.levels, build.levels[1:]):
+            assert check_combinatorial_cover(hi.pi).index == hi.cover_index == m * m
+            tower._certify(hi.pi, lo.graph, m)
+
     def test_uneven_fibers_are_refused(self):
         # K_{1,4} -> K2 is a combinatorial cover of index 4 = 2^2, but its fibers have 1 and 4 vertices.
         star = Graph(tuple(range(5)), tuple((0, v) for v in range(1, 5)))
@@ -268,6 +279,15 @@ class TestCertifiedSpectra:
         monkeypatch.setattr(tower, "zigzag_product", _edited_product(edit))
         with pytest.raises(RuntimeError, match="not certified|graph morphism"):
             c4_tower(3)
+
+    def test_swapped_base_edges_are_refused(self):
+        z = zigzag_product(C4, P3, constant_labeling(C4, P3, 1))
+        b = z._base_edges.copy()
+        b[[0, -1]] = b[[-1, 0]]
+        assert b[0] != b[-1]
+        z.__dict__["_base_edges"] = b
+        with pytest.raises(RuntimeError, match="projection failed to be a graph morphism"):
+            projection(z)
 
     def test_a_level_one_over_the_cap_leaves_every_level_without_spectra(self):
         # The isolated vertices of level 1 are dropped, so levels 2 and 3 (K2 again, m = 1) are smaller,
