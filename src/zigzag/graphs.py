@@ -263,8 +263,9 @@ def _distinct(a: np.ndarray) -> np.ndarray:
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """starts[r], starts[r] + 1, ..., starts[r] + lengths[r] - 1 for every r in turn."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+    runs = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    runs += np.arange(runs.size)  # in place: two full-length arrays, not three
+    return runs
 
 
 def darts(g: Graph) -> tuple:

@@ -3,13 +3,13 @@
 All writers emit canonical output (vertices and edges in canonical order,
 fixed key order, trailing newline) so that serialization round-trips are
 byte-exact.  The graph, labeling, vertex-map and product documents are
-written from the objects' rank arrays, in the layout `canonical_dumps`
-gives their JSON trees: each id is rendered once per depth into an object
-array indexed by rank, and one row writer (`_rows`) gathers those texts
-into columns and joins them with the constant text between them.  The
-product loader checks a document in that layout by rendering the product
-it re-derives and comparing the texts; any other document is decoded and
-compared structurally.
+written from rank arrays in the layout `canonical_dumps` gives their trees:
+each id is rendered once per depth (an atom once), each part an item repeats
+(a product vertex's pair, a base or label edge) once from those, with the
+constant text after it, and `_rows` gathers the parts by rank into rows of
+one piece per part, joined once.  The product loader reads the graphs of a
+document in that layout straight into rank arrays, renders the product it
+re-derives and compares the texts; any other is decoded and compared.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Dart, Graph, VertexId, VertexMap, format_vertex, make_edge
+from .graphs import Dart, Graph, VertexId, VertexMap, format_vertex, make_edge, vertex_key
 from .labeling import HLabeling, _per_edge, _ranks
 from .product import EdgeTag, ZigZagGraph, zigzag_product
 from .spectral import SpectrumReport
@@ -44,18 +44,26 @@ def _pair(depth: int, a, b):
 
 
 def _rows(depth: int, template: str, *columns: np.ndarray, brackets="[]") -> str:
-    """The JSON list (or object) at this depth of one item per row of the columns, equally long object
-    arrays of texts: the template, an item's text, with its holes filled by the row's texts.  The
-    constants, separators folded in, and the columns are interleaved in one object array for one join."""
+    """The JSON list (or object) at this depth of one item per row of the columns, equally long object arrays
+    of texts (parts rendered once, by `_gather`): the template, an item's text, with its holes filled by the
+    row's texts.  Its nonempty constants, separators folded in, and the columns make one array, one join."""
     if not len(columns[0]):
         return brackets[0] + brackets[1]
-    indent, consts = "\n" + "  " * (depth + 1), template.split(_HOLE)
-    rows = np.empty((len(columns[0]), 2 * len(columns) + 1), object)
-    rows[:, 0], rows[0, 0] = "," + indent + consts[0], brackets[0] + indent + consts[0]
-    for k, column in enumerate(columns):  # column by column: faster than one strided copy of them all
-        rows[:, 2 * k + 1], rows[:, 2 * k + 2] = column, consts[k + 1]
-    rows[-1, -1] += "\n" + "  " * depth + brackets[1]
-    return "".join(rows.ravel().tolist())
+    indent, (head, *consts) = "\n" + "  " * (depth + 1), template.split(_HOLE)
+    slots = ["," + indent + head] + [x for c, const in zip(columns, consts) for x in ((c, const) if const else (c,))]
+    pieces = np.empty(len(columns[0]) * len(slots) + 1, object)
+    rows = pieces[:-1].reshape(-1, len(slots))
+    for k, slot in enumerate(slots):  # slot by slot: faster than one strided copy of them all
+        rows[:, k] = slot
+    rows[0, 0], pieces[-1] = brackets[0] + indent + head, "\n" + "  " * depth + brackets[1]
+    return "".join(pieces.tolist())
+
+
+def _gather(depth: int, template: str, *columns: tuple) -> str:
+    """The JSON list at this depth of the template's items, each column a pair (texts, index): the texts, an
+    object array, are rendered once with the constant after their hole, then gathered by index into rows."""
+    consts = template.split(_HOLE)
+    return _rows(depth, consts[0] + len(columns) * _HOLE, *((t + c)[x] for (t, x), c in zip(columns, consts[1:])))
 
 
 def _object(depth: int, **fields: str) -> str:
@@ -65,30 +73,33 @@ def _object(depth: int, **fields: str) -> str:
 
 
 class _Texts(dict):
-    """Texts of vertex ids at one depth, each rendered once; a pair from the texts of its parts one deeper."""
+    """Texts of ids at one depth, each rendered once: a pair from its parts' one deeper, an atom once for all depths."""
 
-    def __init__(self, depth: int):  # starts empty, as dict.__new__ leaves it
-        self.depth = depth
+    def __init__(self, depth: int, atoms: dict | None = None):  # starts empty, as dict.__new__ leaves it
+        self.depth, self.atoms, self.arrays = depth, {} if atoms is None else atoms, {}
 
     @cached_property
     def deeper(self) -> _Texts:
-        return _Texts(self.depth + 1)
+        return _Texts(self.depth + 1, self.atoms)
 
     def __missing__(self, v) -> str:
         if isinstance(v, tuple):
-            self[v] = text = _pair(self.depth, self.deeper[v[0]], self.deeper[v[1]])
-        else:  # an atom, as json.dumps writes it
-            self[v] = text = encode_basestring(v) if isinstance(v, str) else int.__repr__(v)
+            text = _pair(self.depth, self.deeper[v[0]], self.deeper[v[1]])
+        elif (text := self.atoms.get(v)) is None:  # as json.dumps writes it
+            self.atoms[v] = text = encode_basestring(v) if isinstance(v, str) else int.__repr__(v)
+        self[v] = text
         return text
 
     def of(self, g: Graph) -> np.ndarray:  # the texts of g's vertices, indexed by rank
-        return np.array([self[v] for v in g.vertices], object)
+        if id(g) not in self.arrays:  # by id: a render's graphs outlive its texts, so no id is reused
+            self.arrays[id(g)] = np.array([self[v] for v in g.vertices], object)
+        return self.arrays[id(g)]
 
 
 def _graph_text(g: Graph, texts: _Texts) -> str:
     """The graph as an object two levels above the depth of texts."""
-    d, ends, (src, dst) = texts.depth - 2, texts.deeper.of(g), g._edge_ranks.T
-    edges = _rows(d + 1, _pair(d + 2, _HOLE, _HOLE), ends[src], ends[dst])
+    d, (src, dst) = texts.depth - 2, g._edge_ranks.T
+    edges = _gather(d + 1, _pair(d + 2, _HOLE, _HOLE), (texts.deeper.of(g), src), (texts.deeper.of(g), dst))
     return _object(d, vertices=_rows(d + 1, _HOLE, texts.of(g)), edges=edges)
 
 
@@ -96,9 +107,9 @@ def _labeling_fields(a: HLabeling, key: str) -> tuple:
     """The fields of a labeling's document, with its (vertex, edge, label) entries under key, and the
     texts of ids at depth 3 (and deeper), which the rest of a product document reads too."""
     texts, order, ends = _Texts(3), a.base._dart_order(), a.base._edge_ranks
-    base3, base4, (u, v) = texts.of(a.base), texts.deeper.of(a.base), np.take(ends, order // 2, axis=0).T
-    entry = _object(2, vertex=_HOLE, edge=_pair(3, _HOLE, _HOLE), label=_HOLE)
-    entries = _rows(1, entry, base3[ends.ravel()[order]], base4[u], base4[v], texts.of(a.labels)[a._dart_ranks()])
+    entry, edge = _object(2, vertex=_HOLE, edge=_HOLE, label=_HOLE), _pair(3, *texts.deeper.of(a.base)[ends.T])
+    entries = _gather(1, entry, (texts.of(a.base), ends.ravel()[order]), (edge, order // 2),
+                      (texts.of(a.labels), a._dart_ranks()))
     return {"base": _graph_text(a.base, texts), "labels": _graph_text(a.labels, texts), key: entries}, texts
 
 
@@ -174,6 +185,18 @@ def graph_from_obj(obj) -> Graph:
     verts, edges = _fields(obj, kind, "vertices", "edges", optional=True)
     return Graph(_once(map(vertex_from_obj, verts), kind, "vertices", "vertex"),
                  _once(map(edge_from_obj, edges), kind, "edges", "edge"))
+
+
+def _ranked_graph(obj) -> Graph:
+    """The graph of a document listing its ids in strictly increasing key order and its edges as increasing
+    rank pairs, read straight into ranks; any other document is refused (ValueError or KeyError)."""
+    verts, edges = _fields(obj, "graph JSON", "vertices", "edges", optional=True)
+    verts = tuple(map(vertex_from_obj, verts))
+    keys, rank = list(map(vertex_key, verts)), dict(zip(verts, range(len(verts))))
+    ends = np.array([(rank[vertex_from_obj(u)], rank[vertex_from_obj(v)]) for u, v in edges], np.intp).reshape(-1, 2)
+    if sorted(set(keys)) != keys or (np.diff(ends) <= 0).any() or (np.diff(ends @ (len(verts), 1)) <= 0).any():
+        raise ValueError("graph JSON is not in canonical order")
+    return Graph._from_ranks(verts, *ends.T)
 
 
 def dumps_graph(g: Graph) -> str:
@@ -341,8 +364,8 @@ def vertex_map_from_obj(obj, base_dir=None, domain: Graph | None = None, codomai
 
 
 def dumps_vertex_map(m: VertexMap) -> str:
-    texts = _Texts(3)
-    pairs = _rows(1, _pair(2, _HOLE, _HOLE), texts.of(m.domain), texts.of(m.codomain)[m._image_ranks])
+    texts, pair = _Texts(3), _pair(2, _HOLE, _HOLE)
+    pairs = _gather(1, pair, (texts.of(m.domain), slice(None)), (texts.of(m.codomain), m._image_ranks))
     return _object(0, domain=_graph_text(m.domain, texts), codomain=_graph_text(m.codomain, texts), map=pairs)
 
 
@@ -384,18 +407,20 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
 
 def dumps_product(z: ZigZagGraph) -> str:
     fields, texts = _labeling_fields(z.labeling, "labeling")
-    # A product vertex (u, i) is written at depth 2 (vertices), 3 (edges) and 4 (tag edges), each time from
-    # the texts of u and i one deeper, gathered by rank; the edges and tags gather those by rank in turn.
-    u, i = np.divmod(z._vertex_codes, len(z.labels.vertices))
-    at = [(t.of(z.base)[u], t.of(z.labels)[i]) for t in (texts, texts.deeper, texts.deeper.deeper)]
-    at3, at4, pair = _pair(3, *at[1]), _pair(4, *at[2]), _pair(2, _HOLE, _HOLE)
+    # A product vertex (u, i) is written at depth 2 (vertices), 3 (edges) and 4 (tags) from u's and i's texts by rank.
+    nh, t4 = len(z.labels.vertices), texts.deeper
+    u, i = np.divmod(z._vertex_codes, nh)
+    at2, at3, at4 = (_pair(t.depth - 1, t.of(z.base)[u], t.of(z.labels)[i]) for t in (texts, t4, t4.deeper))
     (src, dst), (b, *label_ends) = z.product._edge_ranks.T, z._tag_ranks()
-    # A tag's base edge and label edges are written from the ranks of their ends, as ids at depth 4.
-    ends = [texts.deeper.of(z.base)[x] for x in np.take(z.base._edge_ranks, b, axis=0).T]
-    ends += [texts.deeper.of(z.labels)[x] for x in label_ends]
-    tag = _object(2, **dict.fromkeys(("edge", "base_edge", "h_lo", "h_hi"), _pair(3, _HOLE, _HOLE)))
-    return _object(0, **fields, vertices=_rows(1, pair, *at[0]), edges=_rows(1, pair, at3[src], at3[dst]),
-                   edge_tags=_rows(1, tag, at4[src], at4[dst], *ends))
+    # A tag gathers its ends' pairs, its base edge and its label edges, each base edge rendered once and each
+    # label pair (lo, hi) in use once, the last two indexed by one `unique` over the (h_lo, h_hi) pairs.
+    pairs, at = np.unique(np.concatenate(label_ends[0::2]) * nh + np.concatenate(label_ends[1::2]), return_inverse=True)
+    base_edge = _pair(3, *t4.of(z.base)[z.base._edge_ranks.T])
+    label_edge, (lo, hi) = _pair(3, *t4.of(z.labels)[np.stack(np.divmod(pairs, nh))]), np.split(at, 2)
+    tag = _object(2, edge=_pair(3, _HOLE, _HOLE), base_edge=_HOLE, h_lo=_HOLE, h_hi=_HOLE)
+    edge_tags = _gather(1, tag, (at4, src), (at4, dst), (base_edge, b), (label_edge, lo), (label_edge, hi))
+    edges = _gather(1, _pair(2, _HOLE, _HOLE), (at3, src), (at3, dst))
+    return _object(0, **fields, vertices=_rows(1, _HOLE, at2), edges=edges, edge_tags=edge_tags)
 
 
 # The keys a canonical product document opens with, each written before its value.
@@ -416,7 +441,7 @@ def _canonical_product(text: str) -> ZigZagGraph | None:
             values.append(value)
         if not text.startswith(',\n  "vertices": [', at):  # without the product's lists, nothing need be built
             return None
-        base, labels = graph_from_obj(values[0]), graph_from_obj(values[1])  # a graph given by path is refused
+        base, labels = _ranked_graph(values[0]), _ranked_graph(values[1])  # a graph given by path is refused
         # Only the labels are read, in the base's dart order: the rendering checks the darts stated beside them.
         lab = _per_edge(base, _ranks(labels, [vertex_from_obj(x["label"]) for x in values[2]]))
     except (RecursionError, ValueError, KeyError, TypeError):

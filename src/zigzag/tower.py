@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, VertexMap, boundary, vertex_key
+from .graphs import Graph, VertexMap, vertex_key
 from .labeling import (
     HLabeling,
     image_valency,
@@ -258,6 +258,12 @@ class FolnerReport:
         return all(s.bound_ok for s in self.steps)
 
 
+def _cut(g: Graph, ranks: np.ndarray) -> int:
+    """The number of edges of g with exactly one end among the vertices of these ranks, by a mask."""
+    inside = np.bincount(ranks, minlength=len(g.vertices)).astype(bool)
+    return int(np.count_nonzero(np.not_equal(*inside[g._edge_ranks.T])))
+
+
 def folner_product_check(g: Graph, h: Graph, a: HLabeling, chain) -> FolnerReport:
     """Track boundary ratios of a nested chain through the product.
 
@@ -270,40 +276,28 @@ def folner_product_check(g: Graph, h: Graph, a: HLabeling, chain) -> FolnerRepor
     if a.base != g or a.labels != h:
         raise ValueError("labeling does not tie the given base and label graphs")
     sets = [tuple(sorted(set(f), key=vertex_key)) for f in chain]
-    prev: set = set()
-    for f in sets:
-        fs = set(f)
-        if not fs:
+    for prev, f in zip([()] + sets, sets):
+        if not f:
             raise ValueError("chain subsets must be nonempty")
-        if not prev <= fs:
+        if not set(prev) <= set(f):
             raise ValueError("chain is not nested: each subset must contain the previous one")
-        prev = fs
 
-    z = zigzag_product(g, h, a)
-    product_vertices = set(z.product.vertices)
+    z, nh = zigzag_product(g, h, a), len(h.vertices)
+    known = np.append(z._vertex_codes, len(g.vertices) * nh)  # increasing, and ends in a code no vertex has
     d_max = h.max_degree()
     steps = []
     for f in sets:
-        fs = set(f)
-        bd = boundary(fs, g)
-        sub_labeling = restrict_labeling(a, fs)
+        sub_labeling = restrict_labeling(a, f)  # refuses a vertex outside g, or a subset member that is no id
+        keep = np.fromiter(map(g._rank.__getitem__, sub_labeling.base.vertices), np.intp)
         zf = zigzag_product(sub_labeling.base, h, sub_labeling)
-        pv = set(zf.product.vertices)
-        if not pv <= product_vertices:
+        # (u, i) of zf, coded over the induced subgraph's ranks, is coded over g's by the rank u has in g.
+        codes = keep[zf._vertex_codes // nh] * nh + zf._vertex_codes % nh
+        at = np.searchsorted(known, codes)
+        if not np.array_equal(known[at], codes):
             raise RuntimeError("restricted product escaped the full product")
-        pbd = boundary(pv, z.product)
-        bound = d_max * d_max * len(bd)
-        steps.append(
-            FolnerStep(
-                subset=f,
-                size=len(fs),
-                boundary_size=len(bd),
-                ratio=Fraction(len(bd), len(fs)),
-                product_size=len(pv),
-                product_boundary_size=len(pbd),
-                product_ratio=Fraction(len(pbd), len(pv)) if pv else None,
-                bound=bound,
-                bound_ok=len(pbd) <= bound,
-            )
-        )
+        bd, pv, pbd = _cut(g, keep), len(codes), _cut(z.product, at)
+        bound = d_max * d_max * bd
+        steps.append(FolnerStep(subset=f, size=len(f), boundary_size=bd, ratio=Fraction(bd, len(f)), product_size=pv,
+                                product_boundary_size=pbd, product_ratio=Fraction(pbd, pv) if pv else None,
+                                bound=bound, bound_ok=pbd <= bound))
     return FolnerReport(d_max, tuple(steps))

@@ -554,6 +554,20 @@ PRODUCT_VERTICES = '\n  "vertices": [\n    [\n      0,'
 BASE_VERTICES = '"base": {\n    "vertices": [\n      0,'
 
 
+# Faults in a graph of a product document (in place on its JSON tree), none of which the writer makes.
+GRAPH_FAULTS = {
+    "vertices out of key order": lambda g: g["vertices"].reverse(),
+    "a repeated vertex": lambda g: g["vertices"].insert(1, g["vertices"][0]),
+    "a repeated edge": lambda g: g["edges"].append(g["edges"][-1]),
+    "an edge with its ends reversed": lambda g: g["edges"][0].reverse(),
+    "true as a vertex": lambda g: g["vertices"].__setitem__(0, True),
+    "1.5 as a vertex": lambda g: g["vertices"].__setitem__(-1, 1.5),
+    "true as an edge end": lambda g: g["edges"][0].__setitem__(0, True),
+    "1.5 as an edge end": lambda g: g["edges"][-1].__setitem__(1, 1.5),
+    "an edge end not listed": lambda g: g["vertices"].remove(g["edges"][0][0]),
+}
+
+
 class TestLoaderEquivalence:
     """Restated product documents load to the same product as the canonical
     text, and faulty ones are refused with the same message, whether or not
@@ -610,6 +624,25 @@ class TestLoaderEquivalence:
         with pytest.raises(ValueError) as exc:
             io.loads_product(doc)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("graph", ["base", "labels"])
+    @pytest.mark.parametrize("fault", GRAPH_FAULTS)
+    def test_faulty_graphs_in_canonical_layout(self, graph, fault):
+        # The canonical route reads its graphs into ranks only when already in order; every other
+        # graph takes the structural route, which accepts or refuses it as product_from_obj does.
+        for name in ("mixed ids", "nested ids", "per dart"):
+            obj = json.loads(io.dumps_product(_pinned_products()[name]))
+            GRAPH_FAULTS[fault](obj[graph])
+            doc = io.canonical_dumps(obj)
+            assert doc.startswith(io._CANONICAL_KEYS[0]) and io._canonical_product(doc) is None
+            try:
+                want = io.product_from_obj(json.loads(doc))
+            except Exception as e:  # noqa: BLE001 - the same type and message are expected
+                with pytest.raises(type(e)) as exc:
+                    io.loads_product(doc)
+                assert (type(exc.value), str(exc.value)) == (type(e), str(e)), (name, fault)
+            else:
+                assert io.loads_product(doc) == want, (name, fault)
 
     def test_deep_base_in_canonical_layout(self):
         doc = _c4p3_text().replace(BASE_VERTICES, BASE_VERTICES.replace("0,", DEEP + ","), 1)

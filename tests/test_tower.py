@@ -5,10 +5,23 @@ import pytest
 
 import numpy as np
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import labeled_instances_of_both_forms
 from helpers import C3, C4, K2, K4, P3, random_dart_labeling
-from zigzag.generators import cycle, hypercube, path
-from zigzag.graphs import Graph, VertexMap, check_combinatorial_cover, compose, identity_map, is_graph_morphism
-from zigzag.labeling import constant_labeling, image_valency, is_locally_constant
+from zigzag.generators import cayley_cyclic, complete, cycle, hypercube, path
+from zigzag.graphs import (
+    Graph,
+    VertexMap,
+    boundary,
+    check_combinatorial_cover,
+    compose,
+    identity_map,
+    is_graph_morphism,
+    vertex_key,
+)
+from zigzag.labeling import constant_labeling, image_valency, is_locally_constant, restrict_labeling, vertex_labeling
 from zigzag.spectral import (
     MATCH_TOL,
     RESIDUAL_TOL,
@@ -22,6 +35,8 @@ from zigzag.spectral import (
 from zigzag.product import ZigZagGraph, projection, zigzag_product
 from zigzag import io, tower
 from zigzag.tower import (
+    FolnerReport,
+    FolnerStep,
     TowerConfig,
     build_tower,
     folner_product_check,
@@ -406,3 +421,97 @@ class TestFolner:
         assert step.boundary_size == 2
         assert step.product_boundary_size == 8
         assert step.bound == 8
+
+
+def folner_by_ids(g, h, a, chain):
+    """The Folner check as it was written on vertex ids: every boundary by `graphs.boundary`, every
+    restricted product as the set of its vertices, tested against the full product's."""
+    z = zigzag_product(g, h, a)
+    product_vertices, d_max, steps = set(z.product.vertices), h.max_degree(), []
+    for f in chain:
+        f = tuple(sorted(set(f), key=vertex_key))
+        bd = boundary(f, g)
+        sub = restrict_labeling(a, f)
+        pv = set(zigzag_product(sub.base, h, sub).product.vertices)
+        assert pv <= product_vertices
+        pbd, bound = boundary(pv, z.product), d_max * d_max * len(bd)
+        ratio = Fraction(len(pbd), len(pv)) if pv else None
+        steps.append(FolnerStep(f, len(f), len(bd), Fraction(len(bd), len(f)), len(pv), len(pbd), ratio, bound,
+                                len(pbd) <= bound))
+    return FolnerReport(d_max, tuple(steps))
+
+
+def assert_same_report(got, want):
+    assert (got.max_label_degree, got.steps) == (want.max_label_degree, want.steps)
+
+
+@st.composite
+def nested_chains(draw, g):
+    """Nonempty nested subsets of g's vertices: prefixes of one drawn order, of nondecreasing sizes."""
+    order = draw(st.permutations(g.vertices))
+    sizes = draw(st.lists(st.integers(1, len(order)), min_size=1, max_size=4))
+    return [order[:k] for k in sorted(sizes)]
+
+
+def _seeded_instances():
+    # Per-vertex labels drawn from a seed.  Q5's labels are C6 vertices 0 and 1 only, so the label
+    # vertices 3 and 4 (neighbours of neither) are in no product vertex.
+    rng, circulant, q5 = random.Random(18), cayley_cyclic(64, [1, -1, 5, -5]), hypercube(5)
+    k4, c6 = complete(4), cycle(6)
+    a = vertex_labeling(circulant, k4, {u: rng.randrange(4) for u in circulant.vertices})
+    b = vertex_labeling(q5, c6, {u: rng.randrange(2) for u in q5.vertices})
+    return {"C(64; 1, 5) with K4 labels": (circulant, k4, a), "Q5 with C6 labels 0 and 1": (q5, c6, b)}
+
+
+SEEDED = _seeded_instances()
+
+
+class TestFolnerAgainstIds:
+    """Every step of the check counted on rank masks equals the one the id-set algorithm gives."""
+
+    @pytest.mark.parametrize("name", SEEDED)
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_seeded_labelings(self, name, data):
+        g, h, a = SEEDED[name]
+        chain = data.draw(nested_chains(g))
+        assert_same_report(folner_product_check(g, h, a, chain), folner_by_ids(g, h, a, chain))
+
+    def test_seeded_labelings_leave_label_vertices_unused(self):
+        g, h, a = SEEDED["Q5 with C6 labels 0 and 1"]
+        z = zigzag_product(g, h, a)
+        assert {i for _, i in z.product.vertices} == {0, 1, 2, 5}
+        report = folner_product_check(g, h, a, [g.vertices[:8], g.vertices])
+        assert [s.product_size for s in report.steps] == [16, 64]
+
+    @given(data=st.data(), instance=labeled_instances_of_both_forms())
+    def test_drawn_labelings(self, data, instance):
+        g, h, a = instance
+        if g.vertices:
+            chain = data.draw(nested_chains(g))
+            assert_same_report(folner_product_check(g, h, a, chain), folner_by_ids(g, h, a, chain))
+
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_nested_ids(self, data):
+        level2 = c4_tower(2).levels[1]
+        g, a = level2.graph, level2.labeling
+        chain = data.draw(nested_chains(g))
+        assert_same_report(folner_product_check(g, P3, a, chain), folner_by_ids(g, P3, a, chain))
+
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            ([[0, 9]], "vertices not in graph: [9]"),
+            ([[0], [0, "x", 7]], "vertices not in graph: [7, 'x']"),
+            ([[True, 2]], "invalid vertex id: True"),
+            ([[0, 1], [2, 3]], "chain is not nested: each subset must contain the previous one"),
+            ([[0, 1], [True]], "chain is not nested: each subset must contain the previous one"),
+            ([[]], "chain subsets must be nonempty"),
+            ([[0], []], "chain subsets must be nonempty"),
+        ],
+    )
+    def test_refusals(self, chain, message):
+        with pytest.raises(ValueError) as exc:
+            folner_product_check(C4, P3, constant_labeling(C4, P3, 1), chain)
+        assert str(exc.value) == message
