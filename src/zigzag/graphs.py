@@ -186,6 +186,19 @@ class Graph:
         return np.bincount(self._edge_ranks.ravel(), minlength=len(self.vertices))
 
     @cached_property
+    def _sides(self) -> np.ndarray | None:
+        """A 2-colouring, True on side 1 and isolated vertices on side 0; None if an odd cycle forbids one.  Each step
+        colours every vertex with coloured neighbours (±1) against their sum; one all-edge check proves the result."""
+        ends, want, have = self._edge_ranks, np.count_nonzero(self._degrees), 0
+        src, dst, side = ends.ravel(), ends[:, ::-1].ravel(), np.zeros(len(self.vertices))
+        while (count := np.count_nonzero(side)) < want:
+            if count == have:  # none ran, or the last coloured nothing: seed an edge with an uncoloured end
+                d = np.argmin(np.abs(side[src]))
+                side[src[d]], side[dst[d]] = 1.0, -1.0
+            side, have = np.where(side, side, -np.sign(np.bincount(dst, side[src], side.size))), count
+        return None if side[ends].sum(axis=1).any() else side < 0
+
+    @cached_property
     def _edge_codes(self) -> np.ndarray:
         """rank(u)·|V| + rank(v) for every edge (u, v), increasing, then |V|², a code no pair has."""
         return np.append(self._edge_ranks @ (len(self.vertices), 1), len(self.vertices) ** 2)
@@ -235,6 +248,10 @@ class Graph:
         return tuple(self._edge(v, w) for w in self.neighbors(v))
 
     def induced_subgraph(self, subset: Iterable[VertexId]) -> "Graph":
+        return self._induced(subset)[0]
+
+    def _induced(self, subset: Iterable[VertexId]) -> tuple:
+        """`induced_subgraph`, and the mask of the rows of `_edge_ranks` it keeps, in the same order."""
         sub = set(subset)
         missing = sub - self._rank.keys()
         if missing:
@@ -244,7 +261,8 @@ class Graph:
             raise ValueError(f"invalid vertex id: {invalid[0]!r}")
         kept = np.zeros(len(self.vertices), bool)
         kept[list(map(self._rank.__getitem__, sub))] = True
-        return self._on_ranks(np.flatnonzero(kept), self._edge_ranks[kept[self._edge_ranks].all(axis=1)])
+        rows = kept[self._edge_ranks].all(axis=1)
+        return self._on_ranks(np.flatnonzero(kept), self._edge_ranks[rows]), rows
 
     def is_regular(self) -> int | None:
         """Common degree if the graph is regular, else None."""

@@ -16,43 +16,68 @@ from .product import ZigZagGraph, lift_combinatorial_cover, lift_covering, zigza
 # spectra.
 RESIDUAL_TOL = 1e-9
 MATCH_TOL = 1e-6
-# Bytes a dense n×n float64 operator may take (n up to 11 585), checked before `adjacency_matrix` builds one.
+# Bytes a dense n×n float64 operator may take (n up to 11 585), checked before `_matrix` builds it or its block.
 DENSE_BYTES = 2**30
 
 
-def adjacency_matrix(g: Graph) -> np.ndarray:
+def _matrix(g: Graph, weights=1.0, split: bool = True):
+    """g's adjacency with the weights at the edges, refused unbuilt if its n×n matrix is over DENSE_BYTES: if g is
+    bipartite (and split) the p×q block B of [[0, B], [Bᵀ, 0]] (rows side 0, columns side 1, in rank order) and each
+    vertex's place in [side 0 | side 1] order, else the n×n matrix and None; and each edge's (row, column)."""
     n, (u, v) = len(g.vertices), g._edge_ranks.T
     if 8 * n * n > DENSE_BYTES:
         raise ValueError(f"a dense {n}x{n} matrix takes {8 * n * n} bytes, over the limit of {DENSE_BYTES}")
-    mat = np.zeros((n, n))
-    mat[u, v] = mat[v, u] = 1.0
-    return mat
+    right = g._sides if split else None
+    if right is None:
+        mat = np.zeros((n, n))
+        mat[u, v] = mat[v, u] = weights
+        return mat, None, (u, v)
+    place, p = np.empty(n, np.intp), n - np.count_nonzero(right)
+    place[np.argsort(right, kind="stable")] = np.arange(n)
+    row, col = np.sort(place[g._edge_ranks], axis=1).T
+    block = np.zeros((p, n - p))
+    block[row, col - p] = weights
+    return block, place, (row, col - p)
+
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    return _matrix(g, split=False)[0]
+
+
+def _block_values(block: np.ndarray, s=None) -> np.ndarray:
+    """The spectrum of [[0, B], [Bᵀ, 0]], descending: the singular values s of B, |p - q| zeros, then -s."""
+    s = np.linalg.svd(block, compute_uv=False) if s is None else s
+    return np.concatenate((s, np.zeros(abs(block.shape[0] - block.shape[1])), -s[::-1]))
 
 
 def _residual(g: Graph, value: float, vec: np.ndarray) -> float:
-    """max |A·vec - value·vec|, with A·vec summed over the edge array, not built."""
-    u, v = g._edge_ranks.T
-    n = len(g.vertices)
-    return np.max(np.abs(np.bincount(u, vec[v], n) + np.bincount(v, vec[u], n) - value * vec))
+    """max |A·vec - value·vec|, with A·vec summed over the neighbour index's rows, not built."""
+    indptr, indices = g._csr
+    if g._degrees.all():
+        sums = np.add.reduceat(vec[indices], indptr[:-1])
+    else:  # reduceat reads an empty row as the next row's first entry, or the 0 put past the end: masked
+        sums = np.add.reduceat(np.append(vec[indices], 0.0), indptr[:-1]) * (g._degrees > 0)
+    return np.abs(sums - value * vec).max()
 
 
-def _residuals(mat: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """max |mat·x - value·x| of every row x of rows, with its value, by one matrix product (mat symmetric)."""
-    return np.abs(rows @ mat - values[:, None] * rows).max(axis=1)
-
-
-def normalized_laplacian_matrix(g: Graph) -> np.ndarray:
+def _laplacian(g: Graph, split: bool):
+    """`_matrix` of L = I - D^(-1/2)·A·D^(-1/2), weights -1/√(d_u·d_v), checked -1/d if d-regular (d = 2|E|/|V|)."""
     deg = g._degrees
     isolated = [g.vertices[k] for k in np.flatnonzero(deg == 0)]
     if isolated:
         raise ValueError(f"normalized Laplacian undefined with isolated vertices: {isolated[:3]}")
-    mat, (u, v) = adjacency_matrix(g), g._edge_ranks.T
-    mat[u, v] = mat[v, u] = weights = -1.0 / np.sqrt(deg[u] * deg[v])
-    np.fill_diagonal(mat, 1.0)
-    # I - A/d on a d-regular graph, d = 2|E|/|V|: only the edge entries are set off the diagonal, so check those.
+    u, v = g._edge_ranks.T
+    weights = -1.0 / np.sqrt(deg[u] * deg[v])
     if deg.size and deg.min() == deg.max() and not np.allclose(weights, -len(deg) / (2 * len(u)), atol=RESIDUAL_TOL):
         raise RuntimeError("regular-graph Laplacian identity I - A/d violated")
-    return mat
+    mat, place, _ = _matrix(g, weights, split)
+    if place is None:
+        np.fill_diagonal(mat, 1.0)
+    return mat, place
+
+
+def normalized_laplacian_matrix(g: Graph) -> np.ndarray:
+    return _laplacian(g, split=False)[0]
 
 
 @dataclass(frozen=True)
@@ -83,16 +108,18 @@ class SpectrumReport:
 
 
 def adjacency_spectrum(g: Graph) -> SpectrumReport:
-    """Eigenvalues of the adjacency operator, descending."""
+    """Eigenvalues of the adjacency operator, descending: ±σ of a bipartite graph's block."""
     if not g.vertices:
         raise ValueError("spectrum of the empty graph is undefined")
-    values = np.linalg.eigvalsh(adjacency_matrix(g))
+    mat, place, _ = _matrix(g)
+    values = np.linalg.eigvalsh(mat) if place is None else _block_values(mat)
     return SpectrumReport.from_values(values, "adjacency")
 
 
 def normalized_laplacian_spectrum(g: Graph) -> SpectrumReport:
-    """Eigenvalues of the normalized Laplacian, descending, all in [0, 2]."""
-    values = np.linalg.eigvalsh(normalized_laplacian_matrix(g))
+    """Eigenvalues of the normalized Laplacian, descending, all in [0, 2]: 1 ∓ σ of a bipartite graph's block."""
+    mat, place = _laplacian(g, split=True)
+    values = np.linalg.eigvalsh(mat) if place is None else 1.0 + _block_values(mat)
     return SpectrumReport.from_values(values, "normalized_laplacian")
 
 
@@ -138,24 +165,36 @@ class EigenPair:
 
 
 def adjacency_eigenpairs(g: Graph) -> list[EigenPair]:
-    """Full verified eigendecomposition, eigenvalues descending, in one pass: the matrix given to
-    `eigh` is first certified to be the adjacency of the edge array (2E nonzeros, a 1 at both ends
-    of each edge), then every vector is normalized, sign-fixed and its residual checked at once.
-    The vectors are the read-only rows of one C-contiguous matrix."""
+    """Full verified eigendecomposition, eigenvalues descending, in one pass: the matrix given to `eigh`, or a
+    bipartite graph's block B = U·diag(σ)·Vᵀ given to `svd` (then (u, ±v)/√2 have eigenvalues ±σ, spare columns of
+    U or V 0), is first certified against the edge array, then every vector is normalized, sign-fixed and its
+    residual checked at once.  The vectors are the read-only rows of one C-contiguous matrix."""
     if not g.vertices:
         raise ValueError("spectrum of the empty graph is undefined")
-    mat, (u, v) = adjacency_matrix(g), g._edge_ranks.T
-    if np.count_nonzero(mat) != 2 * len(u) or not ((mat[u, v] == 1) & (mat[v, u] == 1)).all():
+    mat, place, at = _matrix(g)
+    entries = [at] if place is not None else [at, at[::-1]]  # the n×n matrix holds each edge twice
+    if np.count_nonzero(mat) != len(entries) * len(at[0]) or not all((mat[e] == 1).all() for e in entries):
         raise RuntimeError("dense matrix is not the adjacency of the graph's edges")
-    values, rows = np.linalg.eigh(mat)
-    values, rows = values[::-1], rows.T[::-1]  # one eigenvector per row, values descending
+    if place is None:
+        values, rows = np.linalg.eigh(mat)
+        values, rows = values[::-1], rows.T[::-1]  # one eigenvector per row, values descending
+    else:
+        (p, q), (left, s, right) = mat.shape, np.linalg.svd(mat)
+        r, rows = min(p, q), np.zeros((p + q, p + q))  # a vector a row, by sides: those of σ, 0, then -σ
+        x, y = np.sqrt(0.5) * left[:, :r].T, np.sqrt(0.5) * right[:r]
+        rows[:r, :p], rows[:r, p:], rows[p + q - r:, :p], rows[p + q - r:, p:] = x, y, x[::-1], -y[::-1]
+        rows[r:p, :p], rows[p:p + q - r, p:] = left[:, r:].T, right[r:]
+        values, rows = _block_values(mat, s), rows[:, place]
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if (norms <= RESIDUAL_TOL).any():
         raise ValueError("eigenvector is numerically zero")
     rows = np.divide(rows, norms, order="C")
     lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-12).argmax(axis=1)]  # as in _canonical_sign
     rows *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]  # a row without such an entry stays as it is
-    residual = _residuals(mat, values, rows).max()
+    # A·x of every row x: one product with A (symmetric), or two by sides, A·(x₀, x₁) = (B·x₁, Bᵀ·x₀).
+    ordered = rows if place is None else rows[:, np.argsort(place)]
+    image = ordered @ mat if place is None else np.hstack((ordered[:, p:] @ mat.T, ordered[:, :p] @ mat))
+    residual = np.abs(image - values[:, None] * ordered).max()
     if not residual <= RESIDUAL_TOL:  # a NaN is refused too
         raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
     rows.flags.writeable = False

@@ -207,6 +207,24 @@ def normalized_laplacian_matrix(g):
     return mat
 
 
+def has_odd_cycle(g):
+    """True iff no 2-colouring exists: a breadth-first search from every uncoloured vertex meets an edge
+    whose ends got the same colour."""
+    colour = {}
+    for root in g.vertices:
+        if root in colour:
+            continue
+        colour[root], queue = 0, [root]
+        for u in queue:
+            for w in g.neighbors(u):
+                if w not in colour:
+                    colour[w] = 1 - colour[u]
+                    queue.append(w)
+                elif colour[w] == colour[u]:
+                    return True
+    return False
+
+
 def dense_residual(g, value, vec):
     """max |A·vec - value·vec| with the dense adjacency."""
     return np.max(np.abs(adjacency_matrix(g) @ vec - value * vec))

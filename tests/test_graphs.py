@@ -459,6 +459,23 @@ class TestRankBuiltSubgraphs:
         assert regular is None or type(regular) is int
 
 
+class TestTwoColouring:
+    """`Graph._sides` 2-colours a graph over its edge array exactly when no odd cycle forbids it."""
+
+    @given(st.one_of(small_graphs(), mixed_graphs()))
+    @example(disjoint_union(C4, C3))
+    @example(disjoint_union(disjoint_union(K2, K2), disjoint_union(path(4), Graph((0, 1), ()))))
+    @example(path(40))
+    @example(Graph())
+    def test_sides_exist_exactly_without_an_odd_cycle(self, g):
+        side = g._sides
+        assert (side is None) == oracle.has_odd_cycle(g)
+        if side is not None:
+            assert side.dtype == bool and side.shape == (len(g.vertices),)
+            assert all(side[g._rank[u]] != side[g._rank[v]] for u, v in g.edges)
+            assert not side[g._degrees == 0].any()  # isolated vertices on side 0
+
+
 class TestEdgeArrayMatrices:
     @given(mixed_graphs())
     def test_matrices_equal_the_dict_loop_fills(self, g):

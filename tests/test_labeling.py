@@ -7,7 +7,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import oracle
-from conftest import constant_valency_instances, labeled_instances, labeled_instances_of_both_forms, vertex_maps_into
+from conftest import (
+    constant_valency_instances,
+    labeled_instances,
+    labeled_instances_of_both_forms,
+    small_graphs,
+    vertex_maps_into,
+)
 from helpers import C3, C4, C6, K2, P3, random_dart_labeling
 from zigzag import io
 from zigzag.generators import cycle, path
@@ -30,8 +36,16 @@ from zigzag.labeling import (
     vertex_labels,
 )
 from zigzag.product import product_edge_count_check, product_valency_check, zigzag_product
+from test_graphs import mixed_graphs
 
 import random
+
+
+@st.composite
+def mixed_labeled_instances(draw):
+    """Dart labelings of graphs with mixed ids (ints, strings, nested pairs)."""
+    g, h = draw(mixed_graphs(max_vertices=7)), draw(small_graphs(min_vertices=1, max_vertices=4))
+    return g, h, HLabeling(g, h, {d: draw(st.sampled_from(h.vertices)) for d in darts(g)})
 
 
 def mod_map(big, small, n):
@@ -297,6 +311,15 @@ class TestTransformsMatchThePerDartReferences:
         g, h, a = data.draw(labeled_instances_of_both_forms())
         subset = data.draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
         self.assert_same(restrict_labeling(a, subset), oracle.restrict_labeling(a, subset))
+
+    @given(st.data())
+    def test_restriction_equals_the_pullback_along_the_inclusion(self, data):
+        # The former route, kept as the oracle: pull back along the identity map of the induced subgraph.
+        g, h, a = data.draw(st.one_of(labeled_instances_of_both_forms(), mixed_labeled_instances()))
+        subset = data.draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
+        sub = g.induced_subgraph(subset)
+        inclusion = VertexMap(sub, g, {v: v for v in sub.vertices})
+        self.assert_same(restrict_labeling(a, subset), pullback_labeling(a, inclusion))
 
     @pytest.mark.parametrize("subset", [(), (0,), (0, 1, 2), (1, 2, 3), (0, 1, 2, 3, 4), (2, 4)])
     def test_restriction_keeps_isolated_vertices(self, subset):

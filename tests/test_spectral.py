@@ -34,7 +34,6 @@ from zigzag.spectral import (
     EigenPair,
     SpectrumReport,
     ZeroCertificate,
-    _residuals,
     adjacency_eigenpairs,
     adjacency_matrix,
     adjacency_spectrum,
@@ -100,8 +99,8 @@ class TestNormalizedLaplacian:
         assert np.allclose(r.eigenvalues, [2, 1, 1, 0], atol=MATCH_TOL)
 
     def test_isolated_vertex_rejected(self):
-        g = Graph((0, 1, 2), ((0, 1),))
-        with pytest.raises(ValueError, match="isolated"):
+        g = Graph((0, 1, 2), ((0, 1),))  # bipartite: refused before its block is built
+        with pytest.raises(ValueError, match=r"^normalized Laplacian undefined with isolated vertices: \[2\]$"):
             normalized_laplacian_spectrum(g)
 
     @pytest.mark.parametrize("g", [C3, C4, C6, K4, cycle(5)])
@@ -133,12 +132,15 @@ class TestDenseLimit:
                       normalized_laplacian_spectrum, adjacency_eigenpairs):
             with pytest.raises(ValueError, match=f"dense {n}x{n} matrix takes {8 * n * n} bytes, over the limit"):
                 dense(g)
+        assert "_sides" not in vars(g)  # the cycle is bipartite, but the guard comes before its colouring
 
     def test_the_limit_itself_is_allowed(self, monkeypatch):
         monkeypatch.setattr(spectral, "DENSE_BYTES", 8 * 5 * 5)
         assert adjacency_spectrum(cycle(5)).rho == pytest.approx(2)
+        g = cycle(6)  # bipartite: its 3x3 block would fit, but the bound is the n×n one
         with pytest.raises(ValueError, match="dense 6x6 matrix takes 288 bytes, over the limit of 200"):
-            normalized_laplacian_spectrum(cycle(6))
+            normalized_laplacian_spectrum(g)
+        assert "_sides" not in vars(g)
 
 
 class TestEigenPairs:
@@ -185,16 +187,43 @@ def leading_entry(vec):
     return next(x for x in vec if abs(x) > 1e-12)
 
 
+@st.composite
+def odd_cycle_graphs(draw):
+    """Small graphs with an odd cycle on drawn vertices, and any other edges: never bipartite."""
+    g = draw(small_graphs(min_vertices=3))
+    k = draw(st.sampled_from([k for k in (3, 5, 7) if k <= len(g.vertices)]))
+    ring = draw(st.permutations(g.vertices))[:k]
+    return Graph(g.vertices, g.edges + tuple(zip(ring, ring[1:] + ring[:1])))
+
+
+@st.composite
+def bipartite_graphs(draw, max_side=6):
+    """Graphs on p + q vertices whose sides interleave in rank order, with any edges across:
+    unbalanced sides, isolated vertices, several components, no edges, and K_{p,q}."""
+    p = draw(st.integers(0, max_side))
+    q = draw(st.integers(0 if p else 1, max_side))  # at least one vertex
+    order = draw(st.permutations(range(p + q)))
+    pairs = [(x, y) for x in order[:p] for y in order[p:]]
+    edges = pairs if draw(st.booleans()) else draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(tuple(range(p + q)), tuple(edges))
+
+
+def complete_bipartite(p, q):
+    return Graph(tuple(range(p + q)), tuple((x, y) for x in range(p) for y in range(p, p + q)))
+
+
 class TestBatchedEigenpairs:
     """adjacency_eigenpairs verifies the whole decomposition in one pass and
-    gives the pairs the per-pair constructor gives, column by column."""
+    gives the pairs the per-pair constructor gives, column by column: on a graph
+    with an odd cycle those of `eigh`, on a bipartite one those of the block's `svd`."""
 
-    @given(small_graphs(min_vertices=1))
-    @example(Graph((0,), ()))
-    @example(Graph((0, 1, 2, 3), ()))
-    @example(Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3))))
-    @example(Graph((0, 1, 2, 3), ((0, 1), (1, 2))))
+    @given(odd_cycle_graphs())
+    @example(C3)
+    @example(Graph((0, 1, 2, 3), ((0, 1), (1, 2), (0, 2))))
+    @example(Graph((0, 1, 2, 3, 4, 5, 6), ((0, 1), (1, 2), (0, 2), (4, 5))))
+    @example(Graph((0, 1, 2, 3, 4), ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4))))
     def test_batched_pairs_equal_per_pair_pairs(self, g):
+        assert g._sides is None
         mat = adjacency_matrix(g)
         values, vectors = np.linalg.eigh(mat)
         single = [EigenPair(g, float(values[k]), vectors[:, k]) for k in reversed(range(len(values)))]
@@ -204,17 +233,36 @@ class TestBatchedEigenpairs:
             assert np.abs(p.vector - q.vector).max() <= 1e-15
             assert leading_entry(p.vector) > 0 and leading_entry(q.vector) > 0
             assert not p.vector.flags.writeable
-        rows = np.array([p.vector for p in batch])
-        for r, p in zip(_residuals(mat, values[::-1], rows), batch):
-            assert abs(r - oracle.dense_residual(g, p.value, p.vector)) <= 1e-12
+        for p in batch:
+            assert oracle.dense_residual(g, p.value, p.vector) <= RESIDUAL_TOL
 
-    def test_vectors_are_rows_of_one_matrix(self):
-        batch = adjacency_eigenpairs(hypercube(3))
-        whole = batch[0].vector.base
-        assert whole.flags.c_contiguous and not whole.flags.writeable and whole.shape == (8, 8)
+    @given(bipartite_graphs())
+    @example(Graph((0,), ()))
+    @example(Graph((0, 1, 2, 3), ()))
+    @example(Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3))))
+    @example(Graph((0, 1, 2, 3), ((0, 1), (1, 2))))
+    @example(complete_bipartite(2, 5))
+    def test_block_pairs_equal_per_pair_pairs(self, g):
+        assert g._sides is not None
+        batch = adjacency_eigenpairs(g)
+        single = [EigenPair(g, p.value, p.vector) for p in batch]
+        for p, q in zip(batch, single):
+            assert np.abs(p.vector - q.vector).max() <= 1e-15
+            assert leading_entry(p.vector) > 0
+            assert not p.vector.flags.writeable
+        values = [p.value for p in batch]
+        assert values == sorted(values, reverse=True)
+
+    def test_vectors_are_rows_of_one_matrix(self, g=hypercube(3)):
+        batch = adjacency_eigenpairs(g)
+        whole, n = batch[0].vector.base, len(g.vertices)
+        assert whole.flags.c_contiguous and not whole.flags.writeable and whole.shape == (n, n)
         assert all(p.vector.base is whole and np.shares_memory(p.vector, whole[k]) for k, p in enumerate(batch))
 
-    @pytest.mark.parametrize(
+    def test_dense_route_vectors_are_rows_of_one_matrix(self):
+        self.test_vectors_are_rows_of_one_matrix(cycle(9))
+
+    CORRUPTIONS = pytest.mark.parametrize(
         "corrupt, message",
         [
             (
@@ -225,6 +273,8 @@ class TestBatchedEigenpairs:
         ],
         ids=["noise", "zero"],
     )
+
+    @CORRUPTIONS
     def test_corrupted_column_refused(self, monkeypatch, corrupt, message):
         eigh = np.linalg.eigh
 
@@ -235,19 +285,114 @@ class TestBatchedEigenpairs:
 
         monkeypatch.setattr("zigzag.spectral.np.linalg.eigh", corrupted)
         with pytest.raises(ValueError, match=message):
+            adjacency_eigenpairs(cycle(9))
+
+    @CORRUPTIONS
+    def test_corrupted_singular_vectors_refused(self, monkeypatch, corrupt, message):
+        svd = np.linalg.svd
+
+        def corrupted(block, *args, **kw):
+            left, s, right = svd(block, *args, **kw)
+            left[:, 1], right[1] = corrupt(left[:, 1]), corrupt(right[1])  # both halves of the pairs of ±σ_1
+            return left, s, right
+
+        monkeypatch.setattr("zigzag.spectral.np.linalg.svd", corrupted)
+        with pytest.raises(ValueError, match=message):
             adjacency_eigenpairs(hypercube(3))
 
     @pytest.mark.parametrize("change", ["edge dropped", "non-edge added"])
     def test_matrix_other_than_the_adjacency_refused(self, monkeypatch, change):
-        def altered(g):
-            mat = adjacency_matrix(g)
-            u, v = (0, 1) if change == "edge dropped" else (0, 7)  # 000-001 is an edge of Q3, 000-111 is not
-            mat[u, v] = mat[v, u] = 1.0 - mat[u, v]
-            return mat
+        matrix = spectral._matrix
 
-        monkeypatch.setattr("zigzag.spectral.adjacency_matrix", altered)
+        def altered(g, *args):
+            mat, place, at = matrix(g, *args)
+            u, v = (0, 1) if change == "edge dropped" else (0, 4)  # 0-1 is an edge of C9, 0-4 is not
+            mat[u, v] = mat[v, u] = 1.0 - mat[u, v]
+            return mat, place, at
+
+        monkeypatch.setattr("zigzag.spectral._matrix", altered)
+        with pytest.raises(RuntimeError, match="^dense matrix is not the adjacency of the graph's edges$"):
+            adjacency_eigenpairs(cycle(9))
+
+    @pytest.mark.parametrize("change", ["edge dropped", "non-edge added", "edge weighted 2"])
+    def test_block_other_than_the_biadjacency_refused(self, monkeypatch, change):
+        matrix = spectral._matrix
+
+        def altered(g, *args):
+            block, place, at = matrix(g, *args)
+            # Q3's sides are the even and the odd vertices, 000 and 001 adjacent, 000 and 111 not.
+            x, y = place[0], place[1 if change != "non-edge added" else 7] - block.shape[0]
+            block[x, y] = {"edge dropped": 0.0, "non-edge added": 1.0, "edge weighted 2": 2.0}[change]
+            return block, place, at
+
+        monkeypatch.setattr("zigzag.spectral._matrix", altered)
         with pytest.raises(RuntimeError, match="^dense matrix is not the adjacency of the graph's edges$"):
             adjacency_eigenpairs(hypercube(3))
+
+
+def dense_laplacian_values(g):
+    deg = oracle.adjacency_matrix(g).sum(axis=1)
+    return np.linalg.eigvalsh(np.eye(len(deg)) - oracle.adjacency_matrix(g) / np.sqrt(np.outer(deg, deg)))[::-1]
+
+
+class TestBipartiteBlock:
+    """A bipartite graph is eigensolved on its biadjacency block; `eigvalsh` and `eigh` of the full
+    matrix are the oracle."""
+
+    @given(bipartite_graphs())
+    @example(Graph((0,), ()))
+    @example(Graph((0, 1, 2, 3), ()))
+    @example(complete_bipartite(1, 6))
+    @example(complete_bipartite(3, 3))
+    @example(complete_bipartite(2, 5))
+    def test_spectra_match_the_full_eigensolve(self, g):
+        got, want = adjacency_spectrum(g).eigenvalues, np.linalg.eigvalsh(oracle.adjacency_matrix(g))[::-1]
+        assert np.abs(np.array(got) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        if g._degrees.all():
+            got, want = normalized_laplacian_spectrum(g).eigenvalues, dense_laplacian_values(g)
+            assert np.abs(np.array(got) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    @given(bipartite_graphs())
+    @example(Graph((0,), ()))
+    @example(Graph((0, 1, 2, 3), ()))
+    @example(Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3))))
+    @example(complete_bipartite(2, 5))
+    @example(complete_bipartite(5, 2))
+    def test_eigenvectors_are_orthonormal_with_small_residuals(self, g):
+        pairs = adjacency_eigenpairs(g)
+        rows = np.array([p.vector for p in pairs])
+        assert np.abs(rows @ rows.T - np.eye(len(rows))).max() <= 1e-12
+        assert max(oracle.dense_residual(g, p.value, p.vector) for p in pairs) <= RESIDUAL_TOL
+        want = np.linalg.eigvalsh(oracle.adjacency_matrix(g))[::-1]
+        assert np.abs(np.array([p.value for p in pairs]) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+    def test_sides_interleaved_in_rank_order(self):
+        # P5 with extra isolated vertices 5 and 6: sides {0, 2, 4, 5, 6} and {1, 3}, a 5x2 block.
+        g = Graph(tuple(range(7)), ((0, 1), (1, 2), (2, 3), (3, 4)))
+        block, place, _ = spectral._matrix(g)
+        assert block.shape == (5, 2) and place.tolist() == [0, 5, 1, 6, 2, 3, 4]
+        assert adjacency_spectrum(g).eigenvalues == pytest.approx([math.sqrt(3), 1, 0, 0, 0, -1, -math.sqrt(3)])
+
+    @pytest.mark.parametrize("g", [hypercube(3), complete_bipartite(2, 3), cycle(6), Graph((0, 1, 2), ()), K2])
+    def test_bipartite_graphs_call_only_svd(self, g, monkeypatch):
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, lambda *args, name=name: pytest.fail(f"{name} called"))
+        adjacency_spectrum(g), adjacency_eigenpairs(g)
+        if g._degrees.all():
+            normalized_laplacian_spectrum(g)
+
+    @pytest.mark.parametrize("g", [C3, cycle(5), K4, Graph((0, 1, 2, 3, 4), ((0, 1), (1, 2), (0, 2), (3, 4)))])
+    def test_odd_cycles_never_call_svd(self, g, monkeypatch):
+        monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: pytest.fail("svd called"))
+        adjacency_spectrum(g), adjacency_eigenpairs(g)
+        if g._degrees.all():
+            normalized_laplacian_spectrum(g)
+
+    def test_a_broken_regular_identity_is_refused_on_the_block(self):
+        g = cycle(6)
+        g.__dict__["_degrees"] = np.full(6, 3)  # not the edges' own degrees: the weights 1/3 are not 1/d = 1/2
+        with pytest.raises(RuntimeError, match="^regular-graph Laplacian identity I - A/d violated$"):
+            normalized_laplacian_spectrum(g)
 
 
 class TestLiftEigenvector:

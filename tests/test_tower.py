@@ -106,7 +106,8 @@ class TestBuildTower:
         # The cap bounds level 1's eigensolve only: levels 2 and 3 (8 and 16 vertices) inherit within it,
         # and over it nothing is eigensolved and no level reports spectra.
         assert all(lv.spectrum and lv.laplacian for lv in c4_tower(3, spectral_cap=4).levels)
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: pytest.fail("eigensolved over the cap"))
+        for name in ("eigvalsh", "svd"):  # C4 is bipartite: its block would go to svd
+            monkeypatch.setattr(np.linalg, name, lambda *args, **kw: pytest.fail("eigensolved over the cap"))
         assert all(lv.spectrum is lv.laplacian is None for lv in c4_tower(3, spectral_cap=3).levels)
 
     def test_rejects_bad_labelings(self):
@@ -316,11 +317,13 @@ class TestCertifiedSpectra:
         assert [lv.spectrum.eigenvalues for lv in build.levels] == [(1.0, 0.0, 0.0, 0.0, 0.0, -1.0)] + [(1.0, -1.0)] * 2
         assert [lv.laplacian and lv.laplacian.eigenvalues for lv in build.levels] == [None] + [(2.0, 0.0)] * 2
 
-    @pytest.mark.parametrize("g, calls", [(C4, 1), (path(5), 2)])
+    @pytest.mark.parametrize("g, calls", [(C4, 1), (path(5), 2), (cycle(5), 1)])
     def test_eigensolves_per_tower(self, g, calls, monkeypatch):
-        # Level 1 only: its adjacency, and for a non-regular level 1 its normalized adjacency.
-        sizes, eigvalsh = [], np.linalg.eigvalsh
+        # Level 1 only: its adjacency, and for a non-regular level 1 its normalized adjacency; a bipartite
+        # level 1 (C4, P5) is solved on its p×q biadjacency block, of p + q = |V| vertices.
+        sizes, eigvalsh, svd = [], np.linalg.eigvalsh, np.linalg.svd
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: sizes.append(len(mat)) or eigvalsh(mat))
+        monkeypatch.setattr(np.linalg, "svd", lambda mat, **kw: sizes.append(sum(mat.shape)) or svd(mat, **kw))
         build = build_tower(g, P3, constant_labeling(g, P3, 1), 10)
         assert all(lv.spectrum and lv.laplacian for lv in build.levels)
         assert sizes == [len(g.vertices)] * calls
