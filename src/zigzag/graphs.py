@@ -186,17 +186,28 @@ class Graph:
         return np.bincount(self._edge_ranks.ravel(), minlength=len(self.vertices))
 
     @cached_property
-    def _sides(self) -> np.ndarray | None:
-        """A 2-colouring, True on side 1 and isolated vertices on side 0; None if an odd cycle forbids one.  Each step
-        colours every vertex with coloured neighbours (±1) against their sum; one all-edge check proves the result."""
-        ends, want, have = self._edge_ranks, np.count_nonzero(self._degrees), 0
-        src, dst, side = ends.ravel(), ends[:, ::-1].ravel(), np.zeros(len(self.vertices))
-        while (count := np.count_nonzero(side)) < want:
-            if count == have:  # none ran, or the last coloured nothing: seed an edge with an uncoloured end
-                d = np.argmin(np.abs(side[src]))
-                side[src[d]], side[dst[d]] = 1.0, -1.0
-            side, have = np.where(side, side, -np.sign(np.bincount(dst, side[src], side.size))), count
-        return None if side[ends].sum(axis=1).any() else side < 0
+    def _sides(self) -> tuple | None:
+        """A 2-colouring as each rank's place in side 0's ranks then side 1's, each side in rank order, and the size
+        p of side 0 (so rank r is on side 1 iff place[r] >= p), with each component's least rank (so every isolated
+        vertex) on side 0; None if an odd cycle forbids one.  One breadth-first search in Python over neighbour
+        lists, O(|V| + |E|) in time and memory, and two numpy calls: a small graph's colouring takes microseconds."""
+        nbrs, side = [[] for _ in self.vertices], [None] * len(self.vertices)
+        for x, y in self._edge_ranks.tolist():
+            nbrs[x].append(y)
+            nbrs[y].append(x)
+        for root in range(len(side)):
+            if side[root] is None:
+                side[root], todo = False, [root]
+                for x in todo:  # todo grows as it is read
+                    for y in nbrs[x]:
+                        if side[y] is None:
+                            side[y] = not side[x]
+                            todo.append(y)
+                        elif side[y] == side[x]:
+                            return None
+        p = side.count(False)
+        ahead = [iter(range(p)), iter(range(p, len(side)))]  # the places of side 0, of side 1, in turn
+        return np.array([next(ahead[right]) for right in side], np.intp), p
 
     @cached_property
     def _edge_codes(self) -> np.ndarray:

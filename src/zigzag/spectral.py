@@ -27,13 +27,12 @@ def _matrix(g: Graph, weights=1.0, split: bool = True):
     n, (u, v) = len(g.vertices), g._edge_ranks.T
     if 8 * n * n > DENSE_BYTES:
         raise ValueError(f"a dense {n}x{n} matrix takes {8 * n * n} bytes, over the limit of {DENSE_BYTES}")
-    right = g._sides if split else None
-    if right is None:
+    sides = g._sides if split else None
+    if sides is None:
         mat = np.zeros((n, n))
         mat[u, v] = mat[v, u] = weights
         return mat, None, (u, v)
-    place, p = np.empty(n, np.intp), n - np.count_nonzero(right)
-    place[np.argsort(right, kind="stable")] = np.arange(n)
+    place, p = sides
     row, col = np.sort(place[g._edge_ranks], axis=1).T
     block = np.zeros((p, n - p))
     block[row, col - p] = weights
@@ -53,11 +52,17 @@ def _block_values(block: np.ndarray, s=None) -> np.ndarray:
 def _residual(g: Graph, value: float, vec: np.ndarray) -> float:
     """max |A·vec - value·vec|, with A·vec summed over the neighbour index's rows, not built."""
     indptr, indices = g._csr
-    if g._degrees.all():
-        sums = np.add.reduceat(vec[indices], indptr[:-1])
-    else:  # reduceat reads an empty row as the next row's first entry, or the 0 put past the end: masked
-        sums = np.add.reduceat(np.append(vec[indices], 0.0), indptr[:-1]) * (g._degrees > 0)
+    # reduceat reads an empty row as the next row's first entry, or the 0 put past the end: masked
+    sums = np.add.reduceat(np.append(vec[indices], 0.0), indptr[:-1]) * (g._degrees > 0)
     return np.abs(sums - value * vec).max()
+
+
+def _residuals(mat: np.ndarray, values: np.ndarray, rows: np.ndarray, block: bool = False) -> np.ndarray:
+    """max |A·x - value·x| of every row x of rows, with its value, by matrix products: A = mat (symmetric), or
+    if block A = [[0, B], [Bᵀ, 0]] with B = mat and each x in side order, A·(x₀, x₁) = (B·x₁, Bᵀ·x₀)."""
+    p = mat.shape[0]
+    image = np.hstack((rows[:, p:] @ mat.T, rows[:, :p] @ mat)) if block else rows @ mat
+    return np.abs(image - values[:, None] * rows).max(axis=1)
 
 
 def _laplacian(g: Graph, split: bool):
@@ -184,19 +189,18 @@ def adjacency_eigenpairs(g: Graph) -> list[EigenPair]:
         x, y = np.sqrt(0.5) * left[:, :r].T, np.sqrt(0.5) * right[:r]
         rows[:r, :p], rows[:r, p:], rows[p + q - r:, :p], rows[p + q - r:, p:] = x, y, x[::-1], -y[::-1]
         rows[r:p, :p], rows[p:p + q - r, p:] = left[:, r:].T, right[r:]
-        values, rows = _block_values(mat, s), rows[:, place]
+        values = _block_values(mat, s)
     norms = np.linalg.norm(rows, axis=1, keepdims=True)
     if (norms <= RESIDUAL_TOL).any():
         raise ValueError("eigenvector is numerically zero")
     rows = np.divide(rows, norms, order="C")
-    lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-12).argmax(axis=1)]  # as in _canonical_sign
-    rows *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]  # a row without such an entry stays as it is
-    # A·x of every row x: one product with A (symmetric), or two by sides, A·(x₀, x₁) = (B·x₁, Bᵀ·x₀).
-    ordered = rows if place is None else rows[:, np.argsort(place)]
-    image = ordered @ mat if place is None else np.hstack((ordered[:, p:] @ mat.T, ordered[:, :p] @ mat))
-    residual = np.abs(image - values[:, None] * ordered).max()
+    residual = _residuals(mat, values, rows, place is not None).max()
     if not residual <= RESIDUAL_TOL:  # a NaN is refused too
         raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
+    if place is not None:
+        rows = rows.take(place, axis=1)  # from side order to rank order, C-contiguous
+    lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-12).argmax(axis=1)]  # as in _canonical_sign
+    rows *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]  # a row without such an entry stays as it is
     rows.flags.writeable = False
     return [EigenPair._from_verified(g, x, vec) for x, vec in zip(values.tolist(), rows)]
 

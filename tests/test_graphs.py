@@ -468,12 +468,16 @@ class TestTwoColouring:
     @example(path(40))
     @example(Graph())
     def test_sides_exist_exactly_without_an_odd_cycle(self, g):
-        side = g._sides
-        assert (side is None) == oracle.has_odd_cycle(g)
-        if side is not None:
-            assert side.dtype == bool and side.shape == (len(g.vertices),)
+        sides = g._sides
+        assert (sides is None) == oracle.has_odd_cycle(g)
+        if sides is not None:
+            (place, p), n = sides, len(g.vertices)
+            assert place.dtype == np.intp and sorted(place.tolist()) == list(range(n))
+            side = place >= p
             assert all(side[g._rank[u]] != side[g._rank[v]] for u, v in g.edges)
             assert not side[g._degrees == 0].any()  # isolated vertices on side 0
+            for part in (~side, side):  # each side in rank order
+                assert np.all(np.diff(place[part]) == 1)
 
 
 class TestEdgeArrayMatrices:

@@ -34,6 +34,7 @@ from zigzag.spectral import (
     EigenPair,
     SpectrumReport,
     ZeroCertificate,
+    _residuals,
     adjacency_eigenpairs,
     adjacency_matrix,
     adjacency_spectrum,
@@ -233,8 +234,9 @@ class TestBatchedEigenpairs:
             assert np.abs(p.vector - q.vector).max() <= 1e-15
             assert leading_entry(p.vector) > 0 and leading_entry(q.vector) > 0
             assert not p.vector.flags.writeable
-        for p in batch:
-            assert oracle.dense_residual(g, p.value, p.vector) <= RESIDUAL_TOL
+        rows = np.array([p.vector for p in batch])
+        for r, p in zip(_residuals(mat, values[::-1], rows), batch):
+            assert abs(r - oracle.dense_residual(g, p.value, p.vector)) <= 1e-12
 
     @given(bipartite_graphs())
     @example(Graph((0,), ()))
@@ -252,6 +254,10 @@ class TestBatchedEigenpairs:
             assert not p.vector.flags.writeable
         values = [p.value for p in batch]
         assert values == sorted(values, reverse=True)
+        block, place, _ = spectral._matrix(g)
+        rows = np.array([p.vector for p in batch])[:, np.argsort(place)]  # in side order, as the block's
+        for r, p in zip(_residuals(block, np.array(values), rows, block=True), batch):
+            assert abs(r - oracle.dense_residual(g, p.value, p.vector)) <= 1e-12
 
     def test_vectors_are_rows_of_one_matrix(self, g=hypercube(3)):
         batch = adjacency_eigenpairs(g)
