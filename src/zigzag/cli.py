@@ -151,8 +151,6 @@ def cmd_check(args) -> int:
             index = pi_combinatorial_cover_check(z)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        except RuntimeError as exc:
-            raise CheckFailed(str(exc)) from exc
         print(f"projection is a combinatorial cover of index {index}")
         return OK
 
@@ -191,7 +189,7 @@ def cmd_lift_cover(args) -> int:
         _write_text(out / "covering.json", io.dumps_vertex_map(lift.phat))
     print(
         f"lifted covering verified: {len(lift.lifted.product.vertices)} vertices, "
-        f"{len(lift.lifted.product.edges)} edges over {len(z.product.vertices)}/{len(z.product.edges)}"
+        f"{len(lift.lifted.product._edge_ranks)} edges over {len(z.product.vertices)}/{len(z.product._edge_ranks)}"
     )
     return OK
 
@@ -330,10 +328,10 @@ def run(argv=None) -> int:
         if args.command == "check" and args.what == "pi" and not args.product:
             raise InputError("check pi needs -p PRODUCT")
         return args.func(args)
-    except InputError as exc:
+    except (InputError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
-    except CheckFailed as exc:
+    except (CheckFailed, RuntimeError) as exc:  # a RuntimeError is a self-check of the library failing
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
 

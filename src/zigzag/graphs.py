@@ -359,7 +359,7 @@ class VertexMap:
 
 
 def identity_map(g: Graph) -> VertexMap:
-    return VertexMap(g, g, {v: v for v in g.vertices})
+    return VertexMap._from_ranks(g, g, np.arange(len(g.vertices), dtype=np.intp))
 
 
 def compose(outer: VertexMap, inner: VertexMap) -> VertexMap:
@@ -475,6 +475,20 @@ def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
 
 def is_combinatorial_cover(m: VertexMap) -> bool:
     return bool(check_combinatorial_cover(m))
+
+
+def _square_cover(m: VertexMap, k: int) -> tuple:
+    """Whether counts prove m a combinatorial cover of index k^2 (k >= 1), and the counts, for a refusal to name:
+    m is a morphism, every fiber has k vertices and every image edge k^2 preimage edges.  The domain is simple and
+    each preimage of an image edge joins its two end fibers, so those are all k·k pairs of the two fibers; each
+    vertex sees every fiber next to its own through k edges, and both cover conditions hold (the fiber argument
+    of Reingold, Vadhan and Wigderson, Ann. Math. 2002, §3)."""
+    if not is_graph_morphism(m):
+        return False, "not a graph morphism"
+    counts = _distinct(np.bincount(m._edge_images, minlength=len(m.codomain._edge_ranks))).tolist()
+    fibers = _distinct(np.bincount(m._image_ranks, minlength=len(m.codomain.vertices))).tolist()
+    cover = f"cover index {counts[0]}" if len(counts) == 1 else f"edge fiber sizes {counts}"
+    return counts in ([], [k * k]) and fibers in ([], [k]), f"{cover}, fiber sizes {fibers}"
 
 
 def boundary(subset: Iterable[VertexId], g: Graph) -> tuple:

@@ -26,8 +26,10 @@ from .graphs import (
     _Decoded,
     _distinct,
     _runs,
+    _square_cover,
     check_combinatorial_cover,
     format_vertex,
+    identity_map,
     is_connected,
     is_covering_map,
     is_graph_morphism,
@@ -261,16 +263,17 @@ def _admission(phi: VertexMap, psi: VertexMap, z1: ZigZagGraph, z2: ZigZagGraph)
 
 
 def _pair_map(phi: VertexMap, psi: VertexMap, z1: ZigZagGraph, z2: ZigZagGraph) -> VertexMap:
-    mapping = {}
-    for u, i in z1.product.vertices:
-        img = (phi(u), psi(i))
-        if not z2.product.has_vertex(img):
-            raise RuntimeError(
-                f"image {format_vertex(img)} of {format_vertex((u, i))} is not a product vertex; "
-                "the admission preconditions cannot have held"
-            )
-        mapping[(u, i)] = img
-    f = VertexMap(z1.product, z2.product, mapping)
+    """(u, i) -> (phi(u), psi(i)) between the products: each image coded as in z2, found among z2's vertex codes."""
+    u, i = np.divmod(z1._vertex_codes, len(z1.labels.vertices))
+    codes = phi._image_ranks[u] * len(z2.labels.vertices) + psi._image_ranks[i]
+    known = np.append(z2._vertex_codes, len(z2.base.vertices) * len(z2.labels.vertices))  # ends in a code no vertex has
+    at = np.searchsorted(known, codes)
+    missing = np.flatnonzero(known[at] != codes)
+    if missing.size:
+        v = z1.product.vertices[missing[0]]
+        raise RuntimeError(f"image {format_vertex((phi(v[0]), psi(v[1])))} of {format_vertex(v)} is not a "
+                           "product vertex; the admission preconditions cannot have held")
+    f = VertexMap._from_ranks(z1.product, z2.product, at)
     if not is_graph_morphism(f):
         raise RuntimeError("induced pair map failed to be a graph morphism")
     return f
@@ -350,7 +353,7 @@ def _lift(p: VertexMap, z: ZigZagGraph) -> tuple:
     """The labeling pulled back along p, its product, and (x,i) -> (p(x), i) onto z's product."""
     beta = pullback_labeling(z.labeling, p)
     lifted = zigzag_product(p.domain, z.labels, beta)
-    return beta, lifted, VertexMap(lifted.product, z.product, {(x, i): (p(x), i) for x, i in lifted.product.vertices})
+    return beta, lifted, _pair_map(p, identity_map(z.labels), lifted, z)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,14 +412,12 @@ def lift_combinatorial_cover(p: VertexMap, z: ZigZagGraph) -> CombinatorialLift:
 
 
 def pi_combinatorial_cover_check(z: ZigZagGraph) -> int:
-    """Verify that the projection is a combinatorial cover of index n^2,
-    where n is the constant image valency of the labeling."""
+    """Verify that the projection is a combinatorial cover of index n^2, where n is the constant
+    image valency of the labeling: every fiber has n vertices and every image edge n^2 preimages."""
     if not is_locally_constant(z.labeling):
         raise ValueError("projection cover check needs a locally constant labeling")
     n = image_valency(z.labeling)
-    res = check_combinatorial_cover(projection(z))
-    if not res:
-        raise RuntimeError(f"projection failed the cover check ({res.violation} at {res.witness})")
-    if res.index != n * n:
-        raise RuntimeError(f"projection cover index {res.index}, expected {n * n}")
-    return res.index
+    proved, counts = _square_cover(projection(z), n)
+    if not proved:
+        raise RuntimeError(f"projection is not a combinatorial cover of index {n * n}: {counts}")
+    return n * n

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, VertexMap, check_combinatorial_cover, is_covering_map
+from .graphs import Graph, VertexMap
 from .labeling import HLabeling, image_valency, is_locally_constant
 from .product import ZigZagGraph, lift_combinatorial_cover, lift_covering, zigzag_product
 
@@ -25,6 +25,8 @@ def _matrix(g: Graph, weights=1.0, split: bool = True):
     bipartite (and split) the p×q block B of [[0, B], [Bᵀ, 0]] (rows side 0, columns side 1, in rank order) and each
     vertex's place in [side 0 | side 1] order, else the n×n matrix and None; and each edge's (row, column)."""
     n, (u, v) = len(g.vertices), g._edge_ranks.T
+    if split and not n:  # every eigensolve splits; the public matrix builders give the empty graph its 0×0 matrix
+        raise ValueError("spectrum of the empty graph is undefined")
     if 8 * n * n > DENSE_BYTES:
         raise ValueError(f"a dense {n}x{n} matrix takes {8 * n * n} bytes, over the limit of {DENSE_BYTES}")
     sides = g._sides if split else None
@@ -114,8 +116,6 @@ class SpectrumReport:
 
 def adjacency_spectrum(g: Graph) -> SpectrumReport:
     """Eigenvalues of the adjacency operator, descending: ±σ of a bipartite graph's block."""
-    if not g.vertices:
-        raise ValueError("spectrum of the empty graph is undefined")
     mat, place, _ = _matrix(g)
     values = np.linalg.eigvalsh(mat) if place is None else _block_values(mat)
     return SpectrumReport.from_values(values, "adjacency")
@@ -128,11 +128,10 @@ def normalized_laplacian_spectrum(g: Graph) -> SpectrumReport:
     return SpectrumReport.from_values(values, "normalized_laplacian")
 
 
-def _canonical_sign(vec: np.ndarray) -> np.ndarray:
-    for x in vec:
-        if abs(x) > 1e-12:
-            return -vec if x < 0 else vec
-    return vec
+def _fix_signs(rows: np.ndarray) -> None:
+    """Negate, in place, every row (one vector a row) whose first entry of modulus over 1e-12 is negative."""
+    lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-12).argmax(axis=1)]
+    rows *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]  # a row without such an entry stays as it is
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +150,8 @@ class EigenPair:
         norm = np.linalg.norm(vec)
         if not norm > RESIDUAL_TOL:  # a NaN is refused too
             raise ValueError("eigenvector is numerically zero")
-        vec = _canonical_sign(vec / norm)
+        vec = vec / norm
+        _fix_signs(vec[None])  # through a one-row view
         residual = _residual(self.graph, self.value, vec)
         if not residual <= RESIDUAL_TOL:  # so are a NaN value and an infinite entry, whose residual is NaN
             raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
@@ -174,8 +174,6 @@ def adjacency_eigenpairs(g: Graph) -> list[EigenPair]:
     bipartite graph's block B = U·diag(σ)·Vᵀ given to `svd` (then (u, ±v)/√2 have eigenvalues ±σ, spare columns of
     U or V 0), is first certified against the edge array, then every vector is normalized, sign-fixed and its
     residual checked at once.  The vectors are the read-only rows of one C-contiguous matrix."""
-    if not g.vertices:
-        raise ValueError("spectrum of the empty graph is undefined")
     mat, place, at = _matrix(g)
     entries = [at] if place is not None else [at, at[::-1]]  # the n×n matrix holds each edge twice
     if np.count_nonzero(mat) != len(entries) * len(at[0]) or not all((mat[e] == 1).all() for e in entries):
@@ -199,8 +197,7 @@ def adjacency_eigenpairs(g: Graph) -> list[EigenPair]:
         raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
     if place is not None:
         rows = rows.take(place, axis=1)  # from side order to rank order, C-contiguous
-    lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-12).argmax(axis=1)]  # as in _canonical_sign
-    rows *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]  # a row without such an entry stays as it is
+    _fix_signs(rows)
     rows.flags.writeable = False
     return [EigenPair._from_verified(g, x, vec) for x, vec in zip(values.tolist(), rows)]
 
@@ -299,8 +296,6 @@ def radius_comparison_check(g: Graph, h: Graph, a: HLabeling) -> bool:
 
 def cover_radius_check(p: VertexMap, z: ZigZagGraph) -> bool:
     """Adjacency spectral radius never grows when lifting along a covering."""
-    if not is_covering_map(p):
-        raise ValueError("map is not a covering map")
     lift = lift_covering(p, z)
     return adjacency_spectrum(lift.lifted.product).rho <= adjacency_spectrum(z.product).rho + RESIDUAL_TOL
 
@@ -315,9 +310,6 @@ def spectrum_contained(small: SpectrumReport, big: SpectrumReport, tol: float = 
 def laplacian_containment_check(p: VertexMap, z: ZigZagGraph) -> bool:
     """Laplacian eigenvalues of the base product all reappear in the product
     over a combinatorial cover."""
-    res = check_combinatorial_cover(p)
-    if not res:
-        raise ValueError(f"map is not a combinatorial cover: {res.violation} at {res.witness}")
     lift = lift_combinatorial_cover(p, z)
     for graph, name in (
         (p.domain, "covering graph"),

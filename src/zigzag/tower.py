@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, VertexMap, vertex_key
+from .graphs import Graph, VertexMap, _square_cover, vertex_key
 from .labeling import (
     HLabeling,
     image_valency,
@@ -94,19 +94,13 @@ def _level_spectra(g: Graph, scale: int, values):
 
 def _certify(pi: VertexMap, below: Graph, m: int) -> None:
     """Certify A(domain) = S·A(below)·Sᵀ, S pi's fiber indicator; as SᵀS = m·I, the nonzero spectrum scales by m.
-
-    Three counts prove it: every image edge has m^2 preimage edges, every fiber has m vertices, and the image
-    carries every edge of below (so it drops only isolated vertices).  The domain is simple and each preimage
-    of an image edge joins its two end fibers, so the m^2 preimages are all m·m pairs of those fibers: x ~ y
-    iff pi(x) ~ pi(y), which is the identity, and both cover conditions hold at index m^2.
-    """
-    counts = np.unique(np.bincount(pi._edge_images, minlength=len(pi.codomain._edge_ranks))).tolist()
-    fibers = np.bincount(pi._image_ranks, minlength=len(pi.codomain.vertices))
+    `_square_cover` proves x ~ y iff pi(x) ~ pi(y), and the image carries every edge of below (so it drops only
+    isolated vertices)."""
+    proved, counts = _square_cover(pi, m)
     carried, edges = len(pi.codomain._edge_ranks), len(below._edge_ranks)
-    if counts not in ([], [m * m]) or (fibers != m).any() or carried != edges:
-        cover = f"cover index {counts[0]}" if len(counts) == 1 else f"edge fiber sizes {counts}"
-        raise RuntimeError(f"projection not certified for m = {m}: {cover}, "
-                           f"fiber sizes {np.unique(fibers).tolist()}, {carried} of the {edges} edges below carried")
+    if not proved or carried != edges:
+        raise RuntimeError(f"projection not certified for m = {m}: {counts}, "
+                           f"{carried} of the {edges} edges below carried")
 
 
 def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfig = TowerConfig()) -> TowerBuild:

@@ -3,7 +3,7 @@
 import random
 
 from zigzag.generators import complete, cycle, hypercube, path
-from zigzag.graphs import Dart, Graph, darts
+from zigzag.graphs import Dart, Graph, VertexMap, darts
 from zigzag.labeling import HLabeling, constant_labeling, vertex_labeling
 
 K2 = complete(2)
@@ -12,6 +12,11 @@ C3 = cycle(3)
 C4 = cycle(4)
 C6 = cycle(6)
 K4 = complete(4)
+
+
+def mod_map(big, small, n):
+    """The map i -> i mod n, from a graph on 0..k·n-1 (a cycle, say) onto one on 0..n-1."""
+    return VertexMap(big, small, {i: i % n for i in big.vertices})
 
 
 def bijective_labeling(g, h):

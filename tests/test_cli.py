@@ -5,7 +5,8 @@ import time
 import pytest
 
 from helpers import C3, C4, C6, K4, P3
-from zigzag import io, spectral, tower
+from test_tower import _edited_product
+from zigzag import cli, io, product, spectral, tower
 from zigzag.cli import _fmt, build_parser, run
 from zigzag.generators import cycle, hypercube
 from zigzag.graphs import VertexMap
@@ -99,11 +100,11 @@ class TestSpectrum:
         assert code == 2 and out == ""
         assert err == "error: a dense 101x101 matrix takes 81608 bytes, over the limit of 80000\n"
 
-    def test_empty_graph_exit_2(self, capsys, monkeypatch):
-        code, _, err = invoke(
-            ["spectrum", "-g", "-"], capsys, stdin="{}", monkeypatch=monkeypatch
-        )
-        assert code == 2
+    @pytest.mark.parametrize("flags", [[], ["--normalized"]])
+    def test_empty_graph_exit_2(self, capsys, monkeypatch, flags):
+        code, out, err = invoke(["spectrum", "-g", "-", *flags], capsys, stdin="{}", monkeypatch=monkeypatch)
+        assert (code, out) == (2, "")
+        assert err == "error: spectrum of the empty graph is undefined\n"
 
 
 class TestProduct:
@@ -350,6 +351,54 @@ class TestFolner:
         )
         assert code == 2
         assert "nested" in err
+
+
+class TestSelfCheckFailures:
+    """A self-check of the library failing (a RuntimeError) exits 1 with one `check failed:` line and
+    nothing on stdout, whichever command ran it; a RecursionError is an input error (exit 2)."""
+
+    def _inputs(self, tmp_path):
+        paths = {name: tmp_path / f"{name}.json" for name in ("g", "h", "z", "p", "chain")}
+        paths["g"].write_text(io.dumps_graph(C3), encoding="utf-8")
+        paths["h"].write_text(io.dumps_graph(P3), encoding="utf-8")
+        paths["z"].write_text(io.dumps_product(zigzag_product(C3, P3, constant_labeling(C3, P3, 1))), encoding="utf-8")
+        paths["p"].write_text(io.dumps_vertex_map(VertexMap(C6, C3, {i: i % 3 for i in C6.vertices})), encoding="utf-8")
+        paths["chain"].write_text(json.dumps([[0], [0, 1]]), encoding="utf-8")
+        return {name: str(path) for name, path in paths.items()}
+
+    def _refused(self, capsys, argv, message):
+        code, out, err = invoke(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"check failed: {message}") and err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_tower(self, capsys, tmp_path, monkeypatch, json_flag):
+        monkeypatch.setattr(tower, "zigzag_product", _edited_product(lambda ranks: ranks[1:]))
+        f = self._inputs(tmp_path)
+        argv = ["tower", "-g", f["g"], "-H", f["h"], "--constant", "1", "--depth", "2", *json_flag]
+        self._refused(capsys, argv, "projection not certified for m = 2: edge fiber sizes [3, 4], fiber sizes [2]")
+
+    def test_folner(self, capsys, tmp_path, monkeypatch):
+        # The restricted products are built with label 0, whose neighbour 1 no vertex of the full product has.
+        restrict = tower.restrict_labeling
+        monkeypatch.setattr(tower, "restrict_labeling", lambda a, f: constant_labeling(restrict(a, f).base, a.labels, 0))
+        f = self._inputs(tmp_path)
+        argv = ["folner", "-g", f["g"], "-H", f["h"], "--constant", "1", "--chain", f["chain"]]
+        self._refused(capsys, argv, "restricted product escaped the full product")
+
+    def test_lift_cover(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(product, "zigzag_product", _edited_product(lambda ranks: ranks[1:]))
+        f = self._inputs(tmp_path)
+        self._refused(capsys, ["lift", "cover", "-p", f["p"], "-z", f["z"]], "lifted map failed the covering check")
+
+    def test_a_recursion_error_is_an_input_error(self, capsys, tmp_path, monkeypatch):
+        def too_deep(*_):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "zigzag_product", too_deep)
+        f = self._inputs(tmp_path)
+        code, out, err = invoke(["product", "-g", f["g"], "-H", f["h"], "--constant", "1"], capsys)
+        assert (code, out, err) == (2, "", "error: maximum recursion depth exceeded\n")
 
 
 class TestExport:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import small_graphs, vertex_maps_into
+from helpers import mod_map
 from zigzag import generators
 from zigzag.generators import cayley_cyclic, complete, cycle, generate, hypercube, path
 from zigzag.graphs import (
@@ -39,10 +40,6 @@ K2 = complete(2)
 C3 = cycle(3)
 C4 = cycle(4)
 C6 = cycle(6)
-
-
-def mod_map(big, small, n):
-    return VertexMap(big, small, {i: i % n for i in big.vertices})
 
 
 class TestGraphConstruction:

@@ -14,7 +14,7 @@ from conftest import (
     small_graphs,
     vertex_maps_into,
 )
-from helpers import C3, C4, C6, K2, P3, random_dart_labeling
+from helpers import C3, C4, C6, K2, P3, mod_map, random_dart_labeling
 from zigzag import io
 from zigzag.generators import cycle, path
 from zigzag.graphs import Dart, Graph, VertexMap, darts, disjoint_union, identity_map, make_edge
@@ -46,10 +46,6 @@ def mixed_labeled_instances(draw):
     """Dart labelings of graphs with mixed ids (ints, strings, nested pairs)."""
     g, h = draw(mixed_graphs(max_vertices=7)), draw(small_graphs(min_vertices=1, max_vertices=4))
     return g, h, HLabeling(g, h, {d: draw(st.sampled_from(h.vertices)) for d in darts(g)})
-
-
-def mod_map(big, small, n):
-    return VertexMap(big, small, {i: i % n for i in big.vertices})
 
 
 class TestHLabeling:

@@ -1,6 +1,7 @@
 import gc
 import random
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,11 +10,11 @@ from hypothesis import strategies as st
 
 import oracle
 from conftest import constant_valency_instances, labeled_instances, labeled_instances_of_both_forms
-from helpers import C3, C4, C6, CONSTANT_VALENCY_POOL, K2, P3, random_dart_labeling, worked_fixtures
+from helpers import C3, C4, C6, CONSTANT_VALENCY_POOL, K2, P3, mod_map, random_dart_labeling, worked_fixtures
 from oracle import brute_force_zigzag
 from test_graphs import mixed_graphs
 from test_io import mixed_labeled_instances
-from zigzag import io
+from zigzag import io, product
 from zigzag.generators import cycle, hypercube
 from zigzag.graphs import (
     Dart,
@@ -34,6 +35,7 @@ from zigzag.labeling import (
     image_valency,
     is_locally_constant,
     pullback_labeling,
+    pushforward_labeling,
     vertex_labeling,
 )
 from zigzag.product import (
@@ -53,10 +55,6 @@ from zigzag.product import (
 )
 from zigzag.spectral import adjacency_eigenpairs, descend_eigenvector, lift_eigenvector
 from zigzag.tower import build_tower, folner_product_check, tower_spectrum_check
-
-
-def mod_map(big, small, n):
-    return VertexMap(big, small, {i: i % n for i in big.vertices})
 
 
 def c4p3():
@@ -475,6 +473,93 @@ class TestProjection:
         assert pi.codomain.edges == ((0, 1),)
 
 
+def dict_lift(p, lifted, z):
+    """The lifted map (x, i) -> (p(x), i) as an id dict: the oracle for the rank-built one."""
+    return VertexMap(lifted.product, z.product, {(x, i): (p(x), i) for x, i in lifted.product.vertices})
+
+
+def dict_pair_map(phi, psi, z1, z2):
+    """The induced map (u, i) -> (phi(u), psi(i)) as an id dict: the oracle for the rank-built one."""
+    return VertexMap(z1.product, z2.product, {(u, i): (phi(u), psi(i)) for u, i in z1.product.vertices})
+
+
+def folded_cube_cover(d):
+    """Q_d onto the folded cube, each bitstring and its complement made one: a double cover for d >= 3."""
+    q = hypercube(d)
+    fold = {x: x if x[0] == "0" else x.translate(str.maketrans("01", "10")) for x in q.vertices}
+    folded = Graph(tuple(set(fold.values())), tuple((fold[x], fold[y]) for x, y in q.edges))
+    return VertexMap(q, folded, fold)
+
+
+def covers_with_labelings():
+    """(p, z): covers onto a product's base (cyclic, and hypercube double covers), with constant
+    and seeded random labelings."""
+    rng, out = random.Random(2002), []
+    for p in (mod_map(cycle(6), C3, 3), mod_map(cycle(12), C4, 4), mod_map(cycle(15), cycle(5), 5),
+              folded_cube_cover(3), folded_cube_cover(4)):
+        base = p.codomain
+        out.append((p, zigzag_product(base, P3, constant_labeling(base, P3, 1))))
+        for h in (P3, C4, K2):
+            out.append((p, zigzag_product(base, h, random_dart_labeling(rng, base, h))))
+    return out
+
+
+class TestRankBuiltMaps:
+    """The lifted and induced maps, built from rank arrays, equal the same maps built as id dicts."""
+
+    @pytest.mark.parametrize("p, z", covers_with_labelings())
+    def test_lifted_and_induced_maps_equal_the_dict_maps(self, p, z):
+        assert is_covering_map(p)
+        lift = lift_covering(p, z)
+        assert lift.phat == dict_lift(p, lift.lifted, z)
+        comb = lift_combinatorial_cover(p, z)
+        assert comb.phat == lift.phat and comb.index == check_combinatorial_cover(p).index
+        ident = identity_map(z.labels)
+        assert induced_product_map(p, ident, lift.lifted, z) == dict_pair_map(p, ident, lift.lifted, z)
+
+    def test_a_combinatorial_cover_with_uneven_fibers_lifts_to_the_dict_map(self):
+        star = Graph(tuple(range(5)), tuple((0, v) for v in range(1, 5)))  # K_{1,4} -> K2, index 4
+        p = VertexMap(star, K2, {0: 0, 1: 1, 2: 1, 3: 1, 4: 1})
+        z = zigzag_product(K2, P3, constant_labeling(K2, P3, 1))
+        lift = lift_combinatorial_cover(p, z)
+        assert lift.index == 4 and lift.phat == dict_lift(p, lift.lifted, z)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_label_automorphisms_induce_the_dict_map(self, seed):
+        rng = random.Random(seed)
+        g = cycle(rng.choice((4, 5, 6)))
+        a = random_dart_labeling(rng, g, C4)
+        for shift, sign in ((1, 1), (0, -1), (3, -1)):
+            psi = VertexMap(C4, C4, {i: (shift + sign * i) % 4 for i in C4.vertices})
+            z1, z2 = zigzag_product(g, C4, a), zigzag_product(g, C4, pushforward_labeling(a, psi))
+            phi = identity_map(g)
+            assert induced_product_map(phi, psi, z1, z2) == dict_pair_map(phi, psi, z1, z2)
+
+    def test_a_weak_pair_induces_the_dict_map(self):
+        psi = VertexMap(C4, P3, {0: 0, 1: 1, 2: 2, 3: 1})
+        z1 = zigzag_product(K2, C4, constant_labeling(K2, C4, 0))
+        z2 = zigzag_product(K2, P3, constant_labeling(K2, P3, 2))
+        f = induced_product_map(identity_map(K2), psi, z1, z2)
+        assert f == dict_pair_map(identity_map(K2), psi, z1, z2)
+
+    def test_identity_maps_equal_and_hash_as_the_dict_maps(self):
+        mixed = zigzag_product(P3, P3, vertex_labeling(P3, P3, {0: 0, 1: 1, 2: 2})).product
+        for g in (Graph(), C4, hypercube(3), mixed):
+            ident, oracle_map = identity_map(g), VertexMap(g, g, {v: v for v in g.vertices})
+            assert ident == oracle_map and hash(ident) == hash(oracle_map)
+            assert ident.mapping == oracle_map.mapping
+
+    def test_a_missing_image_is_named(self, monkeypatch):
+        # Vertex 2 carries label 0, so (2, 1) lies above it; the target, labeled 1 throughout, has no (3, 1).
+        z1 = zigzag_product(C4, P3, vertex_labeling(C4, P3, {0: 1, 1: 1, 2: 0, 3: 1}))
+        z2 = zigzag_product(C4, P3, constant_labeling(C4, P3, 1))
+        monkeypatch.setattr(product, "is_strict_morphism", lambda lm: True)  # admit the pair anyway
+        rotate = VertexMap(C4, C4, {u: (u + 1) % 4 for u in C4.vertices})
+        want = "image (3,1) of (2,1) is not a product vertex; the admission preconditions cannot have held"
+        with pytest.raises(RuntimeError, match=f"^{re.escape(want)}$"):
+            induced_product_map(rotate, identity_map(P3), z1, z2)
+
+
 class TestInducedProductMap:
     def test_identity_pair(self):
         z = c4p3()
@@ -673,4 +758,22 @@ class TestPiCombinatorialCover:
         g, h, a = inst
         n = image_valency(a)
         z = zigzag_product(g, h, a)
-        assert pi_combinatorial_cover_check(z) == n * n
+        assert pi_combinatorial_cover_check(z) == check_combinatorial_cover(projection(z)).index == n * n
+
+    @given(constant_valency_instances(), st.data())
+    @settings(max_examples=30)
+    def test_edited_products_are_refused_by_both_checks(self, inst, data):
+        z = zigzag_product(*inst)
+        cut = without_edge(z, data.draw(st.sampled_from(z.product.edges)))
+        assert not check_combinatorial_cover(projection(cut))
+        with pytest.raises(RuntimeError, match="^projection is not a combinatorial cover of index"):
+            pi_combinatorial_cover_check(cut)
+        # Every pair above a base edge is an edge already, so an added edge lies above no base edge.
+        pairs = [(x, y) for x, y in combinations(z.product.vertices, 2) if not z.product.has_edge(x, y)]
+        assume(pairs)
+        grown = Graph(z.product.vertices, z.product.edges + (data.draw(st.sampled_from(pairs)),))
+        added = ZigZagGraph._from_ranks(grown, z.labeling, z._vertex_codes)
+        first = VertexMap(grown, z.base, {v: v[0] for v in grown.vertices})
+        assert check_combinatorial_cover(first).violation == "not-a-morphism"
+        with pytest.raises(RuntimeError, match="^projection failed to be a graph morphism$"):
+            pi_combinatorial_cover_check(added)

@@ -18,6 +18,7 @@ from helpers import (
     K4,
     P3,
     bijective_labeling,
+    mod_map,
     random_constant_valency_instance,
     worked_fixtures,
 )
@@ -50,10 +51,6 @@ from zigzag.spectral import (
     radius_comparison_check,
     spectrum_contained,
 )
-
-
-def mod_map(big, small, n):
-    return VertexMap(big, small, {i: i % n for i in big.vertices})
 
 
 def c4p3():
@@ -182,6 +179,21 @@ class TestEigenPairs:
         for p in adjacency_eigenpairs(K4):
             lead = next(x for x in p.vector if abs(x) > 1e-12)
             assert lead > 0
+
+    @pytest.mark.parametrize("lead", [(0.0, 0.0), (1e-12, -1e-12), (-1e-12, 5e-13), (-3e-13, 0.0)])
+    def test_entries_of_modulus_at_most_1e12_leave_the_sign_to_the_next(self, lead):
+        # Vertices 0 and 1 are isolated, so every eigenvector of the edge 2-3 is 0 there; entries of
+        # modulus at most 1e-12 put there must not decide the sign, on either path.
+        g = Graph(tuple(range(4)), ((2, 3),))
+        for p in adjacency_eigenpairs(g):
+            if p.value:
+                assert p.vector[:2].tolist() == [0.0, 0.0] and p.vector[2] > 0
+                for sign in (1.0, -1.0):
+                    vec = sign * p.vector
+                    vec[:2] = lead
+                    got = EigenPair(g, p.value, vec).vector
+                    assert np.array_equal(np.sign(got[2:]), np.sign(p.vector[2:]))
+                    assert np.array_equal(np.sign(got[:2]), sign * np.sign(lead))
 
 
 def leading_entry(vec):
