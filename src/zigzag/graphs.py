@@ -186,6 +186,10 @@ class Graph:
         return np.bincount(self._edge_ranks.ravel(), minlength=len(self.vertices))
 
     @cached_property
+    def _isolated_free(self) -> bool:
+        return bool(self._degrees.all())
+
+    @cached_property
     def _sides(self) -> tuple | None:
         """A 2-colouring as each rank's place in side 0's ranks then side 1's, each side in rank order, and the size
         p of side 0 (so rank r is on side 1 iff place[r] >= p), with each component's least rank (so every isolated

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, VertexMap
+from .graphs import Graph, VertexMap, format_vertex
 from .labeling import HLabeling, image_valency, is_locally_constant
 from .product import ZigZagGraph, lift_combinatorial_cover, lift_covering, zigzag_product
 
@@ -54,17 +54,19 @@ def _block_values(block: np.ndarray, s=None) -> np.ndarray:
 def _residual(g: Graph, value: float, vec: np.ndarray) -> float:
     """max |A·vec - value·vec|, with A·vec summed over the neighbour index's rows, not built."""
     indptr, indices = g._csr
-    # reduceat reads an empty row as the next row's first entry, or the 0 put past the end: masked
-    sums = np.add.reduceat(np.append(vec[indices], 0.0), indptr[:-1]) * (g._degrees > 0)
+    if g._isolated_free:
+        sums = np.add.reduceat(vec[indices], indptr[:-1])
+    else:  # reduceat reads an empty row as the next row's first entry, or the 0 put past the end: masked
+        sums = np.add.reduceat(np.append(vec[indices], 0.0), indptr[:-1]) * (g._degrees > 0)
     return np.abs(sums - value * vec).max()
 
 
 def _residuals(mat: np.ndarray, values: np.ndarray, rows: np.ndarray, block: bool = False) -> np.ndarray:
     """max |A·x - value·x| of every row x of rows, with its value, by matrix products: A = mat (symmetric), or
-    if block A = [[0, B], [Bᵀ, 0]] with B = mat and each x in side order, A·(x₀, x₁) = (B·x₁, Bᵀ·x₀)."""
-    p = mat.shape[0]
-    image = np.hstack((rows[:, p:] @ mat.T, rows[:, :p] @ mat)) if block else rows @ mat
-    return np.abs(image - values[:, None] * rows).max(axis=1)
+    if block A = [[0, B], [Bᵀ, 0]] with B = mat and each x in side order, A·(x₀, x₁) = (B·x₁, Bᵀ·x₀), a half apiece."""
+    p, vx = mat.shape[0], values[:, None] * rows
+    parts = ((rows[:, p:] @ mat.T, vx[:, :p]), (rows[:, :p] @ mat, vx[:, p:])) if block else ((rows @ mat, vx),)
+    return np.maximum.reduce([np.abs(ax - x).max(axis=1, initial=0.0) for ax, x in parts])  # a side may be empty
 
 
 def _laplacian(g: Graph, split: bool):
@@ -147,11 +149,11 @@ class EigenPair:
         vec = np.asarray(self.vector, dtype=float)
         if vec.shape != (len(self.graph.vertices),):
             raise ValueError("eigenvector length must match the vertex count")
-        norm = np.linalg.norm(vec)
+        norm = np.sqrt(vec @ vec)
         if not norm > RESIDUAL_TOL:  # a NaN is refused too
             raise ValueError("eigenvector is numerically zero")
-        vec = vec / norm
-        _fix_signs(vec[None])  # through a one-row view
+        vec = vec / norm  # before the sign fix, whose 1e-12 is absolute
+        vec *= -1.0 if vec[(np.abs(vec) > 1e-12).argmax()] < -1e-12 else 1.0  # `_fix_signs` of one vector
         residual = _residual(self.graph, self.value, vec)
         if not residual <= RESIDUAL_TOL:  # so are a NaN value and an infinite entry, whose residual is NaN
             raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
@@ -166,7 +168,9 @@ class EigenPair:
         return ep
 
     def component(self, v) -> float:
-        return float(self.vector[self.graph.vertices.index(v)])
+        if v not in self.graph._rank:
+            raise ValueError(f"vertex {format_vertex(v)} not in graph")
+        return float(self.vector[self.graph._rank[v]])
 
 
 def adjacency_eigenpairs(g: Graph) -> list[EigenPair]:
@@ -220,7 +224,7 @@ def lift_eigenvector(ep: EigenPair, z: ZigZagGraph) -> EigenPair:
     n = image_valency(z.labeling)
 
     fhat = ep.vector[z._base_ranks]
-    norm = np.linalg.norm(fhat)
+    norm = np.sqrt(fhat @ fhat)
     if abs(norm - np.sqrt(n)) > RESIDUAL_TOL:
         raise ValueError(
             f"lifted norm {norm:.6f} is not sqrt({n}); the eigenvector touches vertices without product fibers"
@@ -246,9 +250,9 @@ def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
 
     # The product vertices are in base-rank order, so every fiber is one run of them.
     over, starts, vec = z._base_ranks, z._fiber_starts, ep.vector
-    bad = np.flatnonzero(np.maximum.reduceat(vec, starts) - np.minimum.reduceat(vec, starts) > RESIDUAL_TOL)
-    if bad.size:
-        u = z.base.vertices[over[starts[bad[0]]]]
+    bad = np.maximum.reduceat(vec, starts) - np.minimum.reduceat(vec, starts) > RESIDUAL_TOL  # a NaN spread passes
+    if bad.any():
+        u = z.base.vertices[over[starts[bad.argmax()]]]  # the first fiber that is not constant
         raise RuntimeError(f"eigenvector with eigenvalue {ep.value:.6g} is not fiber-constant above {u}")
     f = np.zeros(len(z.base.vertices))
     f[over[starts]] = vec[starts]  # 0 above no fiber
@@ -256,12 +260,12 @@ def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
 
 
 def normalized_radius(g: Graph, d: int) -> float:
-    """Spectral radius of the degree-normalized adjacency operator A/d."""
+    """ρ(A)/d, exactly 1 with no eigensolve: g must be d-regular, so A·1 = d·1 and ρ(A) ≤ max row sum = d."""
     if d <= 0:
         raise ValueError("degree must be positive")
     if g.is_regular() != d:
         raise ValueError(f"graph is not {d}-regular")
-    return adjacency_spectrum(g).rho / d
+    return 1.0
 
 
 def radius_comparison_check(g: Graph, h: Graph, a: HLabeling) -> bool:

@@ -498,26 +498,36 @@ class TestEdgeArrayMatrices:
             normalized_laplacian_matrix(g)
 
     @given(mixed_graphs(max_vertices=7).filter(lambda g: g.vertices), st.data())
+    # Both routes of the edge residual: no isolated vertex, then one at the first, a middle and the last rank.
+    @example(cycle(5), None)
+    @example(Graph((0, 1, 2, 3), ((1, 2), (2, 3), (1, 3))), None)
+    @example(Graph((0, 1, 2, 3, 4), ((0, 1), (0, 3), (3, 4), (1, 4))), None)
+    @example(Graph((0, 1, 2, 3), ((0, 1), (1, 2), (0, 2))), None)
     def test_edge_residual_and_eigenpair_verdicts_match_the_dense_ones(self, g, data):
         n = len(g.vertices)
+        assert g._isolated_free == all(g.degree(v) for v in g.vertices)
         values, vectors = np.linalg.eigh(oracle.adjacency_matrix(g))
-        k = data.draw(st.integers(0, n - 1))
-        noise = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
-        for value, vec in ((values[k], vectors[:, k]), (values[k] + 1e-3, vectors[:, k]), (values[k], noise)):
-            norm = np.linalg.norm(vec)
-            if norm <= RESIDUAL_TOL:
-                with pytest.raises(ValueError, match="zero"):
+        if data is None:  # an explicit example: every eigenpair, and fixed noise
+            ks, noise = range(n), np.cos(np.arange(n))
+        else:
+            ks = [data.draw(st.integers(0, n - 1))]
+            noise = np.array(data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n)))
+        for k in ks:
+            for value, vec in ((values[k], vectors[:, k]), (values[k] + 1e-3, vectors[:, k]), (values[k], noise)):
+                norm = np.linalg.norm(vec)
+                if norm <= RESIDUAL_TOL:
+                    with pytest.raises(ValueError, match="zero"):
+                        EigenPair(g, value, vec)
+                    continue
+                dense = oracle.dense_residual(g, value, vec / norm)
+                assert abs(_residual(g, value, vec / norm) - dense) <= 1e-12
+                try:
                     EigenPair(g, value, vec)
-                continue
-            dense = oracle.dense_residual(g, value, vec / norm)
-            assert abs(_residual(g, value, vec / norm) - dense) <= 1e-12
-            try:
-                EigenPair(g, value, vec)
-                accepted = True
-            except ValueError as exc:
-                assert "residual" in str(exc)
-                accepted = False
-            assert accepted == (dense <= RESIDUAL_TOL)
+                    accepted = True
+                except ValueError as exc:
+                    assert "residual" in str(exc)
+                    accepted = False
+                assert accepted == (dense <= RESIDUAL_TOL)
 
 
 @given(vertex_maps())

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ from helpers import (
     random_constant_valency_instance,
     worked_fixtures,
 )
-from zigzag.generators import cycle, hypercube, path
+from zigzag.generators import cayley_cyclic, cycle, hypercube, path
 from zigzag.graphs import Graph, VertexMap, identity_map
 from test_graphs import mixed_graphs
 from zigzag.labeling import HLabeling, constant_labeling, image_valency, vertex_labeling
@@ -195,6 +196,13 @@ class TestEigenPairs:
                     assert np.array_equal(np.sign(got[2:]), np.sign(p.vector[2:]))
                     assert np.array_equal(np.sign(got[:2]), sign * np.sign(lead))
 
+    def test_component_reads_the_rank_and_names_a_missing_vertex(self):
+        p = adjacency_eigenpairs(c4p3().product)[0]
+        assert [p.component(v) for v in p.graph.vertices] == p.vector.tolist()
+        for missing, name in ((7, "7"), ((0, 3), "(0,3)"), ("0", "0")):
+            with pytest.raises(ValueError, match=rf"^vertex {re.escape(name)} not in graph$"):
+                p.component(missing)
+
 
 def leading_entry(vec):
     return next(x for x in vec if abs(x) > 1e-12)
@@ -270,6 +278,16 @@ class TestBatchedEigenpairs:
         rows = np.array([p.vector for p in batch])[:, np.argsort(place)]  # in side order, as the block's
         for r, p in zip(_residuals(block, np.array(values), rows, block=True), batch):
             assert abs(r - oracle.dense_residual(g, p.value, p.vector)) <= 1e-12
+
+    @given(st.one_of(odd_cycle_graphs(), bipartite_graphs()), st.data())
+    def test_scaled_vectors_normalize_then_sign_fix_to_the_batch_pairs(self, g, data):
+        # Any c != 0, a sign flip or a scale far from 1, gives back the batch pair: the norm is taken first.
+        scale = st.floats(1e-8, 1e12) | st.sampled_from([1e-8, 1e12])
+        for p in adjacency_eigenpairs(g):
+            c = data.draw(st.sampled_from([-1.0, 1.0])) * data.draw(scale)
+            q = EigenPair(g, p.value, c * p.vector)
+            assert np.array_equal(np.sign(q.vector), np.sign(p.vector))
+            assert np.abs(q.vector - p.vector).max() <= 1e-15
 
     def test_vectors_are_rows_of_one_matrix(self, g=hypercube(3)):
         batch = adjacency_eigenpairs(g)
@@ -571,6 +589,17 @@ class TestNormalizedRadius:
     def test_regularity_checked(self):
         with pytest.raises(ValueError, match="regular"):
             normalized_radius(path(3), 2)
+
+    @pytest.mark.parametrize(
+        "g", [C3, cycle(10), hypercube(1), hypercube(4), cayley_cyclic(12, (1, 5, 7, 11)), cayley_cyclic(12, (3, 9))]
+    )
+    def test_exact_radius_matches_the_dense_one_with_no_matrix_built(self, g, monkeypatch):
+        # A·1 = d·1 and every row of A sums to d, so rho(A) = d on any d-regular graph, connected or not.
+        d = g.is_regular()
+        dense = np.abs(np.linalg.eigvalsh(oracle.adjacency_matrix(g))).max() / d
+        monkeypatch.setattr(spectral, "_matrix", lambda *args, **kw: pytest.fail("a matrix was built"))
+        assert normalized_radius(g, d) == 1.0
+        assert abs(normalized_radius(g, d) - dense) <= MATCH_TOL
 
 
 class TestRadiusComparison:
