@@ -1,7 +1,7 @@
 """Command-line surface: generation, products, spectra, covers, towers.
 
 Exit codes: 0 success, 1 a checked theorem-property failed on the input,
-2 usage or input errors.  `-` means stdin for every input argument, at
+2 usage, input or any other errors.  `-` means stdin for every input argument, at
 most once per invocation, and stdout for `-o`.  Everything is deterministic.
 """
 
@@ -334,6 +334,9 @@ def run(argv=None) -> int:
     except (CheckFailed, RuntimeError) as exc:  # a RuntimeError is a self-check of the library failing
         print(f"check failed: {exc}", file=sys.stderr)
         return CHECK_FAILED
+    except Exception as exc:  # any other fault: one line (a repr escapes newlines), no traceback
+        print(f"error: {exc!r}", file=sys.stderr)
+        return USAGE
 
 
 def main() -> None:

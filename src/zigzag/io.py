@@ -1,15 +1,15 @@
 """Interchange formats: edge-list text, JSON documents, DOT export.
 
-All writers emit canonical output (vertices and edges in canonical order,
-fixed key order, trailing newline) so that serialization round-trips are
-byte-exact.  The graph, labeling, vertex-map and product documents are
-written from rank arrays in the layout `canonical_dumps` gives their trees:
-each id is rendered once per depth (an atom once), each part an item repeats
-(a product vertex's pair, a base or label edge) once from those, with the
-constant text after it, and `_rows` gathers the parts by rank into rows of
-one piece per part, joined once.  The product loader reads the graphs of a
-document in that layout straight into rank arrays, renders the product it
-re-derives and compares the texts; any other is decoded and compared.
+All writers emit canonical output (canonical vertex and edge order, fixed
+key order, trailing newline), so serialization round-trips are byte-exact.
+Graph, labeling, vertex-map and product documents are written from rank
+arrays in the layout `canonical_dumps` gives their trees.  The id texts of
+a graph of atoms are rendered once per document (of others, once per
+depth), each part an item repeats (a product vertex's pair, a base or label
+edge) once from those, and `_rows` gathers the parts by rank into rows of
+pieces: one piece list per document, joined once.  The canonical product
+loader reads only a document's graphs and labels, and accepts it only if
+the product they make renders to the same text; any other is decoded.
 """
 
 from __future__ import annotations
@@ -37,67 +37,72 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _pair(depth: int, a, b):
-    """The text of the list [a, b] at this depth from the texts of a and b one deeper (strs or object arrays)."""
+def _pair(depth: int, a, b, x=slice(None), y=slice(None)):
+    """The text of the list [a, b] at this depth from the texts of a and b one deeper; of object arrays of
+    texts, those of the lists [a[x], b[y]], each array's constants added before it is gathered."""
     inner = "\n" + "  " * (depth + 1)
-    return "[" + inner + a + ("," + inner) + b + ("\n" + "  " * depth + "]")
+    return (("[" + inner) + a + ("," + inner))[x] + (b + ("\n" + "  " * depth + "]"))[y]
 
 
-def _rows(depth: int, template: str, *columns: np.ndarray, brackets="[]") -> str:
-    """The JSON list (or object) at this depth of one item per row of the columns, equally long object arrays
-    of texts (parts rendered once, by `_gather`): the template, an item's text, with its holes filled by the
-    row's texts.  Its nonempty constants, separators folded in, and the columns make one array, one join."""
+def _rows(depth: int, template: str, *columns: np.ndarray) -> list:
+    """The pieces of the JSON list at this depth of an item per row of the columns (equally long object arrays of
+    texts): the template with its holes filled by the row's texts; nonempty constants and columns in one array."""
     if not len(columns[0]):
-        return brackets[0] + brackets[1]
+        return ["[]"]
     indent, (head, *consts) = "\n" + "  " * (depth + 1), template.split(_HOLE)
     slots = ["," + indent + head] + [x for c, const in zip(columns, consts) for x in ((c, const) if const else (c,))]
     pieces = np.empty(len(columns[0]) * len(slots) + 1, object)
     rows = pieces[:-1].reshape(-1, len(slots))
     for k, slot in enumerate(slots):  # slot by slot: faster than one strided copy of them all
         rows[:, k] = slot
-    rows[0, 0], pieces[-1] = brackets[0] + indent + head, "\n" + "  " * depth + brackets[1]
-    return "".join(pieces.tolist())
+    rows[0, 0], pieces[-1] = "[" + indent + head, "\n" + "  " * depth + "]"
+    return pieces.tolist()
 
 
-def _gather(depth: int, template: str, *columns: tuple) -> str:
-    """The JSON list at this depth of the template's items, each column a pair (texts, index): the texts, an
-    object array, are rendered once with the constant after their hole, then gathered by index into rows."""
+def _gather(depth: int, template: str, *columns: tuple) -> list:
+    """The pieces of the JSON list at this depth of the template's items, each column a pair (texts, index): the
+    texts, an object array, are rendered once with the constant after their hole, then gathered by index into rows."""
     consts = template.split(_HOLE)
     return _rows(depth, consts[0] + len(columns) * _HOLE, *((t + c)[x] for (t, x), c in zip(columns, consts[1:])))
 
 
-def _object(depth: int, **fields: str) -> str:
-    """The JSON object at this depth of the fields' texts; at depth 0, a document, with its final newline."""
-    keys, values = np.array(list(fields), object), np.array(list(fields.values()), object)
-    return _rows(depth, f'"{_HOLE}": {_HOLE}', keys, values, brackets="{}" if depth else ("{", "}\n"))
+def _object(depth: int, **fields: list) -> list:
+    """The pieces of the JSON object at this depth, its fields' pieces spliced in; at depth 0, a document."""
+    pieces, indent = ["{"], "\n" + "  " * (depth + 1)
+    for key, value in fields.items():
+        pieces.append(f'{indent}"{key}": ')
+        pieces += value  # in place: splicing through a temporary list copies, and faults in, each long list again
+        pieces.append(",")
+    pieces[-1] = "\n" + "  " * depth + ("}" if depth else "}\n")
+    return pieces
 
 
 class _Texts(dict):
-    """Texts of ids at one depth, each rendered once: a pair from its parts' one deeper, an atom once for all depths."""
+    """Texts of ids at one depth, each rendered once: a pair from its parts' one deeper, an atom as json.dumps does."""
 
-    def __init__(self, depth: int, atoms: dict | None = None):  # starts empty, as dict.__new__ leaves it
-        self.depth, self.atoms, self.arrays = depth, {} if atoms is None else atoms, {}
+    def __init__(self, depth: int, arrays: dict | None = None):  # starts empty, as dict.__new__ leaves it
+        self.depth, self.arrays = depth, {} if arrays is None else arrays
 
     @cached_property
     def deeper(self) -> _Texts:
-        return _Texts(self.depth + 1, self.atoms)
+        return _Texts(self.depth + 1, self.arrays)
 
     def __missing__(self, v) -> str:
-        if isinstance(v, tuple):
-            text = _pair(self.depth, self.deeper[v[0]], self.deeper[v[1]])
-        elif (text := self.atoms.get(v)) is None:  # as json.dumps writes it
-            self.atoms[v] = text = encode_basestring(v) if isinstance(v, str) else int.__repr__(v)
-        self[v] = text
+        self[v] = text = (_pair(self.depth, self.deeper[v[0]], self.deeper[v[1]]) if isinstance(v, tuple)
+                          else encode_basestring(v) if isinstance(v, str) else int.__repr__(v))
         return text
 
-    def of(self, g: Graph) -> np.ndarray:  # the texts of g's vertices, indexed by rank
-        if id(g) not in self.arrays:  # by id: a render's graphs outlive its texts, so no id is reused
-            self.arrays[id(g)] = np.array([self[v] for v in g.vertices], object)
-        return self.arrays[id(g)]
+    def of(self, g: Graph) -> np.ndarray:
+        """The texts of g's vertices, indexed by rank; one array at every depth if its ids are atoms (as its last
+        is not a pair, for pairs sort last).  By id: a render's graphs outlive its texts, so no id is reused."""
+        key = (id(g), self.depth if g.vertices and isinstance(g.vertices[-1], tuple) else None)
+        if key not in self.arrays:
+            self.arrays[key] = np.array([self[v] for v in g.vertices], object)
+        return self.arrays[key]
 
 
-def _graph_text(g: Graph, texts: _Texts) -> str:
-    """The graph as an object two levels above the depth of texts."""
+def _graph_text(g: Graph, texts: _Texts) -> list:
+    """The pieces of the graph as an object two levels above the depth of texts."""
     d, (src, dst) = texts.depth - 2, g._edge_ranks.T
     edges = _gather(d + 1, _pair(d + 2, _HOLE, _HOLE), (texts.deeper.of(g), src), (texts.deeper.of(g), dst))
     return _object(d, vertices=_rows(d + 1, _HOLE, texts.of(g)), edges=edges)
@@ -105,12 +110,13 @@ def _graph_text(g: Graph, texts: _Texts) -> str:
 
 def _labeling_fields(a: HLabeling, key: str) -> tuple:
     """The fields of a labeling's document, with its (vertex, edge, label) entries under key, and the
-    texts of ids at depth 3 (and deeper), which the rest of a product document reads too."""
+    texts of ids at depth 3 (and deeper) and of the base's edges at depth 3, which a product document's tags read."""
     texts, order, ends = _Texts(3), a.base._dart_order(), a.base._edge_ranks
-    entry, edge = _object(2, vertex=_HOLE, edge=_HOLE, label=_HOLE), _pair(3, *texts.deeper.of(a.base)[ends.T])
+    entry = "".join(_object(2, vertex=[_HOLE], edge=[_HOLE], label=[_HOLE]))  # a row template, joined here
+    edge = _pair(3, texts.deeper.of(a.base), texts.deeper.of(a.base), *ends.T)
     entries = _gather(1, entry, (texts.of(a.base), ends.ravel()[order]), (edge, order // 2),
                       (texts.of(a.labels), a._dart_ranks()))
-    return {"base": _graph_text(a.base, texts), "labels": _graph_text(a.labels, texts), key: entries}, texts
+    return {"base": _graph_text(a.base, texts), "labels": _graph_text(a.labels, texts), key: entries}, texts, edge
 
 
 def _fields(obj, kind: str, *keys: str, optional: bool = False) -> list:
@@ -189,18 +195,21 @@ def graph_from_obj(obj) -> Graph:
 
 def _ranked_graph(obj) -> Graph:
     """The graph of a document listing its ids in strictly increasing key order and its edges as increasing
-    rank pairs, read straight into ranks; any other document is refused (ValueError or KeyError)."""
+    rank pairs, read straight into ranks; any other document is refused (ValueError, KeyError or TypeError).
+    Edge ends are ranked as one flat list, by value alone if every id is a JSON int or string (an end true or
+    1.0 reads as 1), and an edge of three ends shifts the rest: only for a caller that compares its rendering."""
     verts, edges = _fields(obj, "graph JSON", "vertices", "edges", optional=True)
-    verts = tuple(map(vertex_from_obj, verts))
+    if not all(type(v) in (int, str) for v in verts):  # nested ids are decoded, and so is every edge end
+        verts, edges = list(map(vertex_from_obj, verts)), [list(map(vertex_from_obj, e)) for e in edges]
     keys, rank = list(map(vertex_key, verts)), dict(zip(verts, range(len(verts))))
-    ends = np.array([(rank[vertex_from_obj(u)], rank[vertex_from_obj(v)]) for u, v in edges], np.intp).reshape(-1, 2)
+    ends = np.array([rank[x] for e in edges for x in e], np.intp).reshape(-1, 2)
     if sorted(set(keys)) != keys or (np.diff(ends) <= 0).any() or (np.diff(ends @ (len(verts), 1)) <= 0).any():
         raise ValueError("graph JSON is not in canonical order")
-    return Graph._from_ranks(verts, *ends.T)
+    return Graph._from_ranks(tuple(verts), *ends.T)
 
 
 def dumps_graph(g: Graph) -> str:
-    return _graph_text(g, _Texts(2))
+    return "".join(_graph_text(g, _Texts(2)))
 
 
 def loads_graph(text: str) -> Graph:
@@ -323,7 +332,7 @@ def labeling_from_obj(obj, base_dir=None) -> HLabeling:
 
 
 def dumps_labeling(a: HLabeling) -> str:
-    return _object(0, **_labeling_fields(a, "map")[0])
+    return "".join(_object(0, **_labeling_fields(a, "map")[0]))
 
 
 def loads_labeling(text: str, base_dir=None) -> HLabeling:
@@ -366,7 +375,7 @@ def vertex_map_from_obj(obj, base_dir=None, domain: Graph | None = None, codomai
 def dumps_vertex_map(m: VertexMap) -> str:
     texts, pair = _Texts(3), _pair(2, _HOLE, _HOLE)
     pairs = _gather(1, pair, (texts.of(m.domain), slice(None)), (texts.of(m.codomain), m._image_ranks))
-    return _object(0, domain=_graph_text(m.domain, texts), codomain=_graph_text(m.codomain, texts), map=pairs)
+    return "".join(_object(0, domain=_graph_text(m.domain, texts), codomain=_graph_text(m.codomain, texts), map=pairs))
 
 
 def load_vertex_map_file(path, domain: Graph | None = None, codomain: Graph | None = None) -> VertexMap:
@@ -406,25 +415,25 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
 
 
 def dumps_product(z: ZigZagGraph) -> str:
-    fields, texts = _labeling_fields(z.labeling, "labeling")
+    fields, texts, base_edge = _labeling_fields(z.labeling, "labeling")
     # A product vertex (u, i) is written at depth 2 (vertices), 3 (edges) and 4 (tags) from u's and i's texts by rank.
     nh, t4 = len(z.labels.vertices), texts.deeper
     u, i = np.divmod(z._vertex_codes, nh)
-    at2, at3, at4 = (_pair(t.depth - 1, t.of(z.base)[u], t.of(z.labels)[i]) for t in (texts, t4, t4.deeper))
+    at2, at3, at4 = (_pair(t.depth - 1, t.of(z.base), t.of(z.labels), u, i) for t in (texts, t4, t4.deeper))
     (src, dst), (b, *label_ends) = z.product._edge_ranks.T, z._tag_ranks()
     # A tag gathers its ends' pairs, its base edge and its label edges, each base edge rendered once and each
     # label pair (lo, hi) in use once, the last two indexed by one `unique` over the (h_lo, h_hi) pairs.
     pairs, at = np.unique(np.concatenate(label_ends[0::2]) * nh + np.concatenate(label_ends[1::2]), return_inverse=True)
-    base_edge = _pair(3, *t4.of(z.base)[z.base._edge_ranks.T])
-    label_edge, (lo, hi) = _pair(3, *t4.of(z.labels)[np.stack(np.divmod(pairs, nh))]), np.split(at, 2)
-    tag = _object(2, edge=_pair(3, _HOLE, _HOLE), base_edge=_HOLE, h_lo=_HOLE, h_hi=_HOLE)
+    label_edge, (lo, hi) = _pair(3, t4.of(z.labels), t4.of(z.labels), *np.divmod(pairs, nh)), np.split(at, 2)
+    tag = "".join(_object(2, edge=[_pair(3, _HOLE, _HOLE)], base_edge=[_HOLE], h_lo=[_HOLE], h_hi=[_HOLE]))
     edge_tags = _gather(1, tag, (at4, src), (at4, dst), (base_edge, b), (label_edge, lo), (label_edge, hi))
     edges = _gather(1, _pair(2, _HOLE, _HOLE), (at3, src), (at3, dst))
-    return _object(0, **fields, vertices=_rows(1, _HOLE, at2), edges=edges, edge_tags=edge_tags)
+    return "".join(_object(0, **fields, vertices=_rows(1, _HOLE, at2), edges=edges, edge_tags=edge_tags))
 
 
-# The keys a canonical product document opens with, each written before its value.
+# The keys a canonical product document opens with, each written before its value, and a one-line label.
 _CANONICAL_KEYS = ('{\n  "base": ', ',\n  "labels": ', ',\n  "labeling": ')
+_LABEL = re.compile(r'"label": ([^\[\n].*)')
 _DECODE = json.JSONDecoder().raw_decode
 
 
@@ -432,18 +441,26 @@ def _canonical_product(text: str) -> ZigZagGraph | None:
     """The product of a document that is the canonical rendering of its own
     base, label graph and labeling, checked by rendering that product again;
     None for any other document."""
-    values, at = [], 0
+    graphs, at = [], 0
     try:
         for key in _CANONICAL_KEYS:
             if not text.startswith(key, at):
                 return None
-            value, at = _DECODE(text, at + len(key))
-            values.append(value)
-        if not text.startswith(',\n  "vertices": [', at):  # without the product's lists, nothing need be built
+            at += len(key)
+            if len(graphs) < 2:  # the base, then the label graph
+                value, at = _DECODE(text, at)
+                graphs.append(value)
+        # The labeling ends at the first such line, which no JSON string can hold (none holds a raw newline).
+        end = text.find(',\n  "vertices": [', at)
+        if end < 0:  # without the product's lists, nothing need be built
             return None
-        base, labels = _ranked_graph(values[0]), _ranked_graph(values[1])  # a graph given by path is refused
+        base, labels = map(_ranked_graph, graphs)  # a graph given by path is refused
         # Only the labels are read, in the base's dart order: the rendering checks the darts stated beside them.
-        lab = _per_edge(base, _ranks(labels, [vertex_from_obj(x["label"]) for x in values[2]]))
+        # One-line labels, one per dart, are read by one decode; any other labeling is decoded whole.
+        found = _LABEL.findall(text, at, end)
+        given = (json.loads("[" + ",".join(found) + "]") if len(found) == 2 * len(base._edge_ranks)
+                 else [vertex_from_obj(x["label"]) for x in _DECODE(text, at)[0]])
+        lab = _per_edge(base, _ranks(labels, given))
     except (RecursionError, ValueError, KeyError, TypeError):
         return None
     z = zigzag_product(base, labels, HLabeling._from_ranks(base, labels, lab))

@@ -26,7 +26,7 @@ from .graphs import (
 
 def _ranks(labels: Graph, given: list) -> np.ndarray:
     """The ranks of the given labels in the label graph; a label outside it is refused."""
-    bad = [h for h in given if not labels.has_vertex(h)]
+    bad = [h for h in given if h not in labels._rank]
     if bad:
         raise ValueError(f"labels outside the label graph: {sorted(set(bad), key=vertex_key)}")
     return np.fromiter(map(labels._rank.__getitem__, given), np.intp, len(given))

@@ -355,7 +355,8 @@ class TestFolner:
 
 class TestSelfCheckFailures:
     """A self-check of the library failing (a RuntimeError) exits 1 with one `check failed:` line and
-    nothing on stdout, whichever command ran it; a RecursionError is an input error (exit 2)."""
+    nothing on stdout, whichever command ran it; a RecursionError, or any other exception, is an input
+    error (exit 2, one `error:` line)."""
 
     def _inputs(self, tmp_path):
         paths = {name: tmp_path / f"{name}.json" for name in ("g", "h", "z", "p", "chain")}
@@ -399,6 +400,17 @@ class TestSelfCheckFailures:
         f = self._inputs(tmp_path)
         code, out, err = invoke(["product", "-g", f["g"], "-H", f["h"], "--constant", "1"], capsys)
         assert (code, out, err) == (2, "", "error: maximum recursion depth exceeded\n")
+
+    @pytest.mark.parametrize("fault", [KeyError("x"), IndexError("list index out of range\nand more"), MemoryError()])
+    def test_any_other_exception_is_an_input_error(self, capsys, tmp_path, monkeypatch, fault):
+        def failing(*_):
+            raise fault
+
+        monkeypatch.setattr(cli, "zigzag_product", failing)
+        f = self._inputs(tmp_path)
+        code, out, err = invoke(["product", "-g", f["g"], "-H", f["h"], "--constant", "1"], capsys)
+        assert (code, out, err) == (2, "", f"error: {fault!r}\n")
+        assert err.count("\n") == 1
 
 
 class TestExport:

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -267,6 +268,42 @@ class TestWritersKeepTheTreeLayout:
         assert text == io.canonical_dumps(oracle.product_to_obj(z))
         assert io.product_to_obj(z) == oracle.product_to_obj(z)
         assert io.loads_product(text) == z
+
+
+def _writer_cases():
+    """Products and vertex maps in which one graph object is written at two depths (as base and labels, or as
+    domain and codomain), lists are empty in every place, and atom-only graphs sit next to nested ones."""
+    rng, nested = random.Random(22), zigzag_product(C4, P3, constant_labeling(C4, P3, 1)).product
+    empty, edgeless, bare_labels = Graph(), Graph((0, "a"), ()), Graph((0, 1, 2), ())
+    products = [
+        zigzag_product(C4, C4, random_dart_labeling(rng, C4, C4)),
+        zigzag_product(nested, nested, random_dart_labeling(rng, nested, nested)),
+        zigzag_product(C4, nested, random_dart_labeling(rng, C4, nested)),
+        zigzag_product(nested, P3, random_dart_labeling(rng, nested, P3)),
+        zigzag_product(empty, P3, HLabeling(empty, P3, {})),
+        zigzag_product(empty, empty, HLabeling(empty, empty, {})),
+        zigzag_product(edgeless, empty, HLabeling(edgeless, empty, {})),
+        zigzag_product(edgeless, nested, HLabeling(edgeless, nested, {})),
+        zigzag_product(C4, bare_labels, constant_labeling(C4, bare_labels, 2)),
+        zigzag_product(nested, bare_labels, constant_labeling(nested, bare_labels, 0)),
+    ]
+    pick = {0: nested.vertices[0], "a": nested.vertices[-1]}
+    maps = [identity_map(C4), identity_map(nested), identity_map(empty), projection(products[2]),
+            projection(products[3]), VertexMap(empty, nested, {}), VertexMap(edgeless, nested, pick)]
+    return products, maps
+
+
+def test_writers_keep_the_tree_layout_on_shared_and_empty_parts():
+    products, maps = _writer_cases()
+    for z in products:
+        for g in (z.base, z.labels, z.product):
+            assert io.dumps_graph(g) == io.canonical_dumps(oracle.graph_to_obj(g))
+        assert io.dumps_labeling(z.labeling) == io.canonical_dumps(oracle.labeling_to_obj(z.labeling))
+        text = io.dumps_product(z)
+        assert text == io.canonical_dumps(oracle.product_to_obj(z))
+        assert io._canonical_product(text) == io.product_from_obj(json.loads(text)) == z
+    for m in maps:
+        assert io.dumps_vertex_map(m) == io.canonical_dumps(oracle.vertex_map_to_obj(m))
 
 
 # The product document of one base edge {0, 'q"x'} labeled 1 and 'é' over the
@@ -565,6 +602,62 @@ GRAPH_FAULTS = {
     "true as an edge end": lambda g: g["edges"][0].__setitem__(0, True),
     "1.5 as an edge end": lambda g: g["edges"][-1].__setitem__(1, 1.5),
     "an edge end not listed": lambda g: g["vertices"].remove(g["edges"][0][0]),
+    "1.0 as a vertex": lambda g: g["vertices"].__setitem__(0, 1.0),
+    "1.0 as an edge end": lambda g: g["edges"][0].__setitem__(1, 1.0),
+    "2**63 as a vertex": lambda g: g["vertices"].__setitem__(-1, 2**63),
+    "a 3-element edge": lambda g: g["edges"][0].append(g["edges"][0][0]),
+    "a nested edge end": lambda g: g["edges"][0].__setitem__(1, [g["edges"][0][1]]),
+}
+
+
+def _loads_as_structural(doc: str, note=None) -> None:
+    """loads_product(doc) returns what product_from_obj returns, or raises the same type and message."""
+    try:
+        want = io.product_from_obj(json.loads(doc))
+    except Exception as e:  # noqa: BLE001 - the same type and message are expected
+        with pytest.raises(type(e)) as exc:
+            io.loads_product(doc)
+        assert (type(exc.value), str(exc.value)) == (type(e), str(e)), note
+    else:
+        assert io.loads_product(doc) == want, note
+
+
+def _flat_products():
+    """Products of graphs whose ids are all atoms: ints, strings, both, ints past 64 bits, awkward strings."""
+    rng, big = random.Random(23), Graph((), ((0, 2**63), (2**63, 2**64), (2**64, 0)))
+    odd = Graph((), (("\x00", '"'), ('"', "é"), ("é", "𝔾"), ("𝔾", "\x00")))
+    circulant, q3, k4 = cayley_cyclic(8, [1, -1, 3, -3]), hypercube(3), complete(4)
+    return {
+        "cayley_cyclic": zigzag_product(circulant, k4, random_dart_labeling(rng, circulant, k4)),
+        "hypercube": zigzag_product(q3, odd, random_dart_labeling(rng, q3, odd)),
+        "mixed ids": _pinned_products()["mixed labels"],
+        "ints past 64 bits": zigzag_product(big, big, random_dart_labeling(rng, big, big)),
+        "awkward strings": zigzag_product(odd, C3, random_dart_labeling(rng, odd, C3)),
+    }
+
+
+def _first_label(text: str, change) -> str:
+    """The text with the value of its first one-line label (a str) replaced by change(value)."""
+    return re.sub(r'"label": (.*)', lambda m: '"label": ' + change(m.group(1)), text, count=1)
+
+
+def _extra_entry(text: str) -> str:
+    """The text with the first labeling entry listed twice."""
+    start = text.index("[", text.index('"labeling": ')) + 1
+    end = text.index("\n    }", start) + len("\n    }")
+    return text[:start] + text[start:end] + "," + text[start:]
+
+
+# Edits of the label lines of a canonical product document, none of which the writer makes.
+LABEL_EDITS = {
+    "another key": lambda t: _first_label(t, lambda v: v + ', "x": 2'),
+    "true": lambda t: _first_label(t, lambda v: "true"),
+    "1.0": lambda t: _first_label(t, lambda v: "1.0"),
+    "another label": lambda t: _first_label(t, lambda v: "0" if v != "0" else '"x"'),
+    "a trailing space": lambda t: _first_label(t, lambda v: v + " "),
+    "a removed line": lambda t: re.sub(r'\n *"label": .*', "", t, count=1),
+    "a removed field": lambda t: re.sub(r',\n *"label": .*', "", t, count=1),
+    "an extra entry": _extra_entry,
 }
 
 
@@ -630,19 +723,35 @@ class TestLoaderEquivalence:
     def test_faulty_graphs_in_canonical_layout(self, graph, fault):
         # The canonical route reads its graphs into ranks only when already in order; every other
         # graph takes the structural route, which accepts or refuses it as product_from_obj does.
-        for name in ("mixed ids", "nested ids", "per dart"):
-            obj = json.loads(io.dumps_product(_pinned_products()[name]))
+        fixtures = {**_pinned_products(), "cayley_cyclic": _flat_products()["cayley_cyclic"]}
+        for name in ("mixed ids", "nested ids", "per dart", "cayley_cyclic", "hypercube"):
+            obj = json.loads(io.dumps_product(fixtures[name]))
             GRAPH_FAULTS[fault](obj[graph])
             doc = io.canonical_dumps(obj)
             assert doc.startswith(io._CANONICAL_KEYS[0]) and io._canonical_product(doc) is None
-            try:
-                want = io.product_from_obj(json.loads(doc))
-            except Exception as e:  # noqa: BLE001 - the same type and message are expected
-                with pytest.raises(type(e)) as exc:
-                    io.loads_product(doc)
-                assert (type(exc.value), str(exc.value)) == (type(e), str(e)), (name, fault)
-            else:
-                assert io.loads_product(doc) == want, (name, fault)
+            _loads_as_structural(doc, (name, fault))
+
+    @pytest.mark.parametrize("edit", LABEL_EDITS)
+    @pytest.mark.parametrize("name", ["cayley_cyclic", "hypercube", "mixed ids"])
+    def test_edited_label_lines(self, name, edit):
+        # The canonical route reads one-line labels by one decode; any misread fails the rendering's comparison.
+        text = io.dumps_product(_flat_products()[name])
+        doc = LABEL_EDITS[edit](text)
+        assert doc != text and io._canonical_product(doc) is None
+        _loads_as_structural(doc, (name, edit))
+
+    def test_pair_labels_read_whole(self):
+        # A pair label spans lines, so the labeling is decoded whole; an edit inside one is still refused.
+        nested = zigzag_product(C4, P3, constant_labeling(C4, P3, 1)).product
+        first = r'("label": \[\n +)([^\n]*?)(,?\n)'  # the first part of the first pair label, and what follows it
+        for h in (nested, AWKWARD_H):
+            z = zigzag_product(C4, h, random_dart_labeling(random.Random(24), C4, h))
+            text = io.dumps_product(z)
+            assert io._canonical_product(text) == z
+            for part in (lambda p: "1.0", lambda p: "true", lambda p: "0" if p != "0" else "1"):
+                doc = re.sub(first, lambda m: m.group(1) + part(m.group(2)) + m.group(3), text, count=1)
+                assert doc != text and io._canonical_product(doc) is None
+                _loads_as_structural(doc)
 
     def test_deep_base_in_canonical_layout(self):
         doc = _c4p3_text().replace(BASE_VERTICES, BASE_VERTICES.replace("0,", DEEP + ","), 1)
@@ -659,6 +768,12 @@ class TestCanonicalRoute:
     @example((AWKWARD_G, AWKWARD_H, AWKWARD_A))
     def test_canonical_texts_take_it(self, instance):
         z = zigzag_product(*instance)
+        text = io.dumps_product(z)
+        assert io._canonical_product(text) == io.product_from_obj(json.loads(text)) == z
+
+    @pytest.mark.parametrize("name", ["cayley_cyclic", "hypercube", "mixed ids", "ints past 64 bits", "awkward strings"])
+    def test_flat_texts_take_it(self, name):
+        z = _flat_products()[name]
         text = io.dumps_product(z)
         assert io._canonical_product(text) == io.product_from_obj(json.loads(text)) == z
 
