@@ -163,8 +163,8 @@ class Graph:
         src, dst = np.searchsorted(keep, edges).T
         return Graph._from_ranks(tuple(map(self.vertices.__getitem__, keep.tolist())), src, dst)
 
-    def _edge_ids(self) -> tuple:
-        end, (src, dst) = self.vertices.__getitem__, self._edge_ranks.T.tolist()
+    def _edge_ids(self, rows=slice(None)) -> tuple:
+        end, (src, dst) = self.vertices.__getitem__, self._edge_ranks[rows].T.tolist()
         return tuple(zip(map(end, src), map(end, dst)))
 
     def __eq__(self, other):
@@ -190,33 +190,35 @@ class Graph:
         return bool(self._degrees.all())
 
     @cached_property
+    def _components(self) -> tuple:
+        """Each rank's component, named by its least rank (its root), and its parity: that of the length of the path
+        from the root that one breadth-first search in Python over the neighbour index takes, O(|V| + |E|)."""
+        indptr, nbrs = (x.tolist() for x in self._csr)
+        root, parity = [-1] * len(self.vertices), [False] * len(self.vertices)
+        for r in range(len(root)):
+            if root[r] < 0:
+                root[r], todo = r, [r]
+                for x in todo:  # todo grows as it is read
+                    for y in nbrs[indptr[x]:indptr[x + 1]]:
+                        if root[y] < 0:
+                            root[y], parity[y] = r, not parity[x]
+                            todo.append(y)
+        return np.array(root, np.intp), np.array(parity, bool)
+
+    @cached_property
     def _sides(self) -> tuple | None:
         """A 2-colouring as each rank's place in side 0's ranks then side 1's, each side in rank order, and the size
-        p of side 0 (so rank r is on side 1 iff place[r] >= p), with each component's least rank (so every isolated
-        vertex) on side 0; None if an odd cycle forbids one.  One breadth-first search in Python over neighbour
-        lists, O(|V| + |E|) in time and memory, and two numpy calls: a small graph's colouring takes microseconds."""
-        nbrs, side = [[] for _ in self.vertices], [None] * len(self.vertices)
-        for x, y in self._edge_ranks.tolist():
-            nbrs[x].append(y)
-            nbrs[y].append(x)
-        for root in range(len(side)):
-            if side[root] is None:
-                side[root], todo = False, [root]
-                for x in todo:  # todo grows as it is read
-                    for y in nbrs[x]:
-                        if side[y] is None:
-                            side[y] = not side[x]
-                            todo.append(y)
-                        elif side[y] == side[x]:
-                            return None
-        p = side.count(False)
-        ahead = [iter(range(p)), iter(range(p, len(side)))]  # the places of side 0, of side 1, in turn
-        return np.array([next(ahead[right]) for right in side], np.intp), p
+        p of side 0 (so rank r is on side 1 iff place[r] >= p), with each component's root (so every isolated
+        vertex) on side 0: the sides are the parities; None if an edge joins two ranks of one parity (an odd cycle)."""
+        side = self._components[1]
+        if np.equal(*side[self._edge_ranks.T]).any():
+            return None
+        return np.argsort(np.argsort(side, kind="stable")), side.size - np.count_nonzero(side)
 
     @cached_property
     def _edge_codes(self) -> np.ndarray:
-        """rank(u)·|V| + rank(v) for every edge (u, v), increasing, then |V|², a code no pair has."""
-        return np.append(self._edge_ranks @ (len(self.vertices), 1), len(self.vertices) ** 2)
+        """rank(u)·|V| + rank(v) for every edge (u, v), increasing."""
+        return self._edge_ranks @ (len(self.vertices), 1)
 
     def _dart_order(self) -> np.ndarray:
         """The darts in dart order, as positions in the flattened E×2 array of edge ends."""
@@ -227,6 +229,15 @@ class Graph:
     def _csr(self) -> tuple:
         """Neighbour index (indptr, indices): indices[indptr[r]:indptr[r + 1]] are r's neighbour ranks, in order."""
         return np.concatenate(([0], np.cumsum(self._degrees))), self._edge_ranks[:, ::-1].ravel()[self._dart_order()]
+
+    def _around(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """w[k]·|V| + y for every neighbour rank y of each rank x[k], in order, for each k in turn."""
+        (indptr, nbrs), d = self._csr, self._degrees[x]
+        return np.repeat(w, d) * len(self.vertices) + nbrs[_runs(indptr[x], d)]
+
+    def _find_edges(self, x, y) -> tuple:
+        """The index of the edge {x[k], y[k]} of ranks among the edges, for each k, and whether there is one."""
+        return _lookup(self._edge_codes, np.minimum(x, y) * len(self.vertices) + np.maximum(x, y))
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -250,14 +261,16 @@ class Graph:
         return self.adjacency[v]
 
     def degree(self, v: VertexId) -> int:
-        return len(self.neighbors(v))
+        if v not in self._rank:
+            raise ValueError(f"vertex {format_vertex(v)} not in graph")
+        return int(self._degrees[self._rank[v]])
 
     def has_vertex(self, v: VertexId) -> bool:
         return v in self._rank
 
     def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        ru, rv = self._rank.get(u), self._rank.get(v)
-        return None not in (ru, rv) and ru != rv and ((u, v) if ru < rv else (v, u)) in self.edge_set
+        ru, rv = self._rank.get(u, -1), self._rank.get(v, -1)  # u = v gives a loop's code, which no edge has
+        return min(ru, rv) >= 0 and bool(self._find_edges(ru, rv)[1])
 
     def incident_edges(self, v: VertexId) -> tuple:
         return tuple(self._edge(v, w) for w in self.neighbors(v))
@@ -279,6 +292,11 @@ class Graph:
         rows = kept[self._edge_ranks].all(axis=1)
         return self._on_ranks(np.flatnonzero(kept), self._edge_ranks[rows]), rows
 
+    def _cut(self, ranks: np.ndarray) -> np.ndarray:
+        """The mask of the edges with exactly one end among the vertices of these ranks (np.intp), in edge order."""
+        inside = np.bincount(ranks, minlength=len(self.vertices)).astype(bool)
+        return np.not_equal(*inside[self._edge_ranks.T])
+
     def is_regular(self) -> int | None:
         """Common degree if the graph is regular, else None."""
         degrees = _distinct(self._degrees)
@@ -292,6 +310,12 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     """The values of a, each once, in increasing order."""
     a = np.sort(a)
     return a[np.concatenate(([True], a[1:] != a[:-1]))] if a.size else a
+
+
+def _lookup(known: np.ndarray, codes) -> tuple:
+    """The position of each code in the increasing array known, and whether the code is found there."""
+    at = np.searchsorted(known, codes)
+    return at, (known.take(at, mode="clip") == codes) if known.size else np.zeros(np.shape(at), bool)
 
 
 def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -342,12 +366,12 @@ class VertexMap:
 
     @cached_property
     def _edge_images(self) -> np.ndarray | None:
-        """Index of each domain edge's image among the codomain edges; None if some image is no edge."""
-        n, img, known = len(self.codomain.vertices), self._image_ranks, self.codomain._edge_codes
-        a, b = img[self.domain._edge_ranks.T]
-        codes = np.minimum(a, b) * n + np.maximum(a, b)
-        at = np.searchsorted(known, codes)
-        return at if (known[at] == codes).all() else None
+        """Each domain edge's image, oriented: the end of its image edge that its first end goes to, as a place
+        among the codomain's edge ends flattened, 2·(image edge index) + (1 where the image's ends are stored the
+        other way round); halved, the image edge's index.  None if some image is no edge."""
+        a, b = self._image_ranks[self.domain._edge_ranks.T]
+        at, found = self.codomain._find_edges(a, b)
+        return 2 * at + (a > b) if found.all() else None
 
     def __call__(self, v: VertexId) -> VertexId:
         return self.mapping[v]
@@ -369,7 +393,7 @@ def identity_map(g: Graph) -> VertexMap:
 def compose(outer: VertexMap, inner: VertexMap) -> VertexMap:
     if inner.codomain != outer.domain:
         raise ValueError("maps not composable: codomain of inner differs from domain of outer")
-    return VertexMap(inner.domain, outer.codomain, {v: outer(inner(v)) for v in inner.domain.vertices})
+    return VertexMap._from_ranks(inner.domain, outer.codomain, outer._image_ranks[inner._image_ranks])
 
 
 def is_graph_morphism(m: VertexMap) -> bool:
@@ -387,28 +411,29 @@ def induced_dart_map(m: VertexMap):
     if not is_graph_morphism(m):
         raise ValueError("dart map is only induced by a graph morphism")
     mp, edge = m.mapping, m.codomain._edge
+    return lambda d: Dart(mp[d.vertex], edge(mp[d.vertex], mp[d.other_end]))
 
-    def dmap(d: Dart) -> Dart:
-        u, v = d.edge
-        x = mp[d.vertex]
-        return Dart(x, edge(x, mp[v] if d.vertex == u else mp[u]))
 
-    return dmap
+def satisfies_neighbor_reflecting(psi: VertexMap) -> bool:
+    """Vertex-surjective, and adjacency holds upstairs exactly when it holds
+    on the images: h ~ h' iff psi(h) ~ psi(h'), over all vertex pairs.
+
+    Counted in O(|V| + |E|): a morphism sends the domain's edges to distinct pairs among the
+    |fiber(a)|·|fiber(b)| pairs over the codomain edges ab, so it reflects adjacency iff it has as many edges."""
+    sizes = np.bincount(psi._image_ranks, minlength=len(psi.codomain.vertices))
+    pairs = int(np.multiply(*sizes[psi.codomain._edge_ranks.T]).sum())
+    return bool(sizes.all()) and is_graph_morphism(psi) and pairs == len(psi.domain._edge_ranks)
 
 
 def is_isomorphism(m: VertexMap) -> bool:
-    """True iff m is a bijective morphism whose inverse is a morphism."""
-    try:
-        return is_graph_morphism(m) and is_graph_morphism(inverse_map(m))
-    except ValueError:  # not a bijection
-        return False
+    """True iff m is a bijective morphism whose inverse is a morphism: a neighbour-reflecting map of equal orders."""
+    return len(m.domain.vertices) == len(m.codomain.vertices) and satisfies_neighbor_reflecting(m)
 
 
 def inverse_map(m: VertexMap) -> VertexMap:
-    values = list(m.mapping.values())
-    if len(set(values)) != len(values) or set(values) != set(m.codomain.vertices):
+    if not (np.bincount(m._image_ranks, minlength=len(m.codomain.vertices)) == 1).all():
         raise ValueError("map is not a bijection onto the codomain vertices")
-    return VertexMap(m.codomain, m.domain, {w: v for v, w in m.mapping.items()})
+    return VertexMap._from_ranks(m.codomain, m.domain, np.argsort(m._image_ranks))
 
 
 def is_covering_map(m: VertexMap) -> bool:
@@ -447,8 +472,8 @@ def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
     """
     if not is_graph_morphism(m):
         return CoverCheck(None, "not-a-morphism", None)
-    dom, cod, img, at = m.domain, m.codomain, m._image_ranks, m._edge_images
-    counts = np.bincount(at, minlength=len(cod._edge_ranks))
+    dom, cod, img, end = m.domain, m.codomain, m._image_ranks, m._edge_images
+    counts = np.bincount(end >> 1, minlength=len(cod._edge_ranks))
     odd = np.flatnonzero((counts == 0) | (counts != counts[:1]))
     if odd.size:
         e, count = cod.edges[odd[0]], int(counts[odd[0]])
@@ -457,12 +482,11 @@ def check_combinatorial_cover(m: VertexMap) -> CoverCheck:
         return CoverCheck(None, "unequal-edge-fibers", (cod.edges[0], int(counts[0]), e, count))
     # Condition two: how often each domain vertex x sees each neighbour v of its image, counted over the
     # darts (x, y) with img(y) = v, in slots listing the pairs (x, v) in order; v's position among img(x)'s
-    # neighbours, read at the image edge's end img(x), gives the slot.
+    # neighbours, read at the image edge's end that x goes to, gives the slot.
     order, deg = cod._dart_order(), cod._degrees[img]
     nth = np.empty_like(order)  # per edge end, flattened: the position of the other end among its neighbours
     nth[order] = _runs(np.zeros_like(cod._degrees), cod._degrees)
     (x, y), start = dom._edge_ranks.T, np.cumsum(deg) - deg
-    end = 2 * at + (img[x] > img[y])  # the end of the image edge that x goes to
     seen = np.bincount(np.concatenate((start[x] + nth[end], start[y] + nth[end ^ 1])), minlength=deg.sum())
     xs = np.repeat(np.arange(img.size), deg)
     _, first_at, fiber = np.unique(img, return_index=True, return_inverse=True)
@@ -489,7 +513,7 @@ def _square_cover(m: VertexMap, k: int) -> tuple:
     of Reingold, Vadhan and Wigderson, Ann. Math. 2002, §3)."""
     if not is_graph_morphism(m):
         return False, "not a graph morphism"
-    counts = _distinct(np.bincount(m._edge_images, minlength=len(m.codomain._edge_ranks))).tolist()
+    counts = _distinct(np.bincount(m._edge_images >> 1, minlength=len(m.codomain._edge_ranks))).tolist()
     fibers = _distinct(np.bincount(m._image_ranks, minlength=len(m.codomain.vertices))).tolist()
     cover = f"cover index {counts[0]}" if len(counts) == 1 else f"edge fiber sizes {counts}"
     return counts in ([], [k * k]) and fibers in ([], [k]), f"{cover}, fiber sizes {fibers}"
@@ -498,10 +522,10 @@ def _square_cover(m: VertexMap, k: int) -> tuple:
 def boundary(subset: Iterable[VertexId], g: Graph) -> tuple:
     """Edges of g with exactly one endpoint in the subset."""
     sub = set(subset)
-    missing = sub - set(g.vertices)
+    missing = sub - g._rank.keys()
     if missing:
         raise ValueError(f"vertices not in graph: {sorted(missing, key=vertex_key)}")
-    return tuple(e for e in g.edges if (e[0] in sub) != (e[1] in sub))
+    return g._edge_ids(g._cut(np.fromiter(map(g._rank.__getitem__, sub), np.intp, len(sub))))
 
 
 def isoperimetric_ratio(subset: Iterable[VertexId], g: Graph) -> Fraction:
@@ -513,22 +537,11 @@ def isoperimetric_ratio(subset: Iterable[VertexId], g: Graph) -> Fraction:
 
 
 def is_connected(g: Graph) -> bool:
-    if len(g.vertices) <= 1:
-        return True
-    seen = {g.vertices[0]}
-    stack = [g.vertices[0]]
-    while stack:
-        v = stack.pop()
-        for w in g.adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(g.vertices)
+    return not g._components[0].any()
 
 
 def disjoint_union(a: Graph, b: Graph, tags: tuple = (0, 1)) -> Graph:
     """Disjoint union with vertices tagged as pairs (tag, original id)."""
-    verts = [(tags[0], v) for v in a.vertices] + [(tags[1], v) for v in b.vertices]
-    edges = [((tags[0], u), (tags[0], v)) for u, v in a.edges]
-    edges += [((tags[1], u), (tags[1], v)) for u, v in b.edges]
-    return Graph(tuple(verts), tuple(edges))
+    verts = tuple([(tags[0], v) for v in a.vertices] + [(tags[1], v) for v in b.vertices])
+    ends = np.concatenate((a._edge_ranks, b._edge_ranks + len(a.vertices))).tolist()
+    return Graph(verts, tuple((verts[x], verts[y]) for x, y in ends))

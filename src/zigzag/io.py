@@ -272,23 +272,11 @@ def load_graph_file(path) -> Graph:
 # DOT export (write-only)
 
 
-def _dot_quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _dot_id(v: VertexId) -> str:
-    return _dot_quote(format_vertex(v))
-
-
 def graph_to_dot(g: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
-    degree_zero = [v for v in g.vertices if g.degree(v) == 0]
-    for v in degree_zero:
-        lines.append(f"  {_dot_id(v)};")
-    for u, v in g.edges:
-        lines.append(f"  {_dot_id(u)} -- {_dot_id(v)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ids = ['"' + format_vertex(v).replace("\\", "\\\\").replace('"', '\\"') + '"' for v in g.vertices]
+    lines = [f"graph {name} {{", *(f"  {ids[r]};" for r in np.flatnonzero(g._degrees == 0).tolist())]
+    lines += [f"  {ids[x]} -- {ids[y]};" for x, y in g._edge_ranks.tolist()]
+    return "\n".join(lines) + "\n}\n"
 
 
 # references: a graph value in a larger document is inline or a file path

@@ -20,6 +20,7 @@ from .graphs import (
     format_vertex,
     is_graph_morphism,
     make_edge,
+    satisfies_neighbor_reflecting,  # a property of maps, still importable from here
     vertex_key,
 )
 
@@ -179,11 +180,10 @@ def pullback_labeling(a: HLabeling, m: VertexMap) -> HLabeling:
         raise ValueError("pullback needs a map into the labeled graph")
     if not is_graph_morphism(m):
         raise ValueError("dart map is only induced by a graph morphism")
-    # The label at a domain edge's first end sits at its image edge's first end, or at its second
-    # where the image's ends are stored the other way round; lab is flat, two entries per edge.
-    (x, y), lab = m._image_ranks[m.domain._edge_ranks.T], a._label_ranks.ravel()
-    at = 2 * m._edge_images + (x > y)
-    return HLabeling._from_ranks(m.domain, a.labels, np.stack((lab[at], lab[at ^ 1]), axis=1))
+    # The label at a domain edge's first end sits at the end of its image edge that the first end goes to,
+    # the one at its second end at the other; lab is flat, two entries per edge, as the image's ends are.
+    end, lab = m._edge_images, a._label_ranks.ravel()
+    return HLabeling._from_ranks(m.domain, a.labels, np.stack((lab[end], lab[end ^ 1]), axis=1))
 
 
 def pushforward_labeling(a: HLabeling, psi: VertexMap) -> HLabeling:
@@ -216,40 +216,31 @@ class LabeledMorphism:
             raise ValueError("underlying vertex map is not a graph morphism")
 
 
-def _label_pairs(lm: LabeledMorphism) -> set:
-    """The distinct (source label, target label of the image dart) pairs over the source darts."""
+def _label_pairs(lm: LabeledMorphism) -> np.ndarray:
+    """The distinct (source label, target label of the image dart) pairs over the source darts, as two rank arrays."""
     if lm.source.labels != lm.target.labels:
         raise ValueError("labeled morphism check needs both labelings in the same label graph")
-    pulled, vs = pullback_labeling(lm.target, lm.map)._label_ranks, lm.source.labels.vertices
-    return {(vs[s], vs[t]) for s, t in zip(lm.source._label_ranks.ravel().tolist(), pulled.ravel().tolist())}
+    pulled, n = pullback_labeling(lm.target, lm.map)._label_ranks, len(lm.source.labels.vertices)
+    return np.divmod(_distinct(lm.source._label_ranks.ravel().astype(np.intp) * n + pulled.ravel()), n)
+
+
+def _neighbours_within(labels: Graph, s: np.ndarray, t: np.ndarray) -> bool:
+    """Whether every neighbour of each label rank s[k] is a neighbour of t[k]."""
+    return bool(labels._find_edges(*np.divmod(labels._around(t, s), len(labels.vertices)))[1].all())
 
 
 def is_strict_morphism(lm: LabeledMorphism) -> bool:
     """True iff the target labeling pulled through the dart map equals the source."""
-    return all(s == t for s, t in _label_pairs(lm))
+    return np.array_equal(*_label_pairs(lm))
 
 
 def is_weak_morphism(lm: LabeledMorphism) -> bool:
     """Commutation up to adjacency: every neighbor of a source label is a
     neighbor of the corresponding target label."""
-    nb = lm.source.labels.neighbors
-    return all(set(nb(s)) <= set(nb(t)) for s, t in _label_pairs(lm))
+    return _neighbours_within(lm.source.labels, *_label_pairs(lm))
 
 
 def matching_label_neighborhoods(lm: LabeledMorphism) -> bool:
     """Bidirectional form of the weak condition: label neighborhoods agree."""
-    nb = lm.source.labels.neighbors
-    return all(set(nb(s)) == set(nb(t)) for s, t in _label_pairs(lm))
-
-
-def satisfies_neighbor_reflecting(psi: VertexMap) -> bool:
-    """Vertex-surjective, and adjacency holds upstairs exactly when it holds
-    on the images: h ~ h' iff psi(h) ~ psi(h'), over all vertex pairs."""
-    if set(psi.mapping.values()) != set(psi.codomain.vertices):
-        return False
-    vs = psi.domain.vertices
-    for i, h in enumerate(vs):
-        for hp in vs[i + 1 :]:
-            if psi.domain.has_edge(h, hp) != psi.codomain.has_edge(psi(h), psi(hp)):
-                return False
-    return True
+    s, t = _label_pairs(lm)
+    return _neighbours_within(lm.source.labels, s, t) and _neighbours_within(lm.source.labels, t, s)

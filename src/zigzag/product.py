@@ -25,6 +25,7 @@ from .graphs import (
     VertexMap,
     _Decoded,
     _distinct,
+    _lookup,
     _runs,
     _square_cover,
     check_combinatorial_cover,
@@ -34,6 +35,7 @@ from .graphs import (
     is_covering_map,
     is_graph_morphism,
     is_isomorphism,
+    satisfies_neighbor_reflecting,
     vertex_key,
 )
 from .labeling import (
@@ -46,8 +48,6 @@ from .labeling import (
     matching_label_neighborhoods,
     pullback_labeling,
     pushforward_labeling,
-    satisfies_neighbor_reflecting,
-    vertex_labels,
 )
 
 
@@ -88,10 +88,8 @@ class ZigZagGraph:
                 raise ValueError(f"product vertex {format_vertex(p)} is not a (base vertex, label vertex) pair")
         stated = self.__dict__.pop("edge_tags")
         self.__dict__.update(_vertex_codes=np.fromiter((g[u] * len(h) + h[i] for u, i in vs), np.intp, len(vs)))
-        u, v = self._base_ranks[self.product._edge_ranks.T]
-        same = np.array_equal(self.base._edge_codes[self._base_edges], u * len(g) + v)  # each edge over its base edge
-        try:  # and its tag is the one the labeling gives
-            same = same and dict(stated) == self.edge_tags
+        try:  # each edge over a base edge, and its tag the one the labeling gives
+            same = self._base_edges is not None and dict(stated) == self.edge_tags
         except (TypeError, ValueError):
             same = False
         if not same:
@@ -120,11 +118,12 @@ class ZigZagGraph:
         return [b] + [end(x, y) for x, y in ((i, lab[:, 0]), (j, lab[:, 1])) for end in (np.minimum, np.maximum)]
 
     @cached_property
-    def _base_edges(self) -> np.ndarray:
-        """The index of every product edge's base edge, in order: kept by `zigzag_product`, else searched
-        by code (a product edge over no base edge gets the index of another, or |E(base)|)."""
+    def _base_edges(self) -> np.ndarray | None:
+        """The index of every product edge's base edge, in order: kept by `zigzag_product`, else looked up
+        by code; None if some product edge lies over no base edge."""
         u, v = self._base_ranks[self.product._edge_ranks.T]
-        return np.searchsorted(self.base._edge_codes, u * len(self.base.vertices) + v)
+        at, found = self.base._find_edges(u, v)
+        return at if found.all() else None
 
     @cached_property
     def _base_ranks(self) -> np.ndarray:
@@ -158,15 +157,13 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
 
     # Product vertex (u, i) is coded rank(u)·|V(h)| + rank(i), so codes sort as the ids do.
     # The label ranks upcast with the intp edge ends.
-    nh, (indptr, nbrs), deg = len(h.vertices), h._csr, h._degrees
-    ends, lab = g._edge_ranks, a._label_ranks
+    nh, deg, ends, lab = len(h.vertices), h._degrees, g._edge_ranks, a._label_ranks
     u, lbl = np.divmod(_distinct(ends.ravel() * nh + lab.ravel()), nh)  # (u, label of a dart at u), each once
-    codes = _distinct(np.repeat(u, deg[lbl]) * nh + nbrs[_runs(indptr[lbl], deg[lbl])])
+    codes = _distinct(h._around(u, lbl))
     # Per base edge uv: the ranks of (u, i) for i ~ a(u, uv), and of (v, j) for j ~ a(v, uv), each increasing,
     # searched once per edge end; the product edges gather them below.
+    src, dst = (np.searchsorted(codes, h._around(w, x)) for w, x in zip(ends.T, lab.T))
     du, dv = deg[lab[:, 0]], deg[lab[:, 1]]
-    src, dst = (np.repeat(w, d) * nh + nbrs[_runs(indptr[x], d)] for w, x, d in zip(ends.T, lab.T, (du, dv)))
-    src, dst = np.searchsorted(codes, src), np.searchsorted(codes, dst)
     # The edges {(u, i), (v, j)} in order: each (u, i) by rank, then by base edge (a stable sort), with every (v, j).
     at = np.argsort(src, kind="stable")
     e = np.repeat(np.arange(len(ends)), du)[at]
@@ -180,16 +177,12 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
 def product_valency_check(z: ZigZagGraph) -> bool:
     """Degree of (u,i) must equal the sum of val(label at v) over base
     neighbors v of u whose label at u is adjacent to i."""
-    (indptr, nbrs), deg, nh = z.labels._csr, z.labels._degrees, len(z.labels.vertices)
-    lab = z.labeling._label_ranks
+    deg, lab = z.labels._degrees, z.labeling._label_ranks
     at, other = lab.ravel(), lab[:, ::-1].ravel()  # per dart: the label at its vertex, and at the other end
     # Each dart (u, uv) adds deg(label at v) to every (u, i) with i ~ label at u.
-    codes = np.repeat(z.base._edge_ranks.ravel(), deg[at]) * nh + nbrs[_runs(indptr[at], deg[at])]
-    weights = np.repeat(deg[other], deg[at])
-    known = np.append(z._vertex_codes, len(z.base.vertices) * nh)  # increasing, and ends in a code no vertex has
-    pos = np.searchsorted(known, codes)
-    hit = known[pos] == codes  # a vertex the product lacks must be expected with degree 0
-    expected = np.bincount(pos[hit], weights[hit], minlength=known.size)[:-1]
+    codes, weights = z.labels._around(z.base._edge_ranks.ravel(), at), np.repeat(deg[other], deg[at])
+    pos, hit = _lookup(z._vertex_codes, codes)  # a vertex the product lacks must be expected with degree 0
+    expected = np.bincount(pos[hit], weights[hit], minlength=len(z._vertex_codes))
     return not weights[~hit].any() and np.array_equal(expected, z.product._degrees)
 
 
@@ -214,15 +207,13 @@ def section_subgraphs(z: ZigZagGraph):
     if not is_connected(z.base):
         raise ValueError("sections need a connected base graph")
 
-    per_vertex = vertex_labels(z.labeling)
-    choices = {u: z.labels.neighbors(per_vertex[u]) for u in z.base.vertices}
-    base_vs = z.base.vertices
-    for picks in itertools.product(*(choices[u] for u in base_vs)):
-        choice = dict(zip(base_vs, picks))
-        chosen = [(u, choice[u]) for u in base_vs]
-        section = z.product.induced_subgraph(chosen)
-        expected = {((u, choice[u]), (v, choice[v])) for u, v in z.base.edges}
-        if set(section.edges) != expected:
+    # With one (u, i) above each base vertex u, ranks are the base's: a copy of the base has its edge ranks.
+    (indptr, nbrs), base_vs = z.labels._csr, z.base.vertices
+    choices = [nbrs[indptr[r]:indptr[r + 1]].tolist() for r in z.labeling._vertex_ranks.tolist()]
+    for picks in itertools.product(*choices):
+        choice = dict(zip(base_vs, map(z.labels.vertices.__getitem__, picks)))
+        section = z.product.induced_subgraph(choice.items())
+        if not np.array_equal(section._edge_ranks, z.base._edge_ranks):
             raise RuntimeError(f"section {choice} is not a copy of the base graph")
         yield choice, section
 
@@ -238,15 +229,16 @@ def projection(z: ZigZagGraph) -> VertexMap:
     base edges; `mapping` is decoded when first read.
     """
     base, image, over, at, starts = z.base, z.base, z._base_ranks, z._base_edges, z._fiber_starts
-    # Every product edge's ends lie over its base edge's ends: one gather per column (clipped, as a search may miss).
-    if not all(np.array_equal(over[x], base._edge_ranks[:, k].take(at, mode="clip"))
-               for k, x in enumerate(z.product._edge_ranks.T)):
+    # Every product edge's first and second ends lie over its base edge's first and second ends, one gather per
+    # column: so no edge's image is reversed, and its first end goes to its image's first end.
+    if at is None or not all(np.array_equal(over[x], base._edge_ranks[at, k])
+                             for k, x in enumerate(z.product._edge_ranks.T)):
         raise RuntimeError("projection failed to be a graph morphism")
     hit = z.labels._degrees[z.labeling._label_ranks].all(axis=1)
     if starts.size < len(base.vertices) or not hit.all():  # renumbered through the kept vertices and edges
         image = base._on_ranks(over[starts], base._edge_ranks[hit])
         over, at = np.searchsorted(over[starts], over), (np.cumsum(hit) - 1)[at]
-    return VertexMap._from_ranks(z.product, image, over, at)
+    return VertexMap._from_ranks(z.product, image, over, 2 * at)
 
 
 def _admission(phi: VertexMap, psi: VertexMap, z1: ZigZagGraph, z2: ZigZagGraph) -> LabeledMorphism:
@@ -266,9 +258,8 @@ def _pair_map(phi: VertexMap, psi: VertexMap, z1: ZigZagGraph, z2: ZigZagGraph) 
     """(u, i) -> (phi(u), psi(i)) between the products: each image coded as in z2, found among z2's vertex codes."""
     u, i = np.divmod(z1._vertex_codes, len(z1.labels.vertices))
     codes = phi._image_ranks[u] * len(z2.labels.vertices) + psi._image_ranks[i]
-    known = np.append(z2._vertex_codes, len(z2.base.vertices) * len(z2.labels.vertices))  # ends in a code no vertex has
-    at = np.searchsorted(known, codes)
-    missing = np.flatnonzero(known[at] != codes)
+    at, found = _lookup(z2._vertex_codes, codes)
+    missing = np.flatnonzero(~found)
     if missing.size:
         v = z1.product.vertices[missing[0]]
         raise RuntimeError(f"image {format_vertex((phi(v[0]), psi(v[1])))} of {format_vertex(v)} is not a "
@@ -322,28 +313,30 @@ def lift_pair(f: VertexMap, gmap: Mapping, z: ZigZagGraph) -> VertexMap:
         raise ValueError("first map must land in the product's base graph")
     if not is_graph_morphism(f):
         raise ValueError("first map must be a graph morphism")
-    missing = set(f.domain.vertices) - set(gmap)
+    dom, nh = f.domain, len(z.labels.vertices)
+    missing = set(dom.vertices) - set(gmap)
     if missing:
         raise ValueError(f"choice map misses vertices: {sorted(missing, key=vertex_key)}")
-    bad = [w for w in f.domain.vertices if not z.labels.has_vertex(gmap[w])]
-    if bad:
+    choice = np.fromiter((z.labels._rank.get(gmap[w], -1) for w in dom.vertices), np.intp, len(dom.vertices))
+    if (choice < 0).any():
+        bad = [w for w, c in zip(dom.vertices, choice.tolist()) if c < 0]
         raise ValueError(f"choice map leaves the label graph at: {sorted(bad, key=vertex_key)}")
-
-    labels = map(z.labels.vertices.__getitem__, pullback_labeling(z.labeling, f)._dart_ranks().tolist())
-    for d, lbl in zip(f.domain._darts, labels):  # the label of each image dart
-        if not z.labels.has_edge(gmap[d.vertex], lbl):
-            raise ValueError(
-                f"adjacency precondition fails at dart {d}: choice {format_vertex(gmap[d.vertex])} "
-                f"is not adjacent to label {format_vertex(lbl)}"
-            )
-
-    mapping = {}
-    for w in f.domain.vertices:
+    # Dart order runs through the domain vertices in turn: the choice at each dart's vertex, the label of its image.
+    lab = pullback_labeling(z.labeling, f)._dart_ranks()
+    adjacent = z.labels._find_edges(np.repeat(choice, dom._degrees), lab)[1]
+    if not adjacent.all():
+        k = np.argmin(adjacent)  # the first dart whose choice fails
+        d, lbl = dom._darts[k], z.labels.vertices[lab[k]]
+        raise ValueError(
+            f"adjacency precondition fails at dart {d}: choice {format_vertex(gmap[d.vertex])} "
+            f"is not adjacent to label {format_vertex(lbl)}"
+        )
+    at, found = _lookup(z._vertex_codes, f._image_ranks * nh + choice)
+    if not found.all():
+        w = dom.vertices[np.argmin(found)]
         img = (f(w), gmap[w])
-        if not z.product.has_vertex(img):
-            raise ValueError(f"image {format_vertex(img)} of isolated vertex {format_vertex(w)} is not in the product")
-        mapping[w] = img
-    lifted = VertexMap(f.domain, z.product, mapping)
+        raise ValueError(f"image {format_vertex(img)} of isolated vertex {format_vertex(w)} is not in the product")
+    lifted = VertexMap._from_ranks(dom, z.product, at)
     if not is_graph_morphism(lifted):
         raise RuntimeError("lifted pair failed to be a graph morphism")
     return lifted

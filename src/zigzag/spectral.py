@@ -273,7 +273,9 @@ def radius_comparison_check(g: Graph, h: Graph, a: HLabeling) -> bool:
 
     Hypotheses: g is m-regular, h is d-regular on m vertices, and at each
     base vertex the dart labels enumerate the label graph bijectively.  The
-    product is then d^2-regular and the inequality is checked numerically.
+    product is then d^2-regular, which is checked.  The hypotheses decide the
+    verdict: a D-regular graph's normalized radius is exactly 1, so once they
+    hold the comparison does, and nothing is re-tested or eigensolved.
     """
     m = g.is_regular()
     if m is None or m == 0:
@@ -295,7 +297,7 @@ def radius_comparison_check(g: Graph, h: Graph, a: HLabeling) -> bool:
     reg = z.product.is_regular()
     if reg != d * d:
         raise RuntimeError(f"product regularity {reg} contradicts the expected {d * d}")
-    return normalized_radius(g, m) <= normalized_radius(z.product, d * d) + RESIDUAL_TOL
+    return True
 
 
 def cover_radius_check(p: VertexMap, z: ZigZagGraph) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, VertexMap, _square_cover, vertex_key
+from .graphs import Graph, VertexMap, _lookup, _square_cover, vertex_key
 from .labeling import (
     HLabeling,
     image_valency,
@@ -252,12 +252,6 @@ class FolnerReport:
         return all(s.bound_ok for s in self.steps)
 
 
-def _cut(g: Graph, ranks: np.ndarray) -> int:
-    """The number of edges of g with exactly one end among the vertices of these ranks, by a mask."""
-    inside = np.bincount(ranks, minlength=len(g.vertices)).astype(bool)
-    return int(np.count_nonzero(np.not_equal(*inside[g._edge_ranks.T])))
-
-
 def folner_product_check(g: Graph, h: Graph, a: HLabeling, chain) -> FolnerReport:
     """Track boundary ratios of a nested chain through the product.
 
@@ -277,7 +271,6 @@ def folner_product_check(g: Graph, h: Graph, a: HLabeling, chain) -> FolnerRepor
             raise ValueError("chain is not nested: each subset must contain the previous one")
 
     z, nh = zigzag_product(g, h, a), len(h.vertices)
-    known = np.append(z._vertex_codes, len(g.vertices) * nh)  # increasing, and ends in a code no vertex has
     d_max = h.max_degree()
     steps = []
     for f in sets:
@@ -286,11 +279,11 @@ def folner_product_check(g: Graph, h: Graph, a: HLabeling, chain) -> FolnerRepor
         zf = zigzag_product(sub_labeling.base, h, sub_labeling)
         # (u, i) of zf, coded over the induced subgraph's ranks, is coded over g's by the rank u has in g.
         codes = keep[zf._vertex_codes // nh] * nh + zf._vertex_codes % nh
-        at = np.searchsorted(known, codes)
-        if not np.array_equal(known[at], codes):
+        at, found = _lookup(z._vertex_codes, codes)
+        if not found.all():
             raise RuntimeError("restricted product escaped the full product")
-        bd, pv, pbd = _cut(g, keep), len(codes), _cut(z.product, at)
-        bound = d_max * d_max * bd
+        bd, pbd = int(np.count_nonzero(g._cut(keep))), int(np.count_nonzero(z.product._cut(at)))
+        bound, pv = d_max * d_max * bd, len(codes)
         steps.append(FolnerStep(subset=f, size=len(f), boundary_size=bd, ratio=Fraction(bd, len(f)), product_size=pv,
                                 product_boundary_size=pbd, product_ratio=Fraction(pbd, pv) if pv else None,
                                 bound=bound, bound_ok=pbd <= bound))

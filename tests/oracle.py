@@ -14,13 +14,19 @@ pushforward and restriction build one dict entry per dart (through the dart
 map, the label map, and the darts of the induced subgraph), and the product
 builds and stores an EdgeTag for every edge, from which the projection's
 image is read.  The
-rank-array paths have loop references too: the morphism verdict asks
-`has_edge` once per domain edge, the covering check compares neighbour
+rank-array paths have loop references too: the morphism verdict reads
+the edge set once per domain edge, the covering check compares neighbour
 sets vertex by vertex, the valency check counts expected degrees per dart
 in a Counter, spectrum containment takes a minimum over the whole bigger
 spectrum per eigenvalue, eigenvector lift and descent walk the product
 vertices one at a time, and the image valency is a set of `degree` reads
-over the labels in use.
+over the labels in use.  The structural questions keep theirs, each on the
+id views: connectivity by a depth-first search over the adjacency dict, the
+2-colouring by a breadth-first search over neighbour lists, the boundary by
+a walk over the edge tuple, composition and inversion by dicts, neighbour
+reflection over all O(|V|^2) vertex pairs, the labeled-morphism verdicts by
+neighbour sets, the lift of a pair by one edge-set read per dart, and the
+DOT text edge by edge.
 """
 
 import math
@@ -35,6 +41,7 @@ from zigzag.graphs import (
     Graph,
     VertexMap,
     darts,
+    format_vertex,
     induced_dart_map,
     is_graph_morphism,
     make_edge,
@@ -128,8 +135,8 @@ def projection_image(vertices, tags):
 
 
 def is_graph_morphism(m):
-    """Every domain edge goes to an edge: one has_edge per domain edge."""
-    return all(m.codomain.has_edge(m(u), m(v)) for u, v in m.domain.edges)
+    """Every domain edge goes to an edge: one edge-set read per domain edge."""
+    return all(adjacent(m.codomain, m(u), m(v)) for u, v in m.domain.edges)
 
 
 def is_covering_map(m):
@@ -141,6 +148,155 @@ def is_covering_map(m):
         if len(set(images)) != len(images) or set(images) != set(m.codomain.neighbors(m(x))):
             return False
     return True
+
+
+def adjacent(g, u, v):
+    """Whether {u, v} is an edge of g, read from the edge set."""
+    return (u, v) in g.edge_set or (v, u) in g.edge_set
+
+
+def is_connected(g):
+    """Depth-first search over the adjacency dict from the first vertex."""
+    if len(g.vertices) <= 1:
+        return True
+    seen = {g.vertices[0]}
+    stack = [g.vertices[0]]
+    while stack:
+        v = stack.pop()
+        for w in g.adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(g.vertices)
+
+
+def sides(g):
+    """The 2-colouring `Graph._sides` gives, by a breadth-first search over neighbour lists built from the
+    edge tuple: each vertex's place among side 0's vertices then side 1's, and the size of side 0."""
+    index = {v: r for r, v in enumerate(g.vertices)}
+    nbrs, side = [[] for _ in g.vertices], [None] * len(g.vertices)
+    for u, v in g.edges:
+        nbrs[index[u]].append(index[v])
+        nbrs[index[v]].append(index[u])
+    for root in range(len(side)):
+        if side[root] is None:
+            side[root], todo = False, [root]
+            for x in todo:
+                for y in nbrs[x]:
+                    if side[y] is None:
+                        side[y] = not side[x]
+                        todo.append(y)
+                    elif side[y] == side[x]:
+                        return None
+    p = side.count(False)
+    ahead = [iter(range(p)), iter(range(p, len(side)))]
+    return [next(ahead[right]) for right in side], p
+
+
+def boundary(subset, g):
+    """The edges with exactly one end in the subset, by a walk over the edge tuple."""
+    sub = set(subset)
+    missing = sub - set(g.vertices)
+    if missing:
+        raise ValueError(f"vertices not in graph: {sorted(missing, key=vertex_key)}")
+    return tuple(e for e in g.edges if (e[0] in sub) != (e[1] in sub))
+
+
+def compose(outer, inner):
+    if inner.codomain != outer.domain:
+        raise ValueError("maps not composable: codomain of inner differs from domain of outer")
+    return VertexMap(inner.domain, outer.codomain, {v: outer(inner(v)) for v in inner.domain.vertices})
+
+
+def inverse_map(m):
+    values = list(m.mapping.values())
+    if len(set(values)) != len(values) or set(values) != set(m.codomain.vertices):
+        raise ValueError("map is not a bijection onto the codomain vertices")
+    return VertexMap(m.codomain, m.domain, {w: v for v, w in m.mapping.items()})
+
+
+def is_isomorphism(m):
+    """A bijective morphism whose inverse is a morphism, both by the edge-set loop."""
+    try:
+        return is_graph_morphism(m) and is_graph_morphism(inverse_map(m))
+    except ValueError:  # not a bijection
+        return False
+
+
+def satisfies_neighbor_reflecting(psi):
+    """Onto, and h ~ h' iff psi(h) ~ psi(h'), over all vertex pairs."""
+    if set(psi.mapping.values()) != set(psi.codomain.vertices):
+        return False
+    vs = psi.domain.vertices
+    for i, h in enumerate(vs):
+        for hp in vs[i + 1 :]:
+            if adjacent(psi.domain, h, hp) != adjacent(psi.codomain, psi(h), psi(hp)):
+                return False
+    return True
+
+
+def _label_pairs(lm):
+    if lm.source.labels != lm.target.labels:
+        raise ValueError("labeled morphism check needs both labelings in the same label graph")
+    pulled = pullback_labeling(lm.target, lm.map)
+    return {(lm.source(d), pulled(d)) for d in darts(lm.source.base)}
+
+
+def is_strict_morphism(lm):
+    return all(s == t for s, t in _label_pairs(lm))
+
+
+def is_weak_morphism(lm):
+    h = lm.source.labels
+    return all(h_neighbors(h, s) <= h_neighbors(h, t) for s, t in _label_pairs(lm))
+
+
+def matching_label_neighborhoods(lm):
+    h = lm.source.labels
+    return all(h_neighbors(h, s) == h_neighbors(h, t) for s, t in _label_pairs(lm))
+
+
+def lift_pair(f, gmap, z):
+    """w -> (f(w), gmap[w]), checked one dart and one vertex at a time."""
+    if f.codomain != z.base:
+        raise ValueError("first map must land in the product's base graph")
+    if not is_graph_morphism(f):
+        raise ValueError("first map must be a graph morphism")
+    missing = set(f.domain.vertices) - set(gmap)
+    if missing:
+        raise ValueError(f"choice map misses vertices: {sorted(missing, key=vertex_key)}")
+    bad = [w for w in f.domain.vertices if not z.labels.has_vertex(gmap[w])]
+    if bad:
+        raise ValueError(f"choice map leaves the label graph at: {sorted(bad, key=vertex_key)}")
+    labels = pullback_labeling(z.labeling, f)
+    for d in darts(f.domain):  # the label of each image dart
+        if not adjacent(z.labels, gmap[d.vertex], labels(d)):
+            raise ValueError(
+                f"adjacency precondition fails at dart {d}: choice {format_vertex(gmap[d.vertex])} "
+                f"is not adjacent to label {format_vertex(labels(d))}"
+            )
+    mapping = {}
+    for w in f.domain.vertices:
+        img = (f(w), gmap[w])
+        if not z.product.has_vertex(img):
+            raise ValueError(f"image {format_vertex(img)} of isolated vertex {format_vertex(w)} is not in the product")
+        mapping[w] = img
+    lifted = VertexMap(f.domain, z.product, mapping)
+    if not is_graph_morphism(lifted):
+        raise RuntimeError("lifted pair failed to be a graph morphism")
+    return lifted
+
+
+def graph_to_dot(g, name="G"):
+    """The DOT text, one isolated vertex and then one edge per line, each id quoted as it is met."""
+
+    def quoted(v):
+        return '"' + format_vertex(v).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    lines = [f"graph {name} {{"]
+    lines += [f"  {quoted(v)};" for v in g.vertices if not any(v in e for e in g.edges)]
+    lines += [f"  {quoted(u)} -- {quoted(v)};" for u, v in g.edges]
+    return "\n".join(lines + ["}"]) + "\n"
 
 
 def check_combinatorial_cover(m: VertexMap) -> CoverCheck:

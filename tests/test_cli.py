@@ -3,12 +3,14 @@ import json
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from helpers import C3, C4, C6, K4, P3
 from test_tower import _edited_product
 from zigzag import cli, io, product, spectral, tower
 from zigzag.cli import _fmt, build_parser, run
-from zigzag.generators import cycle, hypercube
+from zigzag.generators import KINDS, complete, cycle, hypercube, path
 from zigzag.graphs import VertexMap
 from zigzag.labeling import constant_labeling
 from zigzag.product import zigzag_product
@@ -610,3 +612,114 @@ class TestOnePath:
         code, out, err = invoke([*command, "--help"], capsys)
         assert code == 0 and not err
         assert out.startswith(" ".join(["usage: zigzag", *command]))
+
+
+# The fuzz inputs: small valid documents, each of them read by some command, then arbitrary bytes and edited copies.
+_DOCS = {
+    "c4.json": io.dumps_graph(C4),
+    "p3.json": io.dumps_graph(P3),
+    "k4.json": io.dumps_graph(K4),
+    "a.json": io.dumps_labeling(constant_labeling(C4, P3, 1)),
+    "z.json": io.dumps_product(zigzag_product(C4, P3, constant_labeling(C4, P3, 1))),
+    "map.json": io.dumps_vertex_map(VertexMap(cycle(8), C4, {i: i % 4 for i in range(8)})),
+    "fold.json": io.dumps_vertex_map(VertexMap(path(4), complete(2), {i: i % 2 for i in range(4)})),  # covers nothing
+    "chain.json": json.dumps([[0], [0, 1], [0, 1, 2]]),
+}
+_INPUTS = [*_DOCS, "fuzz", "-", "missing.json"]
+
+
+def _reads(*names):
+    """An input: mostly one of the documents the flag is meant for, else any input."""
+    return st.one_of(st.sampled_from(names), st.sampled_from(names), st.sampled_from(_INPUTS))
+
+
+# Each flag with the values it is given: sizes up to 64 and depths up to 4, outputs in the run's folder.
+_FLAG_VALUES = {
+    **dict.fromkeys(("-g", "--graph", "-H", "--labels", "--from", "--to"), _reads("c4.json", "p3.json", "k4.json")),
+    **dict.fromkeys(("-l", "--labeling"), _reads("a.json")),
+    **dict.fromkeys(("-p", "--product", "-z"), _reads("z.json", "map.json")),
+    "--map": _reads("map.json", "fold.json"),
+    "--chain": _reads("chain.json"),
+    **dict.fromkeys(("-o", "--output", "--report"), st.sampled_from(["out.json", "outdir", "-"])),
+    "--constant": st.one_of(st.sampled_from(["0", "1"]), st.sampled_from(["0", "1", "3", "-1", "x", "(0,1)"])),
+    "--depth": st.one_of(st.integers(1, 4), st.integers(-1, 4)).map(str),
+    "--budget": st.integers(-1, 64).map(str),
+    **dict.fromkeys(("--normalized", "--json", "--dot", "--help"), st.just(None)),
+}
+
+
+def _option(flag):
+    return _FLAG_VALUES[flag].map(lambda value: [flag] if value is None else [flag, value])
+
+
+def _command(words, *flags):
+    """The command's words, then an option for each of its flags (or for one of a tuple of them), now and then
+    left out."""
+    options = [st.sampled_from(f if isinstance(f, tuple) else (f,)).flatmap(_option) for f in flags]
+    return st.tuples(*(st.one_of(x, x, x, st.just([])) for x in options)).map(
+        lambda t: [*words, *(token for option in t for token in option)]
+    )
+
+
+_LABELED = ("-g", "-H", ("--constant", "-l"))
+_COMMANDS = st.one_of(
+    st.tuples(st.sampled_from([*KINDS, "moebius"]), st.lists(st.integers(-1, 64).map(str), max_size=3))
+    .map(lambda t: ["gen", t[0], *t[1]]),
+    _command(["product"], *_LABELED),
+    _command(["tower"], *_LABELED, "--depth"),
+    _command(["folner"], *_LABELED, "--chain"),
+    _command(["spectrum"], "-g"),
+    _command(["export", "--dot"], "-g"),
+    _command(["check", "pi"], "-p"),
+    _command(["check", "cover"], "--map", "--from", "--to"),
+    _command(["check", "comb-cover"], "--map"),
+    _command(["lift", "cover"], "-p", "-z"),
+    st.sampled_from([[], ["lift"], ["check", "neither"]]),
+)
+_STRAY = st.text(max_size=4).filter(lambda t: not t.startswith("-"))  # never read as a flag, so never as a size
+_EXTRA = st.sampled_from(sorted(_FLAG_VALUES)).flatmap(_option)
+_ARGV = st.tuples(_COMMANDS, st.lists(st.one_of(_EXTRA, _EXTRA, _EXTRA, _STRAY.map(lambda t: [t])), max_size=2)).map(
+    lambda t: t[0] + [token for item in t[1] for token in item]
+)
+_BYTES = st.one_of(
+    st.binary(max_size=200),
+    st.tuples(st.sampled_from(sorted(_DOCS)), st.integers(0, 400), st.integers(0, 8), st.binary(max_size=8)).map(
+        lambda t: _DOCS[t[0]].encode()[: t[1]] + t[3] + _DOCS[t[0]].encode()[t[1] + t[2] :]
+    ),
+)
+
+
+class TestFuzz:
+    """Any argv over the real grammar, with any bytes in a file or on stdin: the exit code is 0, 1 or 2,
+    1 comes only with a `check failed:` line, and no traceback is printed."""
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(argv=_ARGV, data=_BYTES, stdin=_BYTES)
+    def test_exit_code_contract(self, capsys, monkeypatch, tmp_path, argv, data, stdin):
+        monkeypatch.chdir(tmp_path)  # relative inputs and outputs, written afresh for every example
+        for name, text in _DOCS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / "fuzz").write_bytes(data)
+        monkeypatch.setattr("sys.stdin", std_io.TextIOWrapper(std_io.BytesIO(stdin), encoding="utf-8"))
+        code = run(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, code)
+        assert code != 1 or any(line.startswith("check failed: ") for line in err.splitlines()), (argv, err)
+        assert "Traceback" not in out + err, (argv, err)
+
+    def test_the_documents_are_read(self, capsys, monkeypatch, tmp_path):
+        """The fixed documents the fuzz starts from are valid: each command runs to exit 0 on them."""
+        monkeypatch.chdir(tmp_path)
+        for name, text in _DOCS.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        for argv in (
+            ["product", "-g", "c4.json", "-H", "p3.json", "-l", "a.json"],
+            ["tower", "-g", "c4.json", "-H", "k4.json", "--constant", "0", "--depth", "4"],
+            ["folner", "-g", "c4.json", "-H", "p3.json", "--constant", "1", "--chain", "chain.json"],
+            ["check", "pi", "-p", "z.json"],
+            ["check", "comb-cover", "--map", "map.json"],
+            ["lift", "cover", "-p", "map.json", "-z", "z.json"],
+        ):
+            assert run(argv) == 0, argv
+        assert run(["check", "comb-cover", "--map", "fold.json"]) == run(["check", "cover", "--map", "fold.json"]) == 1
+        capsys.readouterr()

@@ -465,9 +465,10 @@ class TestTwoColouring:
     @example(path(40))
     @example(Graph())
     def test_sides_exist_exactly_without_an_odd_cycle(self, g):
-        sides = g._sides
-        assert (sides is None) == oracle.has_odd_cycle(g)
+        sides, want = g._sides, oracle.sides(g)
+        assert (sides is None) == (want is None) == oracle.has_odd_cycle(g)
         if sides is not None:
+            assert sides[0].tolist() == want[0] and sides[1] == want[1]  # the colouring the search over ids gives
             (place, p), n = sides, len(g.vertices)
             assert place.dtype == np.intp and sorted(place.tolist()) == list(range(n))
             side = place >= p
