@@ -188,8 +188,8 @@ def cmd_lift_cover(args) -> int:
         _write_text(out / "product.json", io.dumps_product(lift.lifted))
         _write_text(out / "covering.json", io.dumps_vertex_map(lift.phat))
     print(
-        f"lifted covering verified: {len(lift.lifted.product.vertices)} vertices, "
-        f"{len(lift.lifted.product._edge_ranks)} edges over {len(z.product.vertices)}/{len(z.product._edge_ranks)}"
+        f"lifted covering verified: {lift.lifted.product._order} vertices, "
+        f"{len(lift.lifted.product._edge_ranks)} edges over {z.product._order}/{len(z.product._edge_ranks)}"
     )
     return OK
 

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .graphs import Graph
+import numpy as np
+
+from .graphs import Graph, _distinct
 
 # The most vertices plus edges a generator builds: four times the edges of a level-10 C4/P3 tower.
 _MAX_SIZE = 2**22
@@ -20,21 +22,21 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     _check_size("cycle", (n,), 2 * n)
-    return Graph(tuple(range(n)), tuple((i, (i + 1) % n) for i in range(n)))
+    return Graph._from_ranks(tuple(range(n)), np.r_[0, 0 : n - 1], np.r_[1, n - 1, 2:n])  # edges (0, 1), (0, n-1), ...
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"path needs at least 1 vertex, got {n}")
     _check_size("path", (n,), 2 * n - 1)
-    return Graph(tuple(range(n)), tuple((i, i + 1) for i in range(n - 1)))
+    return Graph._from_ranks(tuple(range(n)), np.arange(n - 1), np.arange(1, n))
 
 
 def complete(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {n}")
     _check_size("complete", (n,), n * (n + 1) // 2)
-    return Graph(tuple(range(n)), tuple((i, j) for i in range(n) for j in range(i + 1, n)))
+    return Graph._from_ranks(tuple(range(n)), *np.triu_indices(n, 1))
 
 
 def hypercube(d: int) -> Graph:
@@ -42,9 +44,10 @@ def hypercube(d: int) -> Graph:
     if d < 1:
         raise ValueError(f"hypercube needs dimension at least 1, got {d}")
     _check_size("hypercube", (d,), (d + 2) << (min(d, 64) - 1))  # 2^d + d·2^(d-1); past d = 64, any value over
-    verts = [format(i, f"0{d}b") for i in range(2**d)]
-    edges = tuple((verts[i], verts[i | (1 << bit)]) for i in range(2**d) for bit in range(d) if not i & (1 << bit))
-    return Graph(tuple(verts), edges)
+    # Bitstrings of one length sort as their numbers: i ~ i | 2^bit for every bit not set in i.
+    i, bit = np.divmod(np.arange(d << d), d)
+    low = (i >> bit & 1) == 0
+    return Graph._from_ranks(tuple(format(k, f"0{d}b") for k in range(2**d)), i[low], (i | 1 << bit)[low])
 
 
 def cayley_cyclic(n: int, generators: Iterable[int]) -> Graph:
@@ -62,8 +65,9 @@ def cayley_cyclic(n: int, generators: Iterable[int]) -> Graph:
     if missing:
         raise ValueError(f"generating set not closed under negation mod {n}: missing inverses for {sorted(missing)}")
     _check_size("cayley_cyclic", (n, *sorted(gens)), n + n * len(gens) // 2)
-    edges = tuple((i, (i + s) % n) for i in range(n) for s in gens)
-    return Graph(tuple(range(n)), edges)
+    i = np.arange(n).repeat(len(gens))
+    j = (i + np.tile(sorted(gens), n).astype(np.intp)) % n  # each edge {i, j} twice, or once if j - i = n/2
+    return Graph._from_ranks(tuple(range(n)), *np.divmod(_distinct(np.minimum(i, j) * n + np.maximum(i, j)), n))
 
 
 KINDS = ("cycle", "path", "complete", "hypercube", "cayley_cyclic")

@@ -100,19 +100,18 @@ class _Decoded:
 class Graph:
     """Immutable finite simple undirected graph.
 
-    Vertices and edges are canonicalized on construction: ids validated,
-    duplicates dropped, edge endpoints added to the vertex set.  The ids are
-    ranked by one `vertex_key` sort, and every stored order (vertices, edge
-    endpoints, edges, adjacency, darts) is rank order, which equals the
-    `vertex_key` / `edge_key` / `dart_key` order; so is the stored array of
-    edge-endpoint ranks that the other layers read.  `edges` is decoded from
-    it when first read and then kept; equality and hashing read the vertices
-    and the array.  Graphs that the construction makes from ids it has
-    already checked (the product and the projection's image) come in through
-    `_from_ranks` and skip this re-validation; both store through `_store`.
+    Vertices and edges are canonicalized on construction: ids validated, duplicates dropped,
+    edge endpoints added to the vertex set.  The ids are ranked by one `vertex_key` sort, and
+    every stored order (vertices, edge endpoints, edges, adjacency, darts) is rank order, which
+    equals the `vertex_key` / `edge_key` / `dart_key` order; so is the stored array of
+    edge-endpoint ranks that the other layers read, kept with the vertex count.  Graphs that the
+    construction makes from ids it has already checked come in through `_from_ranks` and skip
+    this re-validation; both store through `_store`.  `edges` is decoded from the array when first
+    read and then kept, and so are the vertex ids and the id -> rank dict of a product or a
+    subgraph, which keeps only how to decode them (`_ids`).  Equality and hashing read the ids too.
     """
 
-    vertices: tuple = ()
+    vertices: tuple = _Decoded("_vertex_ids", ())
     edges: tuple = _Decoded("_edge_ids", ())
 
     def __post_init__(self):
@@ -142,26 +141,38 @@ class Graph:
         verts = tuple(sorted(first, key=vertex_key))
         rank, n = {v: r for r, v in enumerate(verts)}, len(verts)
         ends = np.fromiter(map(rank.__getitem__, ends), np.intp, len(ends)).reshape(-1, 2)
-        self._store(verts, rank, *np.divmod(_distinct(ends.min(axis=1) * n + ends.max(axis=1)), n))
+        self._store(n, *np.divmod(_distinct(ends.min(axis=1) * n + ends.max(axis=1)), n), vertices=verts, _rank=rank)
 
     @classmethod
-    def _from_ranks(cls, vertices: tuple, src: np.ndarray, dst: np.ndarray) -> "Graph":
-        """The graph on valid ids given in key order, with edges the sorted,
-        distinct rank pairs src < dst: stored as given, nothing re-checked."""
-        return object.__new__(cls)._store(vertices, dict(zip(vertices, range(len(vertices)))), src, dst)
+    def _from_ranks(cls, vertices, src: np.ndarray, dst: np.ndarray, *parents: "Graph") -> "Graph":
+        """The graph on valid ids given in key order, with edges the sorted, distinct rank pairs src < dst: stored as
+        given, nothing re-checked.  With parents, vertices are increasing ranks, the ids decoded from them when read:
+        of one parent's vertices, or codes rank(u)·|V(h)| + rank(i) of the pairs (u, i) of two parents (g, h)."""
+        ids = {"_ids": (*parents, vertices)} if parents else {"vertices": vertices}
+        return object.__new__(cls)._store(len(vertices), src, dst, **ids)
 
-    def _store(self, vertices: tuple, rank: dict, src: np.ndarray, dst: np.ndarray) -> "Graph":
+    def _store(self, n: int, src: np.ndarray, dst: np.ndarray, **ids) -> "Graph":
         ranks = np.stack((src, dst), axis=1).astype(np.intp, copy=False)
         ranks.flags.writeable = False
         self.__dict__.pop("edges", None)  # given edges are decoded again from the ranks, when read
-        self.__dict__.update(vertices=vertices, _rank=rank, _edge_ranks=ranks)
+        self.__dict__.update(_order=n, _edge_ranks=ranks, **ids)
         return self
+
+    def _vertex_ids(self) -> tuple:
+        *parents, ranks = self._ids
+        ranks = np.divmod(ranks, parents[1]._order) if len(parents) == 2 else (ranks,)
+        ids = [map(p.vertices.__getitem__, r.tolist()) for p, r in zip(parents, ranks)]
+        return tuple(zip(*ids) if len(ids) == 2 else ids[0])
+
+    @cached_property
+    def _rank(self) -> dict:
+        return dict(zip(self.vertices, range(self._order)))
 
     def _on_ranks(self, keep: np.ndarray, edges: np.ndarray) -> "Graph":
         """The graph on the vertices of the increasing ranks keep and the edges
         among them given as rows of `_edge_ranks`, renumbered in rank order."""
         src, dst = np.searchsorted(keep, edges).T
-        return Graph._from_ranks(tuple(map(self.vertices.__getitem__, keep.tolist())), src, dst)
+        return Graph._from_ranks(keep, src, dst, self)
 
     def _edge_ids(self, rows=slice(None)) -> tuple:
         end, (src, dst) = self.vertices.__getitem__, self._edge_ranks[rows].T.tolist()
@@ -172,7 +183,8 @@ class Graph:
             return True
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.vertices == other.vertices and np.array_equal(self._edge_ranks, other._edge_ranks)
+        same = self._order == other._order and np.array_equal(self._edge_ranks, other._edge_ranks)
+        return same and self.vertices == other.vertices
 
     def __hash__(self):
         return hash((self.vertices, self._edge_ranks.tobytes()))
@@ -183,7 +195,7 @@ class Graph:
 
     @cached_property
     def _degrees(self) -> np.ndarray:
-        return np.bincount(self._edge_ranks.ravel(), minlength=len(self.vertices))
+        return np.bincount(self._edge_ranks.ravel(), minlength=self._order)
 
     @cached_property
     def _isolated_free(self) -> bool:
@@ -194,7 +206,7 @@ class Graph:
         """Each rank's component, named by its least rank (its root), and its parity: that of the length of the path
         from the root that one breadth-first search in Python over the neighbour index takes, O(|V| + |E|)."""
         indptr, nbrs = (x.tolist() for x in self._csr)
-        root, parity = [-1] * len(self.vertices), [False] * len(self.vertices)
+        root, parity = [-1] * self._order, [False] * self._order
         for r in range(len(root)):
             if root[r] < 0:
                 root[r], todo = r, [r]
@@ -218,12 +230,12 @@ class Graph:
     @cached_property
     def _edge_codes(self) -> np.ndarray:
         """rank(u)·|V| + rank(v) for every edge (u, v), increasing."""
-        return self._edge_ranks @ (len(self.vertices), 1)
+        return self._edge_ranks @ (self._order, 1)
 
     def _dart_order(self) -> np.ndarray:
         """The darts in dart order, as positions in the flattened E×2 array of edge ends."""
         ends = self._edge_ranks
-        return np.argsort(ends.ravel() * len(self.vertices) + ends[:, ::-1].ravel())
+        return np.argsort(ends.ravel() * self._order + ends[:, ::-1].ravel())
 
     @cached_property
     def _csr(self) -> tuple:
@@ -233,11 +245,11 @@ class Graph:
     def _around(self, w: np.ndarray, x: np.ndarray) -> np.ndarray:
         """w[k]·|V| + y for every neighbour rank y of each rank x[k], in order, for each k in turn."""
         (indptr, nbrs), d = self._csr, self._degrees[x]
-        return np.repeat(w, d) * len(self.vertices) + nbrs[_runs(indptr[x], d)]
+        return np.repeat(w, d) * self._order + nbrs[_runs(indptr[x], d)]
 
     def _find_edges(self, x, y) -> tuple:
         """The index of the edge {x[k], y[k]} of ranks among the edges, for each k, and whether there is one."""
-        return _lookup(self._edge_codes, np.minimum(x, y) * len(self.vertices) + np.maximum(x, y))
+        return _lookup(self._edge_codes, np.minimum(x, y) * self._order + np.maximum(x, y))
 
     @cached_property
     def edge_set(self) -> frozenset:
@@ -256,9 +268,10 @@ class Graph:
         return tuple(map(Dart, ends, map(self.edges.__getitem__, (order // 2).tolist())))
 
     def neighbors(self, v: VertexId) -> tuple:
-        if v not in self.adjacency:
+        if v not in self._rank:
             raise ValueError(f"vertex {format_vertex(v)} not in graph")
-        return self.adjacency[v]
+        (indptr, nbrs), r = self._csr, self._rank[v]
+        return tuple(map(self.vertices.__getitem__, nbrs[indptr[r]:indptr[r + 1]].tolist()))
 
     def degree(self, v: VertexId) -> int:
         if v not in self._rank:
@@ -287,14 +300,14 @@ class Graph:
         invalid = [v for v in sub if not is_vertex_id(v)]  # True == 1 but is no id
         if invalid:
             raise ValueError(f"invalid vertex id: {invalid[0]!r}")
-        kept = np.zeros(len(self.vertices), bool)
+        kept = np.zeros(self._order, bool)
         kept[list(map(self._rank.__getitem__, sub))] = True
         rows = kept[self._edge_ranks].all(axis=1)
         return self._on_ranks(np.flatnonzero(kept), self._edge_ranks[rows]), rows
 
     def _cut(self, ranks: np.ndarray) -> np.ndarray:
         """The mask of the edges with exactly one end among the vertices of these ranks (np.intp), in edge order."""
-        inside = np.bincount(ranks, minlength=len(self.vertices)).astype(bool)
+        inside = np.bincount(ranks, minlength=self._order).astype(bool)
         return np.not_equal(*inside[self._edge_ranks.T])
 
     def is_regular(self) -> int | None:
@@ -387,7 +400,7 @@ class VertexMap:
 
 
 def identity_map(g: Graph) -> VertexMap:
-    return VertexMap._from_ranks(g, g, np.arange(len(g.vertices), dtype=np.intp))
+    return VertexMap._from_ranks(g, g, np.arange(g._order, dtype=np.intp))
 
 
 def compose(outer: VertexMap, inner: VertexMap) -> VertexMap:
@@ -420,18 +433,18 @@ def satisfies_neighbor_reflecting(psi: VertexMap) -> bool:
 
     Counted in O(|V| + |E|): a morphism sends the domain's edges to distinct pairs among the
     |fiber(a)|·|fiber(b)| pairs over the codomain edges ab, so it reflects adjacency iff it has as many edges."""
-    sizes = np.bincount(psi._image_ranks, minlength=len(psi.codomain.vertices))
+    sizes = np.bincount(psi._image_ranks, minlength=psi.codomain._order)
     pairs = int(np.multiply(*sizes[psi.codomain._edge_ranks.T]).sum())
     return bool(sizes.all()) and is_graph_morphism(psi) and pairs == len(psi.domain._edge_ranks)
 
 
 def is_isomorphism(m: VertexMap) -> bool:
     """True iff m is a bijective morphism whose inverse is a morphism: a neighbour-reflecting map of equal orders."""
-    return len(m.domain.vertices) == len(m.codomain.vertices) and satisfies_neighbor_reflecting(m)
+    return m.domain._order == m.codomain._order and satisfies_neighbor_reflecting(m)
 
 
 def inverse_map(m: VertexMap) -> VertexMap:
-    if not (np.bincount(m._image_ranks, minlength=len(m.codomain.vertices)) == 1).all():
+    if not (np.bincount(m._image_ranks, minlength=m.codomain._order) == 1).all():
         raise ValueError("map is not a bijection onto the codomain vertices")
     return VertexMap._from_ranks(m.codomain, m.domain, np.argsort(m._image_ranks))
 
@@ -441,7 +454,7 @@ def is_covering_map(m: VertexMap) -> bool:
     if not is_graph_morphism(m):
         return False
     # Neighbours go to neighbours, so: equal degrees, and no vertex sees a vertex twice.
-    (x, y), img, n = m.domain._edge_ranks.T, m._image_ranks, len(m.codomain.vertices)
+    (x, y), img, n = m.domain._edge_ranks.T, m._image_ranks, m.codomain._order
     seen = np.concatenate((x * n + img[y], y * n + img[x]))
     return np.array_equal(m.domain._degrees, m.codomain._degrees[img]) and _distinct(seen).size == seen.size
 
@@ -514,7 +527,7 @@ def _square_cover(m: VertexMap, k: int) -> tuple:
     if not is_graph_morphism(m):
         return False, "not a graph morphism"
     counts = _distinct(np.bincount(m._edge_images >> 1, minlength=len(m.codomain._edge_ranks))).tolist()
-    fibers = _distinct(np.bincount(m._image_ranks, minlength=len(m.codomain.vertices))).tolist()
+    fibers = _distinct(np.bincount(m._image_ranks, minlength=m.codomain._order)).tolist()
     cover = f"cover index {counts[0]}" if len(counts) == 1 else f"edge fiber sizes {counts}"
     return counts in ([], [k * k]) and fibers in ([], [k]), f"{cover}, fiber sizes {fibers}"
 
@@ -543,5 +556,5 @@ def is_connected(g: Graph) -> bool:
 def disjoint_union(a: Graph, b: Graph, tags: tuple = (0, 1)) -> Graph:
     """Disjoint union with vertices tagged as pairs (tag, original id)."""
     verts = tuple([(tags[0], v) for v in a.vertices] + [(tags[1], v) for v in b.vertices])
-    ends = np.concatenate((a._edge_ranks, b._edge_ranks + len(a.vertices))).tolist()
+    ends = np.concatenate((a._edge_ranks, b._edge_ranks + a._order)).tolist()
     return Graph(verts, tuple((verts[x], verts[y]) for x, y in ends))

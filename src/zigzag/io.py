@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_left
 from dataclasses import asdict
-from functools import cached_property
+from functools import cached_property, partial
 from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
 
-from .graphs import Dart, Graph, VertexId, VertexMap, format_vertex, make_edge, vertex_key
+from .graphs import Dart, Graph, VertexId, VertexMap, _lookup, format_vertex, make_edge, vertex_key
 from .labeling import HLabeling, _per_edge, _ranks
 from .product import EdgeTag, ZigZagGraph, zigzag_product
 from .spectral import SpectrumReport
@@ -37,11 +38,11 @@ def canonical_dumps(obj) -> str:
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
-def _pair(depth: int, a, b, x=slice(None), y=slice(None)):
-    """The text of the list [a, b] at this depth from the texts of a and b one deeper; of object arrays of
-    texts, those of the lists [a[x], b[y]], each array's constants added before it is gathered."""
+def _pair(depth: int, a, b, x=slice(None), y=slice(None), after: str = ""):
+    """The text of the list [a, b] at this depth from the texts of a and b one deeper, then after; of object
+    arrays of texts, those of the lists [a[x], b[y]], each array's constants added before it is gathered."""
     inner = "\n" + "  " * (depth + 1)
-    return (("[" + inner) + a + ("," + inner))[x] + (b + ("\n" + "  " * depth + "]"))[y]
+    return (("[" + inner) + a + ("," + inner))[x] + (b + ("\n" + "  " * depth + "]" + after))[y]
 
 
 def _rows(depth: int, template: str, *columns: np.ndarray) -> list:
@@ -61,9 +62,11 @@ def _rows(depth: int, template: str, *columns: np.ndarray) -> list:
 
 def _gather(depth: int, template: str, *columns: tuple) -> list:
     """The pieces of the JSON list at this depth of the template's items, each column a pair (texts, index): the
-    texts, an object array, are rendered once with the constant after their hole, then gathered by index into rows."""
-    consts = template.split(_HOLE)
-    return _rows(depth, consts[0] + len(columns) * _HOLE, *((t + c)[x] for (t, x), c in zip(columns, consts[1:])))
+    texts, an object array (or a function that renders it ending in a given constant), are rendered once with the
+    constant after their hole, then gathered by index into rows."""
+    head, *consts = template.split(_HOLE)
+    texts = ((t(c) if callable(t) else t + c)[x] for (t, x), c in zip(columns, consts))
+    return _rows(depth, head + len(columns) * _HOLE, *texts)
 
 
 def _object(depth: int, **fields: list) -> list:
@@ -94,10 +97,14 @@ class _Texts(dict):
 
     def of(self, g: Graph) -> np.ndarray:
         """The texts of g's vertices, indexed by rank; one array at every depth if its ids are atoms (as its last
-        is not a pair, for pairs sort last).  By id: a render's graphs outlive its texts, so no id is reused."""
-        key = (id(g), self.depth if g.vertices and isinstance(g.vertices[-1], tuple) else None)
-        if key not in self.arrays:
-            self.arrays[key] = np.array([self[v] for v in g.vertices], object)
+        is not a pair, for pairs sort last), the ints' then the strings' each rendered by one map.  By id: a
+        render's graphs outlive its texts, so no id is reused."""
+        vs = g.vertices
+        key = (id(g), self.depth if vs and isinstance(vs[-1], tuple) else None)
+        if key not in self.arrays:  # pairs, or the atoms: the k ints, then the strings
+            k = 0 if key[1] else bisect_left(vs, True, key=lambda v: isinstance(v, str))
+            rest = map(self.__getitem__ if key[1] else encode_basestring, vs[k:])
+            self.arrays[key] = np.array([*map(int.__repr__, vs[:k]), *rest], object)
         return self.arrays[key]
 
 
@@ -195,15 +202,24 @@ def graph_from_obj(obj) -> Graph:
 
 def _ranked_graph(obj) -> Graph:
     """The graph of a document listing its ids in strictly increasing key order and its edges as increasing
-    rank pairs, read straight into ranks; any other document is refused (ValueError, KeyError or TypeError).
-    Edge ends are ranked as one flat list, by value alone if every id is a JSON int or string (an end true or
-    1.0 reads as 1), and an edge of three ends shifts the rest: only for a caller that compares its rendering."""
+    rank pairs, read straight into ranks (plain int ids within int64 in numpy); any other document is refused
+    (ValueError, KeyError, TypeError or OverflowError).  Edge ends are matched by value alone if every id is a
+    JSON int or string (an end true or 1.0 reads as 1, as "1" does among int ids), and among others an edge of
+    three ends shifts the rest: only for a caller that compares its rendering."""
     verts, edges = _fields(obj, "graph JSON", "vertices", "edges", optional=True)
-    if not all(type(v) in (int, str) for v in verts):  # nested ids are decoded, and so is every edge end
-        verts, edges = list(map(vertex_from_obj, verts)), [list(map(vertex_from_obj, e)) for e in edges]
-    keys, rank = list(map(vertex_key, verts)), dict(zip(verts, range(len(verts))))
-    ends = np.array([rank[x] for e in edges for x in e], np.intp).reshape(-1, 2)
-    if sorted(set(keys)) != keys or (np.diff(ends) <= 0).any() or (np.diff(ends @ (len(verts), 1)) <= 0).any():
+    try:  # not bools; an edge end beyond int64 is refused
+        ids = np.array(verts, np.int64) if set(map(type, verts)) <= {int} else None
+    except OverflowError:
+        ids = None
+    if ids is not None:
+        ends, found = _lookup(ids, np.array(edges, np.int64).reshape(-1, 2))
+        ordered = found.all() and (np.diff(ids) > 0).all()
+    else:
+        if not all(type(v) in (int, str) for v in verts):  # nested ids are decoded, and so is every edge end
+            verts, edges = list(map(vertex_from_obj, verts)), [list(map(vertex_from_obj, e)) for e in edges]
+        keys, rank = list(map(vertex_key, verts)), dict(zip(verts, range(len(verts))))
+        ends, ordered = np.array([rank[x] for e in edges for x in e], np.intp).reshape(-1, 2), sorted(set(keys)) == keys
+    if not ordered or (np.diff(ends) <= 0).any() or (np.diff(ends @ (len(verts), 1)) <= 0).any():
         raise ValueError("graph JSON is not in canonical order")
     return Graph._from_ranks(tuple(verts), *ends.T)
 
@@ -405,9 +421,9 @@ def product_from_obj(obj, base_dir=None) -> ZigZagGraph:
 def dumps_product(z: ZigZagGraph) -> str:
     fields, texts, base_edge = _labeling_fields(z.labeling, "labeling")
     # A product vertex (u, i) is written at depth 2 (vertices), 3 (edges) and 4 (tags) from u's and i's texts by rank.
-    nh, t4 = len(z.labels.vertices), texts.deeper
+    nh, t4 = z.labels._order, texts.deeper
     u, i = np.divmod(z._vertex_codes, nh)
-    at2, at3, at4 = (_pair(t.depth - 1, t.of(z.base), t.of(z.labels), u, i) for t in (texts, t4, t4.deeper))
+    at2, at3, at4 = (partial(_pair, t.depth - 1, t.of(z.base), t.of(z.labels), u, i) for t in (texts, t4, t4.deeper))
     (src, dst), (b, *label_ends) = z.product._edge_ranks.T, z._tag_ranks()
     # A tag gathers its ends' pairs, its base edge and its label edges, each base edge rendered once and each
     # label pair (lo, hi) in use once, the last two indexed by one `unique` over the (h_lo, h_hi) pairs.
@@ -416,7 +432,7 @@ def dumps_product(z: ZigZagGraph) -> str:
     tag = "".join(_object(2, edge=[_pair(3, _HOLE, _HOLE)], base_edge=[_HOLE], h_lo=[_HOLE], h_hi=[_HOLE]))
     edge_tags = _gather(1, tag, (at4, src), (at4, dst), (base_edge, b), (label_edge, lo), (label_edge, hi))
     edges = _gather(1, _pair(2, _HOLE, _HOLE), (at3, src), (at3, dst))
-    return "".join(_object(0, **fields, vertices=_rows(1, _HOLE, at2), edges=edges, edge_tags=edge_tags))
+    return "".join(_object(0, **fields, vertices=_rows(1, _HOLE, at2()), edges=edges, edge_tags=edge_tags))
 
 
 # The keys a canonical product document opens with, each written before its value, and a one-line label.
@@ -449,7 +465,7 @@ def _canonical_product(text: str) -> ZigZagGraph | None:
         given = (json.loads("[" + ",".join(found) + "]") if len(found) == 2 * len(base._edge_ranks)
                  else [vertex_from_obj(x["label"]) for x in _DECODE(text, at)[0]])
         lab = _per_edge(base, _ranks(labels, given))
-    except (RecursionError, ValueError, KeyError, TypeError):
+    except (RecursionError, ValueError, KeyError, TypeError, OverflowError):
         return None
     z = zigzag_product(base, labels, HLabeling._from_ranks(base, labels, lab))
     return z if dumps_product(z) == text else None

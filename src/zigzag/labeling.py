@@ -75,7 +75,7 @@ class HLabeling:
         return a._store(lab)
 
     def _store(self, lab: np.ndarray) -> "HLabeling":
-        lab = lab.astype(np.min_scalar_type(max(len(self.labels.vertices) - 1, 0)), copy=False)
+        lab = lab.astype(np.min_scalar_type(max(self.labels._order - 1, 0)), copy=False)
         lab.flags.writeable = False
         self.__dict__.pop("mapping", None)  # a given mapping is rebuilt from the ranks, in dart order
         self.__dict__.update(_label_ranks=lab)
@@ -103,14 +103,14 @@ class HLabeling:
     def _vertex_ranks(self) -> np.ndarray | None:
         """The label rank of every base vertex (-1 at an isolated one); None if two darts at a vertex differ."""
         ends, lab = self.base._edge_ranks, self._label_ranks
-        per_vertex = np.full(len(self.base.vertices), -1, np.intp)
+        per_vertex = np.full(self.base._order, -1, np.intp)
         per_vertex[ends] = lab
         return per_vertex if np.array_equal(per_vertex[ends], lab) else None
 
     @cached_property
     def _image_valencies(self) -> tuple:
         """The distinct label-graph valencies of the labels in use (marked by one scatter, not sorted), increasing."""
-        used = np.zeros(len(self.labels.vertices), bool)
+        used = np.zeros(self.labels._order, bool)
         used[self._label_ranks] = True
         return tuple(_distinct(self.labels._degrees[used]).tolist())
 
@@ -132,7 +132,7 @@ def constant_labeling(base: Graph, labels: Graph, h: VertexId) -> HLabeling:
 
 def vertex_labeling(base: Graph, labels: Graph, per_vertex: Mapping) -> HLabeling:
     """Locally constant labeling from a per-vertex label table (isolated vertices may be left out)."""
-    used, ranks = base._degrees > 0, np.zeros(len(base.vertices), np.intp)
+    used, ranks = base._degrees > 0, np.zeros(base._order, np.intp)
     ranks[used] = _ranks(labels, [per_vertex[v] for v, d in zip(base.vertices, used.tolist()) if d])
     return HLabeling._from_ranks(base, labels, ranks[base._edge_ranks])
 
@@ -220,13 +220,13 @@ def _label_pairs(lm: LabeledMorphism) -> np.ndarray:
     """The distinct (source label, target label of the image dart) pairs over the source darts, as two rank arrays."""
     if lm.source.labels != lm.target.labels:
         raise ValueError("labeled morphism check needs both labelings in the same label graph")
-    pulled, n = pullback_labeling(lm.target, lm.map)._label_ranks, len(lm.source.labels.vertices)
+    pulled, n = pullback_labeling(lm.target, lm.map)._label_ranks, lm.source.labels._order
     return np.divmod(_distinct(lm.source._label_ranks.ravel().astype(np.intp) * n + pulled.ravel()), n)
 
 
 def _neighbours_within(labels: Graph, s: np.ndarray, t: np.ndarray) -> bool:
     """Whether every neighbour of each label rank s[k] is a neighbour of t[k]."""
-    return bool(labels._find_edges(*np.divmod(labels._around(t, s), len(labels.vertices)))[1].all())
+    return bool(labels._find_edges(*np.divmod(labels._around(t, s), labels._order))[1].all())
 
 
 def is_strict_morphism(lm: LabeledMorphism) -> bool:

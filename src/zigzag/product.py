@@ -112,7 +112,7 @@ class ZigZagGraph:
     def _tag_ranks(self) -> list:
         """For every product edge (u,i)(v,j), in order: the index of its base edge uv, and the label
         ranks of the ends of {i, a(u,uv)} and of {j, a(v,uv)}, each pair in rank order."""
-        i, j = self._vertex_codes[self.product._edge_ranks.T] % len(self.labels.vertices)
+        i, j = self._vertex_codes[self.product._edge_ranks.T] % self.labels._order
         b = self._base_edges
         lab = np.take(self.labeling._label_ranks, b, axis=0)
         return [b] + [end(x, y) for x, y in ((i, lab[:, 0]), (j, lab[:, 1])) for end in (np.minimum, np.maximum)]
@@ -128,7 +128,7 @@ class ZigZagGraph:
     @cached_property
     def _base_ranks(self) -> np.ndarray:
         """The base rank of every product vertex (u, i): nondecreasing."""
-        return self._vertex_codes // len(self.labels.vertices)
+        return self._vertex_codes // self.labels._order
 
     @cached_property
     def _fiber_starts(self) -> np.ndarray:
@@ -157,7 +157,7 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
 
     # Product vertex (u, i) is coded rank(u)·|V(h)| + rank(i), so codes sort as the ids do.
     # The label ranks upcast with the intp edge ends.
-    nh, deg, ends, lab = len(h.vertices), h._degrees, g._edge_ranks, a._label_ranks
+    nh, deg, ends, lab = h._order, h._degrees, g._edge_ranks, a._label_ranks
     u, lbl = np.divmod(_distinct(ends.ravel() * nh + lab.ravel()), nh)  # (u, label of a dart at u), each once
     codes = _distinct(h._around(u, lbl))
     # Per base edge uv: the ranks of (u, i) for i ~ a(u, uv), and of (v, j) for j ~ a(v, uv), each increasing,
@@ -169,9 +169,7 @@ def zigzag_product(g: Graph, h: Graph, a: HLabeling) -> ZigZagGraph:
     e = np.repeat(np.arange(len(ends)), du)[at]
     k = dv[e]
     src, dst = np.repeat(src[at], k), dst[_runs((np.cumsum(dv) - dv)[e], k)]
-    first, second = np.divmod(codes, nh)
-    verts = tuple(zip(map(g.vertices.__getitem__, first.tolist()), map(h.vertices.__getitem__, second.tolist())))
-    return ZigZagGraph._from_ranks(Graph._from_ranks(verts, src, dst), a, codes, np.repeat(e, k))
+    return ZigZagGraph._from_ranks(Graph._from_ranks(codes, src, dst, g, h), a, codes, np.repeat(e, k))
 
 
 def product_valency_check(z: ZigZagGraph) -> bool:
@@ -235,7 +233,7 @@ def projection(z: ZigZagGraph) -> VertexMap:
                              for k, x in enumerate(z.product._edge_ranks.T)):
         raise RuntimeError("projection failed to be a graph morphism")
     hit = z.labels._degrees[z.labeling._label_ranks].all(axis=1)
-    if starts.size < len(base.vertices) or not hit.all():  # renumbered through the kept vertices and edges
+    if starts.size < base._order or not hit.all():  # renumbered through the kept vertices and edges
         image = base._on_ranks(over[starts], base._edge_ranks[hit])
         over, at = np.searchsorted(over[starts], over), (np.cumsum(hit) - 1)[at]
     return VertexMap._from_ranks(z.product, image, over, 2 * at)
@@ -256,8 +254,8 @@ def _admission(phi: VertexMap, psi: VertexMap, z1: ZigZagGraph, z2: ZigZagGraph)
 
 def _pair_map(phi: VertexMap, psi: VertexMap, z1: ZigZagGraph, z2: ZigZagGraph) -> VertexMap:
     """(u, i) -> (phi(u), psi(i)) between the products: each image coded as in z2, found among z2's vertex codes."""
-    u, i = np.divmod(z1._vertex_codes, len(z1.labels.vertices))
-    codes = phi._image_ranks[u] * len(z2.labels.vertices) + psi._image_ranks[i]
+    u, i = np.divmod(z1._vertex_codes, z1.labels._order)
+    codes = phi._image_ranks[u] * z2.labels._order + psi._image_ranks[i]
     at, found = _lookup(z2._vertex_codes, codes)
     missing = np.flatnonzero(~found)
     if missing.size:
@@ -313,11 +311,11 @@ def lift_pair(f: VertexMap, gmap: Mapping, z: ZigZagGraph) -> VertexMap:
         raise ValueError("first map must land in the product's base graph")
     if not is_graph_morphism(f):
         raise ValueError("first map must be a graph morphism")
-    dom, nh = f.domain, len(z.labels.vertices)
+    dom, nh = f.domain, z.labels._order
     missing = set(dom.vertices) - set(gmap)
     if missing:
         raise ValueError(f"choice map misses vertices: {sorted(missing, key=vertex_key)}")
-    choice = np.fromiter((z.labels._rank.get(gmap[w], -1) for w in dom.vertices), np.intp, len(dom.vertices))
+    choice = np.fromiter((z.labels._rank.get(gmap[w], -1) for w in dom.vertices), np.intp, dom._order)
     if (choice < 0).any():
         bad = [w for w, c in zip(dom.vertices, choice.tolist()) if c < 0]
         raise ValueError(f"choice map leaves the label graph at: {sorted(bad, key=vertex_key)}")

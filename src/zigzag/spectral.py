@@ -24,7 +24,7 @@ def _matrix(g: Graph, weights=1.0, split: bool = True):
     """g's adjacency with the weights at the edges, refused unbuilt if its n×n matrix is over DENSE_BYTES: if g is
     bipartite (and split) the p×q block B of [[0, B], [Bᵀ, 0]] (rows side 0, columns side 1, in rank order) and each
     vertex's place in [side 0 | side 1] order, else the n×n matrix and None; and each edge's (row, column)."""
-    n, (u, v) = len(g.vertices), g._edge_ranks.T
+    n, (u, v) = g._order, g._edge_ranks.T
     if split and not n:  # every eigensolve splits; the public matrix builders give the empty graph its 0×0 matrix
         raise ValueError("spectrum of the empty graph is undefined")
     if 8 * n * n > DENSE_BYTES:
@@ -147,7 +147,7 @@ class EigenPair:
 
     def __post_init__(self):
         vec = np.asarray(self.vector, dtype=float)
-        if vec.shape != (len(self.graph.vertices),):
+        if vec.shape != (self.graph._order,):
             raise ValueError("eigenvector length must match the vertex count")
         norm = np.sqrt(vec @ vec)
         if not norm > RESIDUAL_TOL:  # a NaN is refused too
@@ -254,7 +254,7 @@ def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
     if bad.any():
         u = z.base.vertices[over[starts[bad.argmax()]]]  # the first fiber that is not constant
         raise RuntimeError(f"eigenvector with eigenvalue {ep.value:.6g} is not fiber-constant above {u}")
-    f = np.zeros(len(z.base.vertices))
+    f = np.zeros(z.base._order)
     f[over[starts]] = vec[starts]  # 0 above no fiber
     return EigenPair(z.base, ep.value / n, f)
 
@@ -283,8 +283,8 @@ def radius_comparison_check(g: Graph, h: Graph, a: HLabeling) -> bool:
     d = h.is_regular()
     if d is None or d == 0:
         raise ValueError("label graph must be regular with positive degree")
-    if len(h.vertices) != m:
-        raise ValueError(f"label graph must have {m} vertices, the base degree; has {len(h.vertices)}")
+    if h._order != m:
+        raise ValueError(f"label graph must have {m} vertices, the base degree; has {h._order}")
     if a.base != g:
         raise ValueError("labeling does not belong to the given base graph")
     # The m darts at a vertex are consecutive in dart order; their labels, as ranks in h (-1 if not in h),

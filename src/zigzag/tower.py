@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import Graph, VertexMap, _lookup, _square_cover, vertex_key
+from .graphs import Graph, VertexMap, _lookup, _square_cover
 from .labeling import (
     HLabeling,
     image_valency,
@@ -86,7 +86,7 @@ def _level_spectra(g: Graph, scale: int, values):
     N_k = S·N_{k-1}·Sᵀ/m, so A's nonzero spectrum scales by m and N's stays; then zeros of A, ones of I - N."""
     if values is None:
         return None, None
-    (adj, mu), n = values, len(g.vertices)
+    (adj, mu), n = values, g._order
     spec = SpectrumReport.from_values(np.concatenate((scale * adj, np.zeros(n - adj.size))), "adjacency")
     lap = np.concatenate((1 - mu, np.ones(n - mu.size)))
     return spec, SpectrumReport.from_values(lap, "normalized_laplacian") if g._degrees.all() else None
@@ -120,7 +120,7 @@ def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfi
         raise ValueError("tower construction needs a locally constant labeling")
     m = image_valency(a)
 
-    values = _level_one_values(g) if len(g.vertices) <= config.spectral_cap else None
+    values = _level_one_values(g) if g._order <= config.spectral_cap else None
     levels = [TowerLevel(1, g, a, None, None, *_level_spectra(g, 1, values))]
     truncated = False
     while len(levels) < depth:
@@ -135,8 +135,8 @@ def build_tower(g: Graph, h: Graph, a: HLabeling, depth: int, config: TowerConfi
         if edges > _MAX_EDGES:
             raise ValueError(f"tower level {len(levels) + 1} would have {edges} edges, over the limit of {_MAX_EDGES}")
         z = zigzag_product(current.graph, h, current.labeling)
-        if len(z.product.vertices) != size:
-            raise RuntimeError(f"product has {len(z.product.vertices)} vertices, the labels give {size}")
+        if z.product._order != size:
+            raise RuntimeError(f"product has {z.product._order} vertices, the labels give {size}")
         pi = projection(z)
         _certify(pi, current.graph, m)
         source = current.labeling
@@ -193,7 +193,7 @@ def _level_report(build: TowerBuild, pairs: tuple = ()) -> TowerReport:
     for lv in build.levels:
         g, s = lv.graph, lv.spectrum
         radii = (s.rho, s.lambda2, s.gap) if s else (None, None, None)
-        summaries.append(LevelSummary(lv.index, len(g.vertices), len(g._edge_ranks), *radii, lv.cover_index, s is None))
+        summaries.append(LevelSummary(lv.index, g._order, len(g._edge_ranks), *radii, lv.cover_index, s is None))
     return TowerReport(build.valency, tuple(summaries), tuple(pairs))
 
 
@@ -263,19 +263,20 @@ def folner_product_check(g: Graph, h: Graph, a: HLabeling, chain) -> FolnerRepor
     """
     if a.base != g or a.labels != h:
         raise ValueError("labeling does not tie the given base and label graphs")
-    sets = [tuple(sorted(set(f), key=vertex_key)) for f in chain]
-    for prev, f in zip([()] + sets, sets):
+    sets = [set(f) for f in chain]
+    for prev, f in zip([set()] + sets, sets):
         if not f:
             raise ValueError("chain subsets must be nonempty")
-        if not set(prev) <= set(f):
+        if not prev <= f:
             raise ValueError("chain is not nested: each subset must contain the previous one")
 
-    z, nh = zigzag_product(g, h, a), len(h.vertices)
+    z, nh = zigzag_product(g, h, a), h._order
     d_max = h.max_degree()
     steps = []
     for f in sets:
         sub_labeling = restrict_labeling(a, f)  # refuses a vertex outside g, or a subset member that is no id
-        keep = np.fromiter(map(g._rank.__getitem__, sub_labeling.base.vertices), np.intp)
+        keep = sub_labeling.base._ids[-1]  # the ranks in g, increasing, that the subgraph's ids are decoded from
+        f = tuple(map(g.vertices.__getitem__, keep.tolist()))
         zf = zigzag_product(sub_labeling.base, h, sub_labeling)
         # (u, i) of zf, coded over the induced subgraph's ranks, is coded over g's by the rank u has in g.
         codes = keep[zf._vertex_codes // nh] * nh + zf._vertex_codes % nh
