@@ -22,7 +22,7 @@ def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     _check_size("cycle", (n,), 2 * n)
-    return Graph._from_ranks(tuple(range(n)), np.r_[0, 0 : n - 1], np.r_[1, n - 1, 2:n])  # edges (0, 1), (0, n-1), ...
+    return Graph._from_ranks(tuple(range(n)), np.r_[0, 0:n - 1], np.r_[1, n - 1, 2:n])  # (0, 1), (0, n-1), (1, 2), ...
 
 
 def path(n: int) -> Graph:

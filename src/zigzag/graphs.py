@@ -183,8 +183,7 @@ class Graph:
             return True
         if not isinstance(other, Graph):
             return NotImplemented
-        same = self._order == other._order and np.array_equal(self._edge_ranks, other._edge_ranks)
-        return same and self.vertices == other.vertices
+        return np.array_equal(self._edge_ranks, other._edge_ranks) and self.vertices == other.vertices
 
     def __hash__(self):
         return hash((self.vertices, self._edge_ranks.tobytes()))

@@ -100,10 +100,11 @@ class _Texts(dict):
         is not a pair, for pairs sort last), the ints' then the strings' each rendered by one map.  By id: a
         render's graphs outlive its texts, so no id is reused."""
         vs = g.vertices
-        key = (id(g), self.depth if vs and isinstance(vs[-1], tuple) else None)
+        pairs = bool(vs) and isinstance(vs[-1], tuple)
+        key = (id(g), self.depth if pairs else None)
         if key not in self.arrays:  # pairs, or the atoms: the k ints, then the strings
-            k = 0 if key[1] else bisect_left(vs, True, key=lambda v: isinstance(v, str))
-            rest = map(self.__getitem__ if key[1] else encode_basestring, vs[k:])
+            k = 0 if pairs else bisect_left(vs, True, key=lambda v: isinstance(v, str))
+            rest = map(self.__getitem__ if pairs else encode_basestring, vs[k:])
             self.arrays[key] = np.array([*map(int.__repr__, vs[:k]), *rest], object)
         return self.arrays[key]
 
