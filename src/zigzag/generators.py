@@ -40,14 +40,12 @@ def complete(n: int) -> Graph:
 
 
 def hypercube(d: int) -> Graph:
-    """d-dimensional hypercube on bitstring atoms of length d."""
+    """d-dimensional hypercube on bitstring atoms of length d, which sort as their numbers."""
     if d < 1:
         raise ValueError(f"hypercube needs dimension at least 1, got {d}")
     _check_size("hypercube", (d,), (d + 2) << (min(d, 64) - 1))  # 2^d + d·2^(d-1); past d = 64, any value over
-    # Bitstrings of one length sort as their numbers: i ~ i | 2^bit for every bit not set in i.
-    i, bit = np.divmod(np.arange(d << d), d)
-    low = (i >> bit & 1) == 0
-    return Graph._from_ranks(tuple(format(k, f"0{d}b") for k in range(2**d)), i[low], (i | 1 << bit)[low])
+    i, bit = np.nonzero((np.arange(1 << d)[:, None] >> np.arange(d) & 1) == 0)  # i ~ i | 2^bit, each bit not in i
+    return Graph._from_ranks(tuple(format(k, f"0{d}b") for k in range(2**d)), i, i | 1 << bit)
 
 
 def cayley_cyclic(n: int, generators: Iterable[int]) -> Graph:

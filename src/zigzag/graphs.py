@@ -100,15 +100,15 @@ class _Decoded:
 class Graph:
     """Immutable finite simple undirected graph.
 
-    Vertices and edges are canonicalized on construction: ids validated, duplicates dropped,
-    edge endpoints added to the vertex set.  The ids are ranked by one `vertex_key` sort, and
-    every stored order (vertices, edge endpoints, edges, adjacency, darts) is rank order, which
-    equals the `vertex_key` / `edge_key` / `dart_key` order; so is the stored array of
-    edge-endpoint ranks that the other layers read, kept with the vertex count.  Graphs that the
-    construction makes from ids it has already checked come in through `_from_ranks` and skip
-    this re-validation; both store through `_store`.  `edges` is decoded from the array when first
-    read and then kept, and so are the vertex ids and the id -> rank dict of a product or a
-    subgraph, which keeps only how to decode them (`_ids`).  Equality and hashing read the ids too.
+    Vertices and edges are canonicalized on construction: ids validated, duplicates dropped, edge endpoints added to
+    the vertex set.  The ids are ranked by one `vertex_key` sort, and every stored order (vertices, edge endpoints,
+    edges, adjacency, darts) is rank order, which equals the `vertex_key` / `edge_key` / `dart_key` order; so is the
+    stored array of edge-endpoint ranks that the other layers read, kept with the vertex count.  Graphs that the
+    construction makes from ids it has already checked come in through `_from_ranks` and skip this re-validation;
+    both store through `_store`.  `edges` is decoded from the array when first read and then kept, and so are the
+    vertex ids and the id -> rank dict of a product or a subgraph, which keeps only how to decode them (`_ids`): a
+    product its base and label graphs, a subgraph its parent's id tuple or, of an undecoded parent, what those
+    decode from; never the parent graph itself.  Equality and hashing read the ids too.
     """
 
     vertices: tuple = _Decoded("_vertex_ids", ())
@@ -144,10 +144,10 @@ class Graph:
         self._store(n, *np.divmod(_distinct(ends.min(axis=1) * n + ends.max(axis=1)), n), vertices=verts, _rank=rank)
 
     @classmethod
-    def _from_ranks(cls, vertices, src: np.ndarray, dst: np.ndarray, *parents: "Graph") -> "Graph":
+    def _from_ranks(cls, vertices, src: np.ndarray, dst: np.ndarray, *parents) -> "Graph":
         """The graph on valid ids given in key order, with edges the sorted, distinct rank pairs src < dst: stored as
         given, nothing re-checked.  With parents, vertices are increasing ranks, the ids decoded from them when read:
-        of one parent's vertices, or codes rank(u)·|V(h)| + rank(i) of the pairs (u, i) of two parents (g, h)."""
+        ranks into one parent, a tuple of ids, or codes rank(u)·|V(h)| + rank(i) of the pairs (u, i) of graphs g, h."""
         ids = {"_ids": (*parents, vertices)} if parents else {"vertices": vertices}
         return object.__new__(cls)._store(len(vertices), src, dst, **ids)
 
@@ -160,19 +160,21 @@ class Graph:
 
     def _vertex_ids(self) -> tuple:
         *parents, ranks = self._ids
-        ranks = np.divmod(ranks, parents[1]._order) if len(parents) == 2 else (ranks,)
-        ids = [map(p.vertices.__getitem__, r.tolist()) for p, r in zip(parents, ranks)]
-        return tuple(zip(*ids) if len(ids) == 2 else ids[0])
+        if len(parents) == 1:
+            return tuple(map(parents[0].__getitem__, ranks.tolist()))
+        (g, h), (u, i) = parents, np.divmod(ranks, parents[1]._order)
+        return tuple(zip(map(g.vertices.__getitem__, u.tolist()), map(h.vertices.__getitem__, i.tolist())))
 
     @cached_property
     def _rank(self) -> dict:
         return dict(zip(self.vertices, range(self._order)))
 
     def _on_ranks(self, keep: np.ndarray, edges: np.ndarray) -> "Graph":
-        """The graph on the vertices of the increasing ranks keep and the edges
-        among them given as rows of `_edge_ranks`, renumbered in rank order."""
+        """The graph on the vertices of the increasing ranks keep and the edges among them given as rows of
+        `_edge_ranks`, renumbered in rank order; it keeps for its ids this graph's, or what they decode from."""
         src, dst = np.searchsorted(keep, edges).T
-        return Graph._from_ranks(keep, src, dst, self)
+        *parents, ranks = self._ids if "vertices" not in vars(self) else (self.vertices, np.arange(self._order))
+        return Graph._from_ranks(ranks[keep], src, dst, *parents)
 
     def _edge_ids(self, rows=slice(None)) -> tuple:
         end, (src, dst) = self.vertices.__getitem__, self._edge_ranks[rows].T.tolist()

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .graphs import Dart, Graph, VertexId, VertexMap, _lookup, format_vertex, make_edge, vertex_key
+from .graphs import Dart, Graph, VertexId, VertexMap, format_vertex, make_edge, vertex_key
 from .labeling import HLabeling, _per_edge, _ranks
 from .product import EdgeTag, ZigZagGraph, zigzag_product
 from .spectral import SpectrumReport
@@ -62,7 +62,7 @@ def _rows(depth: int, template: str, *columns: np.ndarray) -> list:
 
 def _gather(depth: int, template: str, *columns: tuple) -> list:
     """The pieces of the JSON list at this depth of the template's items, each column a pair (texts, index): the
-    texts, an object array (or a function that renders it ending in a given constant), are rendered once with the
+    texts, an object array or a function rendering one that ends in a given constant, are rendered once with the
     constant after their hole, then gathered by index into rows."""
     head, *consts = template.split(_HOLE)
     texts = ((t(c) if callable(t) else t + c)[x] for (t, x), c in zip(columns, consts))
@@ -96,15 +96,13 @@ class _Texts(dict):
         return text
 
     def of(self, g: Graph) -> np.ndarray:
-        """The texts of g's vertices, indexed by rank; one array at every depth if its ids are atoms (as its last
-        is not a pair, for pairs sort last), the ints' then the strings' each rendered by one map.  By id: a
-        render's graphs outlive its texts, so no id is reused."""
+        """The texts of g's vertices by rank, one array at every depth if its ids are atoms (its last is no pair, as
+        pairs sort last), ints then strings each by one map.  By id: a render's graphs outlive it, so none is reused."""
         vs = g.vertices
-        pairs = bool(vs) and isinstance(vs[-1], tuple)
-        key = (id(g), self.depth if pairs else None)
-        if key not in self.arrays:  # pairs, or the atoms: the k ints, then the strings
-            k = 0 if pairs else bisect_left(vs, True, key=lambda v: isinstance(v, str))
-            rest = map(self.__getitem__ if pairs else encode_basestring, vs[k:])
+        key = (id(g), self.depth if vs and isinstance(vs[-1], tuple) else None)
+        if key not in self.arrays:  # the k ints, then the strings (and the pairs, keyed by depth)
+            k = bisect_left(vs, True, key=lambda v: not isinstance(v, int))
+            rest = map(encode_basestring if key[1] is None else self.__getitem__, vs[k:])
             self.arrays[key] = np.array([*map(int.__repr__, vs[:k]), *rest], object)
         return self.arrays[key]
 
@@ -203,24 +201,15 @@ def graph_from_obj(obj) -> Graph:
 
 def _ranked_graph(obj) -> Graph:
     """The graph of a document listing its ids in strictly increasing key order and its edges as increasing
-    rank pairs, read straight into ranks (plain int ids within int64 in numpy); any other document is refused
-    (ValueError, KeyError, TypeError or OverflowError).  Edge ends are matched by value alone if every id is a
-    JSON int or string (an end true or 1.0 reads as 1, as "1" does among int ids), and among others an edge of
-    three ends shifts the rest: only for a caller that compares its rendering."""
+    rank pairs, read straight into ranks; any other document is refused (ValueError, KeyError or TypeError).
+    Edge ends are ranked as one flat list, by value alone if every id is a JSON int or string (an end true or
+    1.0 reads as 1), and an edge of three ends shifts the rest: only for a caller that compares its rendering."""
     verts, edges = _fields(obj, "graph JSON", "vertices", "edges", optional=True)
-    try:  # not bools; an edge end beyond int64 is refused
-        ids = np.array(verts, np.int64) if set(map(type, verts)) <= {int} else None
-    except OverflowError:
-        ids = None
-    if ids is not None:
-        ends, found = _lookup(ids, np.array(edges, np.int64).reshape(-1, 2))
-        ordered = found.all() and (np.diff(ids) > 0).all()
-    else:
-        if not all(type(v) in (int, str) for v in verts):  # nested ids are decoded, and so is every edge end
-            verts, edges = list(map(vertex_from_obj, verts)), [list(map(vertex_from_obj, e)) for e in edges]
-        keys, rank = list(map(vertex_key, verts)), dict(zip(verts, range(len(verts))))
-        ends, ordered = np.array([rank[x] for e in edges for x in e], np.intp).reshape(-1, 2), sorted(set(keys)) == keys
-    if not ordered or (np.diff(ends) <= 0).any() or (np.diff(ends @ (len(verts), 1)) <= 0).any():
+    if not all(type(v) in (int, str) for v in verts):  # nested ids are decoded, and so is every edge end
+        verts, edges = list(map(vertex_from_obj, verts)), [list(map(vertex_from_obj, e)) for e in edges]
+    keys, rank = list(map(vertex_key, verts)), dict(zip(verts, range(len(verts))))
+    ends = np.array([rank[x] for e in edges for x in e], np.intp).reshape(-1, 2)
+    if sorted(set(keys)) != keys or (np.diff(ends) <= 0).any() or (np.diff(ends @ (len(verts), 1)) <= 0).any():
         raise ValueError("graph JSON is not in canonical order")
     return Graph._from_ranks(tuple(verts), *ends.T)
 
@@ -466,7 +455,7 @@ def _canonical_product(text: str) -> ZigZagGraph | None:
         given = (json.loads("[" + ",".join(found) + "]") if len(found) == 2 * len(base._edge_ranks)
                  else [vertex_from_obj(x["label"]) for x in _DECODE(text, at)[0]])
         lab = _per_edge(base, _ranks(labels, given))
-    except (RecursionError, ValueError, KeyError, TypeError, OverflowError):
+    except (RecursionError, ValueError, KeyError, TypeError):
         return None
     z = zigzag_product(base, labels, HLabeling._from_ranks(base, labels, lab))
     return z if dumps_product(z) == text else None

@@ -270,12 +270,11 @@ def folner_product_check(g: Graph, h: Graph, a: HLabeling, chain) -> FolnerRepor
         if not prev <= f:
             raise ValueError("chain is not nested: each subset must contain the previous one")
 
-    z, nh = zigzag_product(g, h, a), h._order
-    d_max = h.max_degree()
+    z, nh, d_max = zigzag_product(g, h, a), h._order, h.max_degree()
     steps = []
     for f in sets:
         sub_labeling = restrict_labeling(a, f)  # refuses a vertex outside g, or a subset member that is no id
-        keep = sub_labeling.base._ids[-1]  # the ranks in g, increasing, that the subgraph's ids are decoded from
+        keep = np.sort(np.fromiter(map(g._rank.__getitem__, f), np.intp, len(f)))  # f's ranks in g, increasing
         f = tuple(map(g.vertices.__getitem__, keep.tolist()))
         zf = zigzag_product(sub_labeling.base, h, sub_labeling)
         # (u, i) of zf, coded over the induced subgraph's ranks, is coded over g's by the rank u has in g.

@@ -7,8 +7,12 @@ decoded twin.  Generators build their rank arrays directly, and a vertex's
 neighbours are read from the neighbour index, never from the adjacency dict."""
 
 import copy
+import gc
 import pickle
+import weakref
 from contextlib import contextmanager
+
+import numpy as np
 
 import pytest
 from hypothesis import given
@@ -162,6 +166,38 @@ class TestProductsDecodeIdsOnDemand:
         want = Graph(tuple(subset), tuple(e for e in g.edges if e[0] in subset and e[1] in subset))
         assert undecoded(sub) and sub._order == len(want.vertices)
         assert sub._rank == want._rank and sub.vertices == want.vertices and sub.edges == want.edges
+
+    @given(constant_valency_instances(), st.data())
+    def test_subgraph_of_an_undecoded_product_decodes_as_the_eager_route(self, instance, data):
+        g, h, a = instance
+        lazy, eager = zigzag_product(g, h, a).product, eager_twin(zigzag_product(g, h, a).product)
+        keep = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=lazy._order, max_size=lazy._order)))
+        rows = np.isin(lazy._edge_ranks, keep).all(axis=1)
+        sub = lazy._on_ranks(keep, lazy._edge_ranks[rows])
+        subsub = sub._on_ranks(np.arange(1, sub._order), sub._edge_ranks[(sub._edge_ranks > 0).all(axis=1)])
+        assert undecoded(lazy) and undecoded(sub) and undecoded(subsub)
+        want = eager.induced_subgraph(eager.vertices[r] for r in keep.tolist())
+        assert sub == want and sub.vertices == want.vertices and sub.edges == want.edges
+        assert subsub == want.induced_subgraph(want.vertices[1:]) and undecoded(lazy)
+
+
+class TestSubgraphsHoldNoParent:
+    """A subgraph keeps what its ids decode from, never the parent graph with its arrays and caches."""
+
+    def test_a_subgraph_of_a_base_graph(self):
+        g = cycle(1000)
+        sub, parent = g.induced_subgraph([5, 6, 7, 900]), weakref.ref(g)
+        del g
+        gc.collect()
+        assert parent() is None and sub.vertices == (5, 6, 7, 900) and sub.edges == ((5, 6), (6, 7))
+
+    def test_a_subgraph_of_an_undecoded_product(self):
+        c4, p3 = cycle(4), path(3)
+        z = zigzag_product(c4, p3, constant_labeling(c4, p3, 1))
+        sub, product = z.product._on_ranks(np.array([0, 1, 2]), np.empty((0, 2), np.intp)), weakref.ref(z.product)
+        del z
+        gc.collect()
+        assert product() is None and undecoded(sub) and sub.vertices == ((0, 0), (0, 2), (1, 0))
 
 
 class TestUndecodedGraphsAreValues:
