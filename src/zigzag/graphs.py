@@ -108,7 +108,7 @@ class Graph:
     both store through `_store`.  `edges` is decoded from the array when first read and then kept, and so are the
     vertex ids and the id -> rank dict of a product or a subgraph, which keeps only how to decode them (`_ids`): a
     product its base and label graphs, a subgraph its parent's id tuple or, of an undecoded parent, what those
-    decode from; never the parent graph itself.  Equality and hashing read the ids too.
+    decode from; never the parent graph itself.  Equality reads the ids too, unless both graphs keep equal recipes.
     """
 
     vertices: tuple = _Decoded("_vertex_ids", ())
@@ -185,10 +185,14 @@ class Graph:
             return True
         if not isinstance(other, Graph):
             return NotImplemented
-        return np.array_equal(self._edge_ranks, other._edge_ranks) and self.vertices == other.vertices
+        if not np.array_equal(self._edge_ranks, other._edge_ranks):
+            return False
+        a, b = vars(self).get("_ids", ()), vars(other).get("_ids", ())  # equal recipes decode to equal ids: no decoding
+        same = len(a) == len(b) > 0 and all(x is y or x == y for x, y in zip(a[:-1], b))
+        return same and np.array_equal(a[-1], b[-1]) or self.vertices == other.vertices
 
     def __hash__(self):
-        return hash((self.vertices, self._edge_ranks.tobytes()))
+        return hash((self._order, self._edge_ranks.tobytes()))
 
     def _edge(self, u: VertexId, v: VertexId) -> Edge:
         """The pair {u, v} of vertices of this graph, endpoints in rank order."""
@@ -227,6 +231,22 @@ class Graph:
         if np.equal(*side[self._edge_ranks.T]).any():
             return None
         return np.argsort(np.argsort(side, kind="stable")), side.size - np.count_nonzero(side)
+
+    @cached_property
+    def _twins(self) -> np.ndarray:
+        """Each rank's class of twins (equal neighbour lists, so never adjacent; the isolated ranks are one class),
+        named by its least rank: the ranks sorted by degree and a wrapping sum of a hash per neighbour, each list
+        compared entry by entry with the one before it, O(E) beside the sort.  Keys that collide only split a class."""
+        (indptr, nbrs), n = self._csr, self._order
+        mix = (nbrs.astype(np.uint64) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)  # uint64 sums wrap
+        sums = np.concatenate(([np.uint64(0)], np.cumsum(mix ^ mix >> np.uint64(29))))
+        order = np.lexsort((sums[indptr[1:]] - sums[indptr[:-1]], self._degrees))  # stable: runs in rank order
+        d = self._degrees[order]
+        (at,) = np.nonzero(d[1:] == d[:-1])  # a list as long as the one before it is compared with it
+        unequal = nbrs[_runs(indptr[order[at]], d[at])] != nbrs[_runs(indptr[order[at + 1]], d[at])]
+        start = np.diff(d, prepend=-1) != 0  # where the classes start, in order
+        start[at[np.repeat(np.arange(at.size), d[at])[unequal]] + 1] = True
+        return order[np.maximum.accumulate(np.where(start, np.arange(n), 0))][np.argsort(order)]
 
     @cached_property
     def _edge_codes(self) -> np.ndarray:

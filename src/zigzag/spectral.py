@@ -45,28 +45,69 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return _matrix(g, split=False)[0]
 
 
-def _block_values(block: np.ndarray, s=None) -> np.ndarray:
-    """The spectrum of [[0, B], [Bᵀ, 0]], descending: the singular values s of B, |p - q| zeros, then -s."""
-    s = np.linalg.svd(block, compute_uv=False) if s is None else s
-    return np.concatenate((s, np.zeros(abs(block.shape[0] - block.shape[1])), -s[::-1]))
+def _quotient(g: Graph, block: np.ndarray, place: np.ndarray) -> tuple:
+    """W = D₀^(1/2)·B[reps₀][:, reps₁]·D₁^(1/2) of g's block B, a row (column) per class of `_twins` on side 0 (1), D
+    the class sizes, and each side's positions' classes.  Twins share a side and a row (column) of B, so B = Ŝ₀·W·Ŝ₁ᵀ,
+    Ŝ the class indicator scaled to orthonormal columns (equitable partitions; Godsil and Royle, *Algebraic Graph
+    Theory*): W's singular triple (u, σ, v) is B's (Ŝ₀u, σ, Ŝ₁v), and B has no other nonzero σ."""
+    p, rep = block.shape[0], place[g._twins[np.argsort(place)]]  # each side position's class's first position
+    first = rep == np.arange(rep.size)
+    cls, reps, k = (np.cumsum(first) - 1)[rep], np.flatnonzero(first), np.count_nonzero(first[:p])
+    root, w = np.sqrt(np.bincount(cls)), block.take(reps[:k], axis=0).take(reps[k:] - p, axis=1)
+    return w * root[:k, None] * root[k:], cls[:p], cls[p:] - k
+
+
+def _block_values(g: Graph, block: np.ndarray, place: np.ndarray, s=None) -> np.ndarray:
+    """The spectrum of [[0, B], [Bᵀ, 0]], descending: the singular values s of B's twin quotient, zeros, then -s."""
+    s = np.linalg.svd(_quotient(g, block, place)[0], compute_uv=False) if s is None else s
+    return np.concatenate((s, np.zeros(g._order - 2 * s.size), -s[::-1]))
 
 
 def _residual(g: Graph, value: float, vec: np.ndarray) -> float:
     """max |A·vec - value·vec|, with A·vec summed over the neighbour index's rows, not built."""
     indptr, indices = g._csr
     if g._isolated_free:
-        sums = np.add.reduceat(vec[indices], indptr[:-1])
+        sums = np.add.reduceat(vec.take(indices), indptr[:-1])
     else:  # reduceat reads an empty row as the next row's first entry, or the 0 put past the end: masked
-        sums = np.add.reduceat(np.append(vec[indices], 0.0), indptr[:-1]) * (g._degrees > 0)
-    return np.abs(sums - value * vec).max()
+        sums = np.add.reduceat(np.append(vec.take(indices), 0.0), indptr[:-1]) * (g._degrees > 0)
+    sums -= value * vec
+    return np.abs(sums, out=sums).max()
 
 
-def _residuals(mat: np.ndarray, values: np.ndarray, rows: np.ndarray, block: bool = False) -> np.ndarray:
-    """max |A·x - value·x| of every row x of rows, with its value, by matrix products: A = mat (symmetric), or
-    if block A = [[0, B], [Bᵀ, 0]] with B = mat and each x in side order, A·(x₀, x₁) = (B·x₁, Bᵀ·x₀), a half apiece."""
-    p, vx = mat.shape[0], values[:, None] * rows
-    parts = ((rows[:, p:] @ mat.T, vx[:, :p]), (rows[:, :p] @ mat, vx[:, p:])) if block else ((rows @ mat, vx),)
-    return np.maximum.reduce([np.abs(ax - x).max(axis=1, initial=0.0) for ax, x in parts])  # a side may be empty
+def _residuals(mat: np.ndarray, values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """max |A·x - value·x| of every row x of rows, with its value, by one matrix product with A = mat (symmetric)."""
+    return np.abs(rows @ mat - values[:, None] * rows).max(axis=1)
+
+
+def _block_residuals(block: np.ndarray, s: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """max |A·x - λ·x|, A = [[0, B], [Bᵀ, 0]], of each x in `adjacency_eigenpairs`' order, made of the unit rows u
+    of left and v of right, from two block products: (u, ±v)/√2 of the singular triples (u, σ, v) first,
+    max(|B·v - σu|, |Bᵀ·u - σv|)/√2; then (u, 0) and (0, v), |Bᵀ·u| and |B·v|."""
+    r, bv, btu = s.size, right @ block.T, left @ block
+    bv[:r] -= s[:, None] * left[:r]
+    btu[:r] -= s[:, None] * right[:r]
+    x, y = (np.abs(a).max(axis=1, initial=0.0) for a in (btu, bv))  # a side may be empty
+    pair = np.sqrt(0.5) * np.maximum(x[:r], y[:r])
+    return np.concatenate((pair, x[r:], y[r:], pair[::-1]))
+
+
+def _spread(rows: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """Orthonormal rows over classes spread over the members cls puts in them, over √(class size), then the Helmert
+    rows (1, ..., 1, -j, 0, ...)/√(j·(j + 1)) on each class's first j + 1 members, 0 < j: an orthonormal basis."""
+    m = np.arange(cls.size)
+    before = (cls[:, None] == cls) & (m[:, None] > m)  # before[t, u]: u is in t's class, ahead of t
+    (at,) = np.nonzero(before.any(axis=1))  # every member but the first of its class
+    j = np.count_nonzero(before[at], axis=1)[:, None]  # its place in its class
+    helmert = (before[at] - j * (at[:, None] == m)) / np.sqrt(j * (j + 1.0))
+    return np.concatenate((rows.take(cls, axis=1) / np.sqrt(np.bincount(cls)).take(cls), helmert))
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    """Every row over its norm, C-contiguous; a row of norm at most RESIDUAL_TOL is refused."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    if (norms <= RESIDUAL_TOL).any():
+        raise ValueError("eigenvector is numerically zero")
+    return np.divide(rows, norms, order="C")
 
 
 def _laplacian(g: Graph, split: bool):
@@ -119,27 +160,42 @@ class SpectrumReport:
 def adjacency_spectrum(g: Graph) -> SpectrumReport:
     """Eigenvalues of the adjacency operator, descending: ±σ of a bipartite graph's block."""
     mat, place, _ = _matrix(g)
-    values = np.linalg.eigvalsh(mat) if place is None else _block_values(mat)
+    values = np.linalg.eigvalsh(mat) if place is None else _block_values(g, mat, place)
     return SpectrumReport.from_values(values, "adjacency")
 
 
 def normalized_laplacian_spectrum(g: Graph) -> SpectrumReport:
     """Eigenvalues of the normalized Laplacian, descending, all in [0, 2]: 1 ∓ σ of a bipartite graph's block."""
     mat, place = _laplacian(g, split=True)
-    values = np.linalg.eigvalsh(mat) if place is None else 1.0 + _block_values(mat)
+    values = np.linalg.eigvalsh(mat) if place is None else 1.0 + _block_values(g, mat, place)
     return SpectrumReport.from_values(values, "normalized_laplacian")
 
 
 def _fix_signs(rows: np.ndarray) -> None:
     """Negate, in place, every row (one vector a row) whose first entry of modulus over 1e-12 is negative."""
     lead = rows[np.arange(len(rows)), (np.abs(rows) > 1e-12).argmax(axis=1)]
-    rows *= np.where(lead < -1e-12, -1.0, 1.0)[:, None]  # a row without such an entry stays as it is
+    np.negative(rows, out=rows, where=(lead < -1e-12)[:, None])  # a row without such an entry stays as it is
+
+
+def _verified_vector(g: Graph, value: float, vec: np.ndarray, norm: float) -> np.ndarray:
+    """vec over norm, its norm taken by the caller, sign-fixed, its residual checked on g, read-only: the step of the
+    constructor, a lift and a descent.  It writes into a new array, never into vec."""
+    if not norm > RESIDUAL_TOL:  # a NaN is refused too
+        raise ValueError("eigenvector is numerically zero")
+    vec = vec / norm  # before the sign fix, whose 1e-12 is absolute
+    if vec[(np.abs(vec) > 1e-12).argmax()] < -1e-12:  # `_fix_signs` of one vector
+        np.negative(vec, out=vec)
+    residual = _residual(g, value, vec)
+    if not residual <= RESIDUAL_TOL:  # so are a NaN value and an infinite entry, whose residual is NaN
+        raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
+    vec.flags.writeable = False
+    return vec
 
 
 @dataclass(frozen=True, eq=False)
 class EigenPair:
-    """A verified adjacency eigenpair, unit norm, sign-fixed, read-only: the constructor checks
-    one pair in O(E); `adjacency_eigenpairs` checks a whole decomposition and uses `_from_verified`."""
+    """A verified adjacency eigenpair, unit norm, sign-fixed, read-only: the constructor, a lift and a descent
+    check one pair in O(E) by `_verified_vector`; `adjacency_eigenpairs` checks a whole decomposition."""
 
     graph: Graph
     value: float
@@ -149,16 +205,7 @@ class EigenPair:
         vec = np.asarray(self.vector, dtype=float)
         if vec.shape != (self.graph._order,):
             raise ValueError("eigenvector length must match the vertex count")
-        norm = np.sqrt(vec @ vec)
-        if not norm > RESIDUAL_TOL:  # a NaN is refused too
-            raise ValueError("eigenvector is numerically zero")
-        vec = vec / norm  # before the sign fix, whose 1e-12 is absolute
-        vec *= -1.0 if vec[(np.abs(vec) > 1e-12).argmax()] < -1e-12 else 1.0  # `_fix_signs` of one vector
-        residual = _residual(self.graph, self.value, vec)
-        if not residual <= RESIDUAL_TOL:  # so are a NaN value and an infinite entry, whose residual is NaN
-            raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
-        vec.flags.writeable = False
-        object.__setattr__(self, "vector", vec)
+        object.__setattr__(self, "vector", _verified_vector(self.graph, self.value, vec, np.sqrt(vec @ vec)))
 
     @classmethod
     def _from_verified(cls, graph: Graph, value: float, vector: np.ndarray) -> "EigenPair":
@@ -175,32 +222,29 @@ class EigenPair:
 
 def adjacency_eigenpairs(g: Graph) -> list[EigenPair]:
     """Full verified eigendecomposition, eigenvalues descending, in one pass: the matrix given to `eigh`, or a
-    bipartite graph's block B = U·diag(σ)·Vᵀ given to `svd` (then (u, ±v)/√2 have eigenvalues ±σ, spare columns of
-    U or V 0), is first certified against the edge array, then every vector is normalized, sign-fixed and its
-    residual checked at once.  The vectors are the read-only rows of one C-contiguous matrix."""
+    bipartite graph's block B's twin quotient W given to `svd`, W's singular vectors spread over the classes
+    (`_spread`): (u, ±v)/√2 have eigenvalues ±σ, spare columns of U or V and differences in a class (u, 0) or (0, v)
+    0.  The matrix or block is certified against the edge array, then every vector normalized, its residual checked
+    on the whole matrix or block, and sign-fixed.  The vectors are the read-only rows of one C-contiguous matrix."""
     mat, place, at = _matrix(g)
     entries = [at] if place is not None else [at, at[::-1]]  # the n×n matrix holds each edge twice
     if np.count_nonzero(mat) != len(entries) * len(at[0]) or not all((mat[e] == 1).all() for e in entries):
         raise RuntimeError("dense matrix is not the adjacency of the graph's edges")
     if place is None:
         values, rows = np.linalg.eigh(mat)
-        values, rows = values[::-1], rows.T[::-1]  # one eigenvector per row, values descending
+        values, rows = values[::-1], _unit_rows(rows.T[::-1])  # one eigenvector per row, values descending
+        residual = _residuals(mat, values, rows).max()
     else:
-        (p, q), (left, s, right) = mat.shape, np.linalg.svd(mat)
-        r, rows = min(p, q), np.zeros((p + q, p + q))  # a vector a row, by sides: those of σ, 0, then -σ
-        x, y = np.sqrt(0.5) * left[:, :r].T, np.sqrt(0.5) * right[:r]
-        rows[:r, :p], rows[:r, p:], rows[p + q - r:, :p], rows[p + q - r:, p:] = x, y, x[::-1], -y[::-1]
-        rows[r:p, :p], rows[p:p + q - r, p:] = left[:, r:].T, right[r:]
-        values = _block_values(mat, s)
-    norms = np.linalg.norm(rows, axis=1, keepdims=True)
-    if (norms <= RESIDUAL_TOL).any():
-        raise ValueError("eigenvector is numerically zero")
-    rows = np.divide(rows, norms, order="C")
-    residual = _residuals(mat, values, rows, place is not None).max()
+        (p, q), (w, cls0, cls1) = mat.shape, _quotient(g, mat, place)
+        left, s, right = np.linalg.svd(w)
+        left, right, n, r = _unit_rows(_spread(left.T, cls0)), _unit_rows(_spread(right, cls1)), p + q, s.size
+        residual, rows = _block_residuals(mat, s, left, right).max(), np.zeros((n, n))  # by sides: σ, 0, then -σ
+        x, y = np.sqrt(0.5) * left[:r], np.sqrt(0.5) * right[:r]
+        rows[:r, :p], rows[:r, p:], rows[n - r:, :p], rows[n - r:, p:] = x, y, x[::-1], -y[::-1]
+        rows[r:p, :p], rows[p:n - r, p:] = left[r:], right[r:]
+        rows, values = rows.take(place, axis=1), _block_values(g, mat, place, s)  # to rank order, C-contiguous
     if not residual <= RESIDUAL_TOL:  # a NaN is refused too
         raise ValueError(f"residual {residual:.3e} exceeds tolerance; not an eigenpair")
-    if place is not None:
-        rows = rows.take(place, axis=1)  # from side order to rank order, C-contiguous
     _fix_signs(rows)
     rows.flags.writeable = False
     return [EigenPair._from_verified(g, x, vec) for x, vec in zip(values.tolist(), rows)]
@@ -223,13 +267,13 @@ def lift_eigenvector(ep: EigenPair, z: ZigZagGraph) -> EigenPair:
         raise ValueError("eigenvector lifting needs a locally constant labeling")
     n = image_valency(z.labeling)
 
-    fhat = ep.vector[z._base_ranks]
+    fhat, value = ep.vector.take(z._base_ranks), n * ep.value
     norm = np.sqrt(fhat @ fhat)
     if abs(norm - np.sqrt(n)) > RESIDUAL_TOL:
         raise ValueError(
             f"lifted norm {norm:.6f} is not sqrt({n}); the eigenvector touches vertices without product fibers"
         )
-    return EigenPair(z.product, n * ep.value, fhat)
+    return EigenPair._from_verified(z.product, value, _verified_vector(z.product, value, fhat, norm))
 
 
 def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
@@ -254,9 +298,9 @@ def descend_eigenvector(ep: EigenPair, z: ZigZagGraph):
     if bad.any():
         u = z.base.vertices[over[starts[bad.argmax()]]]  # the first fiber that is not constant
         raise RuntimeError(f"eigenvector with eigenvalue {ep.value:.6g} is not fiber-constant above {u}")
-    f = np.zeros(z.base._order)
+    f, value = np.zeros(z.base._order), ep.value / n
     f[over[starts]] = vec[starts]  # 0 above no fiber
-    return EigenPair(z.base, ep.value / n, f)
+    return EigenPair._from_verified(z.base, value, _verified_vector(z.base, value, f, np.sqrt(f @ f)))
 
 
 def normalized_radius(g: Graph, d: int) -> float:

@@ -22,7 +22,8 @@ spectrum per eigenvalue, eigenvector lift and descent walk the product
 vertices one at a time, and the image valency is a set of `degree` reads
 over the labels in use.  The structural questions keep theirs, each on the
 id views: connectivity by a depth-first search over the adjacency dict, the
-2-colouring by a breadth-first search over neighbour lists, the boundary by
+2-colouring by a breadth-first search over neighbour lists, the twin classes
+by neighbour sets, the boundary by
 a walk over the edge tuple, composition and inversion by dicts, neighbour
 reflection over all O(|V|^2) vertex pairs, the labeled-morphism verdicts by
 neighbour sets, the lift of a pair by one edge-set read per dart, and the
@@ -191,6 +192,17 @@ def sides(g):
     p = side.count(False)
     ahead = [iter(range(p)), iter(range(p, len(side)))]
     return [next(ahead[right]) for right in side], p
+
+
+def twins(g):
+    """The classes `Graph._twins` gives, by neighbour sets built from the edge tuple: each vertex's index is
+    replaced by the least index of a vertex with the same set of neighbours."""
+    index = {v: r for r, v in enumerate(g.vertices)}
+    nbrs, first = [set() for _ in g.vertices], {}
+    for u, v in g.edges:
+        nbrs[index[u]].add(v)
+        nbrs[index[v]].add(u)
+    return [first.setdefault(frozenset(s), r) for r, s in enumerate(nbrs)]
 
 
 def boundary(subset, g):

@@ -221,3 +221,39 @@ class TestUndecodedGraphsAreValues:
                 assert made == decoded and decoded == made and hash(made) == hash(decoded)
                 assert made.vertices == decoded.vertices and made.edges == decoded.edges
                 assert made._rank == decoded._rank
+
+
+class TestEqualityReadsTheRecipes:
+    """Two undecoded graphs with equal recipes (parents and ranks) compare equal with no id decoded, and hashing
+    reads only the vertex count and the edge ranks; decoding stays the fallback, so other ids still differ."""
+
+    def test_two_independent_builds_compare_and_hash_equal_undecoded(self):
+        def build():
+            g, h = cycle(250), path(3)
+            z = zigzag_product(g, h, constant_labeling(g, h, 1))
+            every_third = z.product._edge_ranks[(z.product._edge_ranks % 3 == 0).all(axis=1)]
+            return z.product, z.product._on_ranks(np.arange(0, 500, 3), every_third)  # a product, a subgraph of it
+
+        with decoding() as decodes:
+            for x, y in zip(build(), build()):
+                assert x is not y and x == y and y == x and hash(x) == hash(y)
+                assert undecoded(x) and undecoded(y)
+        assert decodes == []
+
+    @given(st.one_of(labeled_instances_of_both_forms(), mixed_labeled_instances()))
+    def test_an_undecoded_graph_equals_and_hashes_as_its_decoded_twin(self, instance):
+        g, h, a = instance
+        lazy, decoded = zigzag_product(g, h, a).product, zigzag_product(g, h, a).product
+        decoded.vertices  # decodes it; its recipe is kept
+        for twin in (decoded, eager_twin(decoded)):
+            assert lazy == twin and twin == lazy and hash(lazy) == hash(twin)
+
+    def test_the_same_shape_with_other_ids_differs(self):
+        c4, p3 = cycle(4), path(3)
+        other_c4 = Graph(tuple(range(10, 14)), ((10, 11), (11, 12), (12, 13), (10, 13)))
+        other_p3 = Graph(("a", "b", "c"), (("a", "b"), ("b", "c")))
+        z = zigzag_product(c4, p3, constant_labeling(c4, p3, 1)).product
+        for g, h, label in ((other_c4, p3, 1), (c4, other_p3, "b")):
+            w = zigzag_product(g, h, constant_labeling(g, h, label)).product
+            assert np.array_equal(w._edge_ranks, z._edge_ranks) and hash(w) == hash(z)
+            assert w != z and z != w and w.vertices != z.vertices

@@ -233,6 +233,26 @@ def complete_bipartite(p, q):
     return Graph(tuple(range(p + q)), tuple((x, y) for x in range(p) for y in range(p, p + q)))
 
 
+@st.composite
+def twin_rich_bipartite_graphs(draw):
+    """Bipartite graphs with planted twins: a drawn bipartite graph with every vertex copied up to three times
+    (each copy (v, i) sees the copies of v's neighbours) and isolated vertices added; K_{p,q}; or the product of a
+    bipartite base and a locally constant labeling, whose fibers are classes of twins."""
+    kind = draw(st.sampled_from(["copies", "complete", "product"]))
+    if kind == "complete":
+        return complete_bipartite(draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    g = draw(bipartite_graphs(max_side=4))
+    if kind == "product":
+        assume(g.edges)
+        h, labels = draw(st.sampled_from(CONSTANT_VALENCY_POOL))
+        return zigzag_product(g, h, vertex_labeling(g, h, {u: draw(st.sampled_from(labels)) for u in g.vertices})).product
+    copies = {v: draw(st.integers(1, 3)) for v in g.vertices}
+    spare = [(len(g.vertices) + k, 0) for k in range(draw(st.integers(0, 2)))]
+    verts = [(v, i) for v in g.vertices for i in range(copies[v])] + spare
+    edges = [((u, i), (v, j)) for u, v in g.edges for i in range(copies[u]) for j in range(copies[v])]
+    return Graph(tuple(verts), tuple(edges))
+
+
 class TestBatchedEigenpairs:
     """adjacency_eigenpairs verifies the whole decomposition in one pass and
     gives the pairs the per-pair constructor gives, column by column: on a graph
@@ -275,9 +295,13 @@ class TestBatchedEigenpairs:
         values = [p.value for p in batch]
         assert values == sorted(values, reverse=True)
         block, place, _ = spectral._matrix(g)
-        rows = np.array([p.vector for p in batch])[:, np.argsort(place)]  # in side order, as the block's
-        for r, p in zip(_residuals(block, np.array(values), rows, block=True), batch):
-            assert abs(r - oracle.dense_residual(g, p.value, p.vector)) <= 1e-12
+        (k, m), rows = block.shape, np.array([p.vector for p in batch])[:, np.argsort(place)]  # in side order
+        r = min(spectral._quotient(g, block, place)[0].shape)  # the singular triples
+        # The factors the rows are made of: the halves of the first r rows times √2, then the zero rows' own halves.
+        left = np.concatenate((np.sqrt(2) * rows[:r, :k], rows[r:k, :k]))
+        right = np.concatenate((np.sqrt(2) * rows[:r, k:], rows[k:k + m - r, k:]))
+        for res, p in zip(spectral._block_residuals(block, np.array(values[:r]), left, right), batch):
+            assert abs(res - oracle.dense_residual(g, p.value, p.vector)) <= 1e-12
 
     @given(st.one_of(odd_cycle_graphs(), bipartite_graphs()), st.data())
     def test_scaled_vectors_normalize_then_sign_fix_to_the_batch_pairs(self, g, data):
@@ -372,10 +396,10 @@ def dense_laplacian_values(g):
 
 
 class TestBipartiteBlock:
-    """A bipartite graph is eigensolved on its biadjacency block; `eigvalsh` and `eigh` of the full
-    matrix are the oracle."""
+    """A bipartite graph is eigensolved on the twin quotient of its biadjacency block; `eigvalsh` and `eigh`
+    of the full matrix are the oracle, on drawn bipartite graphs and on ones with planted twins."""
 
-    @given(bipartite_graphs())
+    @given(st.one_of(bipartite_graphs(), twin_rich_bipartite_graphs()))
     @example(Graph((0,), ()))
     @example(Graph((0, 1, 2, 3), ()))
     @example(complete_bipartite(1, 6))
@@ -388,7 +412,7 @@ class TestBipartiteBlock:
             got, want = normalized_laplacian_spectrum(g).eigenvalues, dense_laplacian_values(g)
             assert np.abs(np.array(got) - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
-    @given(bipartite_graphs())
+    @given(st.one_of(bipartite_graphs(), twin_rich_bipartite_graphs()))
     @example(Graph((0,), ()))
     @example(Graph((0, 1, 2, 3), ()))
     @example(Graph((0, 1, 2, 3, 4), ((0, 1), (2, 3))))
@@ -429,6 +453,47 @@ class TestBipartiteBlock:
         g.__dict__["_degrees"] = np.full(6, 3)  # not the edges' own degrees: the weights 1/3 are not 1/d = 1/2
         with pytest.raises(RuntimeError, match="^regular-graph Laplacian identity I - A/d violated$"):
             normalized_laplacian_spectrum(g)
+
+
+class TestTwinQuotient:
+    """The twin quotient of a block has one row or column per class of vertices with one neighbour list (the
+    oracle groups vertices by neighbour set), and its singular vectors spread over each class."""
+
+    @given(st.one_of(twin_rich_bipartite_graphs(), small_graphs(), mixed_graphs()))
+    @example(Graph((), ()))
+    @example(Graph((0, 1, 2), ()))
+    def test_twins_are_the_classes_of_equal_neighbour_sets(self, g):
+        assert g._twins.tolist() == oracle.twins(g)
+
+    @given(twin_rich_bipartite_graphs())
+    def test_nonzero_eigenvalue_vectors_are_constant_on_twins(self, g):
+        classes = oracle.twins(g)
+        for p in adjacency_eigenpairs(g):
+            if p.value != 0.0:  # every twin of a vertex has its entry, bit for bit
+                assert np.array_equal(p.vector, p.vector[classes])
+
+    def test_the_quotient_has_a_row_or_column_per_class(self):
+        # Q3 with C6 labels: every fiber of the product is a class of two twins, so the 8×8 block has a 4×4 quotient.
+        z = zigzag_product(hypercube(3), C6, constant_labeling(hypercube(3), C6, 0))
+        block, place, _ = spectral._matrix(z.product)
+        assert block.shape == (8, 8) and spectral._quotient(z.product, block, place)[0].shape == (4, 4)
+        assert spectral._quotient(hypercube(3), *spectral._matrix(hypercube(3))[:2])[0].shape == (4, 4)  # its block
+
+    @TestBatchedEigenpairs.CORRUPTIONS
+    def test_corrupted_quotient_factors_refused(self, monkeypatch, corrupt, message):
+        svd, shapes = np.linalg.svd, []
+
+        def corrupted(w, *args, **kw):
+            shapes.append(w.shape)
+            left, s, right = svd(w, *args, **kw)
+            left[:, 1], right[1] = corrupt(left[:, 1]), corrupt(right[1])  # both halves of the pairs of ±σ_1
+            return left, s, right
+
+        monkeypatch.setattr("zigzag.spectral.np.linalg.svd", corrupted)
+        z = zigzag_product(hypercube(3), C6, constant_labeling(hypercube(3), C6, 0))
+        with pytest.raises(ValueError, match=message):
+            adjacency_eigenpairs(z.product)
+        assert shapes == [(4, 4)]  # the quotient of the 8×8 block
 
 
 class TestLiftEigenvector:
@@ -554,6 +619,36 @@ class TestTransportMatchesTheLoops:
         stand_in = SimpleNamespace(graph=z.product, value=2.0, vector=vec)
         with pytest.raises(RuntimeError, match="^eigenvector with eigenvalue 2 is not fiber-constant above 1$"):
             descend_eigenvector(stand_in, z)
+
+
+class TestOneVerifiedStep:
+    """The constructor, a lift and a descent make their pairs by one private step, so they cannot drift."""
+
+    @given(st.one_of(constant_valency_instances(), mixed_constant_valency_instances()))
+    def test_transported_pairs_are_the_constructors_bit_for_bit(self, inst):
+        g, h, a = inst
+        z, n = zigzag_product(g, h, a), image_valency(a)
+        for ep in adjacency_eigenpairs(g):
+            fhat = oracle.lifted_vector(ep.vector, z)
+            if abs(np.linalg.norm(fhat) - np.sqrt(n)) <= RESIDUAL_TOL:
+                got, want = lift_eigenvector(ep, z), EigenPair(z.product, n * ep.value, fhat)
+                assert (got.value, got.vector.tobytes()) == (want.value, want.vector.tobytes())
+        for ep in adjacency_eigenpairs(z.product):
+            try:
+                want = oracle.descend_eigenvector(ep, z)  # the constructor's pair of the fiber values
+            except (ValueError, RuntimeError):
+                continue
+            if isinstance(want, EigenPair):
+                got = descend_eigenvector(ep, z)
+                assert (got.value, got.vector.tobytes()) == (want.value, want.vector.tobytes())
+
+    @given(st.one_of(odd_cycle_graphs(), bipartite_graphs()), st.sampled_from([1.0, -3.0, 1e-6]))
+    def test_the_constructor_never_writes_the_callers_vector(self, g, scale):
+        for p in adjacency_eigenpairs(g):
+            vec = scale * p.vector  # writable; a negative scale would be undone by the sign fix
+            before = vec.tobytes()
+            assert np.abs(EigenPair(g, p.value, vec).vector - p.vector).max() <= 1e-15
+            assert vec.tobytes() == before and vec.flags.writeable
 
 
 def report(values) -> SpectrumReport:

@@ -317,16 +317,17 @@ class TestCertifiedSpectra:
         assert [lv.spectrum.eigenvalues for lv in build.levels] == [(1.0, 0.0, 0.0, 0.0, 0.0, -1.0)] + [(1.0, -1.0)] * 2
         assert [lv.laplacian and lv.laplacian.eigenvalues for lv in build.levels] == [None] + [(2.0, 0.0)] * 2
 
-    @pytest.mark.parametrize("g, calls", [(C4, 1), (path(5), 2), (cycle(5), 1)])
-    def test_eigensolves_per_tower(self, g, calls, monkeypatch):
+    @pytest.mark.parametrize("g, calls, size", [(C4, 1, 2), (path(5), 2, 5), (cycle(5), 1, 5)])
+    def test_eigensolves_per_tower(self, g, calls, size, monkeypatch):
         # Level 1 only: its adjacency, and for a non-regular level 1 its normalized adjacency; a bipartite
-        # level 1 (C4, P5) is solved on its p×q biadjacency block, of p + q = |V| vertices.
+        # level 1 (C4, P5) is solved on the twin quotient of its p×q biadjacency block, one row or column per
+        # class of twins: C4's opposite vertices are twins, so 1 + 1; P5 has none, so all 5 vertices.
         sizes, eigvalsh, svd = [], np.linalg.eigvalsh, np.linalg.svd
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: sizes.append(len(mat)) or eigvalsh(mat))
         monkeypatch.setattr(np.linalg, "svd", lambda mat, **kw: sizes.append(sum(mat.shape)) or svd(mat, **kw))
         build = build_tower(g, P3, constant_labeling(g, P3, 1), 10)
         assert all(lv.spectrum and lv.laplacian for lv in build.levels)
-        assert sizes == [len(g.vertices)] * calls
+        assert sizes == [size] * calls
 
     def test_relative_tolerance_past_the_old_cap(self):
         # C5/K4 (m = 3): level 7 has 3 645 vertices and rho = 2·3^6 = 1 458, so the pair checks
